@@ -1,22 +1,24 @@
 //! Criterion benchmark of the Ranking hot path: the per-iteration cost of
 //! scoring every unseen pool candidate and taking the argmax.
 //!
-//! Two implementations are compared on the same surrogate/pool/history:
+//! Three implementations are compared on the same surrogate/pool/history:
 //!
 //! - `serial_log_ei` — the original path: per-candidate `log_ei` (KDE and
 //!   histogram lookups through enum dispatch) plus a `history.contains`
 //!   hash probe per candidate.
 //! - `batch_table` — the batch-scoring engine: a precomputed
 //!   [`ScoreTable`], the flattened [`PoolEncoding`], a positional seen
-//!   bitset, and the rayon-chunked `rank_encoded` argmax.
+//!   bitset, and the rayon-chunked `rank_encoded` sweep.
+//! - `index_search` — the same table searched by `rank_indexed`, the
+//!   branch-and-bound argmax over the pool's prefix-run index.
 //!
-//! Table/encoding construction is *included* in the batch measurement for
-//! the table, and excluded for the encoding — matching the real `Tuner`,
-//! which rebuilds the table after every fit but encodes the pool once.
+//! Table construction is *included* in the batch measurements, while the
+//! encoding and run index are excluded — matching the real `Tuner`, which
+//! rebuilds the table after every fit but indexes the pool once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hiperbot_apps::{hypre, kripke, Dataset, Scale};
-use hiperbot_core::selection::rank_encoded;
+use hiperbot_core::selection::{rank_encoded, rank_indexed, RunIndex};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::ObservationHistory;
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
@@ -33,6 +35,7 @@ struct Fixture {
     surrogate: TpeSurrogate,
     history: ObservationHistory,
     encoding: PoolEncoding,
+    runs: RunIndex,
     seen: PoolMask,
 }
 
@@ -52,6 +55,7 @@ fn fixture(name: &'static str, dataset: Dataset) -> Fixture {
         history.push(c.clone(), y);
     }
     let encoding = PoolEncoding::encode(dataset.configs()).expect("discrete pool");
+    let runs = RunIndex::build(&encoding);
     let mut seen = PoolMask::new(dataset.len());
     for (i, c) in dataset.configs().iter().enumerate() {
         if history.contains(c) {
@@ -64,6 +68,7 @@ fn fixture(name: &'static str, dataset: Dataset) -> Fixture {
         surrogate,
         history,
         encoding,
+        runs,
         seen,
     }
 }
@@ -100,6 +105,13 @@ fn bench_ranking(c: &mut Criterion) {
                 let table = f.surrogate.score_table();
                 let tables = table.discrete_tables().expect("discrete space");
                 rank_encoded(black_box(&tables), &f.encoding, &f.seen)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("index_search", &id), f, |b, f| {
+            b.iter(|| {
+                let table = f.surrogate.score_table();
+                let tables = table.discrete_tables().expect("discrete space");
+                rank_indexed(black_box(&tables), &f.encoding, &f.runs, &f.seen)
             })
         });
     }

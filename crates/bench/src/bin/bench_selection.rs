@@ -1,178 +1,165 @@
-//! Measures the Ranking hot path — serial per-candidate `log_ei` vs the
-//! batch-scoring engine — over the three measured pools and writes
+//! Measures the Ranking argmax — the pool sweep (`rank_encoded`) vs the
+//! branch-and-bound search over the prefix-run index (`rank_indexed`) —
+//! against pool size, on every shipped pool, and writes
 //! `BENCH_selection.json` at the workspace root.
 //!
-//! Per pool it reports the per-iteration ranking wall time of each path
-//! (median of `TRIALS` timed runs, each averaging `inner` rankings), the
-//! batch engine's ns-per-candidate-score, and the speedup. Timings flow
-//! through the shared `hiperbot-obs` [`MetricsRegistry`] — one histogram
-//! per `(path, pool)` — so this bench exercises the same quantile pipeline
-//! as `--metrics-summary` and the trace replayer. Run with
-//! `cargo run --release -p hiperbot-bench --bin bench_selection`.
+//! Per pool it runs one seeded serial Ranking tuner on the dataset, then
+//! replays the run: before each model-driven pick it refits the surrogate
+//! on the history prefix (the tables the tuner saw), marks the prefix
+//! seen, and times both paths on those tables. Both must return the
+//! tuner's own next pick. It reports p50 and p90 ns per pick for each path,
+//! the index build time and the pool size. Run with
+//! `HIPERBOT_THREADS=1 cargo run --release -p hiperbot-bench --bin bench_selection`.
 
-use hiperbot_apps::{hypre, kripke, Dataset, Scale};
+use hiperbot_apps::{hypre, kripke, lulesh, openatom, Dataset, Scale};
 use hiperbot_bench::{host_meta, pin_threads, write_bench_json, HostMeta};
-use hiperbot_core::selection::rank_encoded;
+use hiperbot_core::selection::{rank_encoded, rank_indexed, RunIndex};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
-use hiperbot_core::ObservationHistory;
-use hiperbot_obs::MetricsRegistry;
+use hiperbot_core::{Tuner, TunerOptions};
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
-use hiperbot_space::sampling::sample_distinct;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
-const HISTORY_LEN: usize = 100;
-const TRIALS: usize = 9;
+const SEED: u64 = 1;
+const BUDGET: usize = 300;
+/// Timed calls per pick and path; a pick's time is their mean.
+const REPS: usize = 5;
 
 #[derive(Debug, serde::Serialize)]
 struct PoolResult {
     dataset: String,
     pool_size: usize,
-    history_len: usize,
-    serial_ns_per_iter: f64,
-    batch_ns_per_iter: f64,
-    batch_ns_per_candidate_score: f64,
-    speedup: f64,
+    picks: usize,
+    index_build_ns: u64,
+    sweep_ns_p50: u64,
+    sweep_ns_p90: u64,
+    index_ns_p50: u64,
+    index_ns_p90: u64,
+    speedup_p50: f64,
 }
 
 #[derive(Debug, serde::Serialize)]
 struct Report {
     bench: String,
     host: HostMeta,
-    trials: usize,
+    seed: u64,
+    budget: usize,
+    reps_per_pick: usize,
     pools: Vec<PoolResult>,
 }
 
-/// Runs `TRIALS` timed runs of `f` (each averaging `inner` calls) into the
-/// registry histogram `phase`, then reads the median back out of it.
-fn median_ns(registry: &MetricsRegistry, phase: &str, inner: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..TRIALS {
-        let t = Instant::now();
-        for _ in 0..inner {
-            f();
-        }
-        registry.observe_ns(phase, t.elapsed().as_nanos() as u64 / inner as u64);
+/// Mean ns of `REPS` calls of `f`.
+fn time_ns(mut f: impl FnMut()) -> u64 {
+    let t = Instant::now();
+    for _ in 0..REPS {
+        f();
     }
-    registry
-        .histogram(phase)
-        .and_then(|h| h.quantile(0.5))
-        .expect("samples recorded") as f64
+    t.elapsed().as_nanos() as u64 / REPS as u64
 }
 
-fn measure(registry: &MetricsRegistry, name: &str, dataset: &Dataset) -> PoolResult {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let configs = sample_distinct(dataset.space(), HISTORY_LEN, &mut rng);
-    let objectives: Vec<f64> = configs.iter().map(|c| dataset.evaluate(c)).collect();
-    let surrogate = TpeSurrogate::fit(
-        dataset.space(),
-        &configs,
-        &objectives,
-        &SurrogateOptions::default(),
-        None,
-    );
-    let mut history = ObservationHistory::new();
-    for (c, &y) in configs.iter().zip(&objectives) {
-        history.push(c.clone(), y);
-    }
+/// The `q`-quantile of `samples` (nearest rank).
+fn quantile(samples: &mut [u64], q: f64) -> u64 {
+    samples.sort_unstable();
+    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
+}
+
+fn measure(name: &str, dataset: &Dataset) -> PoolResult {
+    let options = TunerOptions::default().with_seed(SEED);
+    let mut tuner = Tuner::new(dataset.space().clone(), options.clone());
+    tuner.run(BUDGET, |c| dataset.evaluate(c));
+    let history = tuner.history();
+
     let pool = dataset.configs();
     let encoding = PoolEncoding::encode(pool).expect("discrete pool");
+    let index_build_ns = (0..REPS)
+        .map(|_| time_ns(|| drop(std::hint::black_box(RunIndex::build(&encoding)))))
+        .min()
+        .expect("REPS > 0");
+    let runs = RunIndex::build(&encoding);
+    let surrogate_options = SurrogateOptions {
+        alpha: options.alpha,
+        pseudo_count: options.pseudo_count,
+        bandwidth_fraction: options.bandwidth_fraction,
+    };
+
     let mut seen = PoolMask::new(pool.len());
-    for (i, c) in pool.iter().enumerate() {
-        if history.contains(c) {
-            seen.set(i);
+    let (mut sweep, mut index) = (Vec::new(), Vec::new());
+    for (h, cfg) in history.configs().iter().enumerate() {
+        if h >= options.init_samples {
+            let surrogate = TpeSurrogate::fit(
+                dataset.space(),
+                &history.configs()[..h],
+                &history.objectives()[..h],
+                &surrogate_options,
+                None,
+            );
+            let table = surrogate.score_table();
+            let tables = table.discrete_tables().expect("discrete space");
+            let swept = rank_encoded(&tables, &encoding, &seen);
+            let searched = rank_indexed(&tables, &encoding, &runs, &seen);
+            assert_eq!(swept, searched, "{name}: paths disagree at pick {h}");
+            assert_eq!(
+                swept.map(|i| &pool[i]),
+                Some(cfg),
+                "{name}: replay diverged from the tuner at pick {h}"
+            );
+            sweep.push(time_ns(|| {
+                std::hint::black_box(rank_encoded(&tables, &encoding, &seen));
+            }));
+            index.push(time_ns(|| {
+                std::hint::black_box(rank_indexed(&tables, &encoding, &runs, &seen));
+            }));
         }
+        seen.set(dataset.position(cfg).expect("history holds pool members"));
     }
 
-    // Both paths must agree on the winner before either is timed.
-    let table = surrogate.score_table();
-    let tables = table.discrete_tables().expect("discrete space");
-    let batch_pick = rank_encoded(&tables, &encoding, &seen);
-    let serial_pick = {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_i = None;
-        for (i, cfg) in pool.iter().enumerate() {
-            if history.contains(cfg) {
-                continue;
-            }
-            let s = surrogate.log_ei(cfg);
-            if best_i.is_none() || s > best {
-                best = s;
-                best_i = Some(i);
-            }
-        }
-        best_i
-    };
-    assert_eq!(batch_pick, serial_pick, "paths disagree on {name}");
-
-    // Calibrate inner repeats so each timed run lasts a few milliseconds.
-    let inner_serial = (50_000 / pool.len()).max(1);
-    let inner_batch = inner_serial * 8;
-
-    let serial_ns = median_ns(registry, &format!("serial.{name}"), inner_serial, || {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_i = None;
-        for (i, cfg) in pool.iter().enumerate() {
-            if history.contains(cfg) {
-                continue;
-            }
-            let s = surrogate.log_ei(cfg);
-            if best_i.is_none() || s > best {
-                best = s;
-                best_i = Some(i);
-            }
-        }
-        std::hint::black_box(best_i);
-    });
-
-    // The batch path rebuilds the table each iteration (the Tuner refits
-    // per observation) but reuses the cached encoding and mask.
-    let batch_ns = median_ns(registry, &format!("batch.{name}"), inner_batch, || {
-        let table = surrogate.score_table();
-        let tables = table.discrete_tables().expect("discrete space");
-        std::hint::black_box(rank_encoded(&tables, &encoding, &seen));
-    });
-
+    let (sweep_ns_p50, index_ns_p50) = (quantile(&mut sweep, 0.5), quantile(&mut index, 0.5));
     let r = PoolResult {
         dataset: name.to_string(),
         pool_size: pool.len(),
-        history_len: HISTORY_LEN,
-        serial_ns_per_iter: serial_ns,
-        batch_ns_per_iter: batch_ns,
-        batch_ns_per_candidate_score: batch_ns / pool.len() as f64,
-        speedup: serial_ns / batch_ns,
+        picks: sweep.len(),
+        index_build_ns,
+        sweep_ns_p50,
+        sweep_ns_p90: quantile(&mut sweep, 0.9),
+        index_ns_p50,
+        index_ns_p90: quantile(&mut index, 0.9),
+        speedup_p50: sweep_ns_p50 as f64 / index_ns_p50 as f64,
     };
     println!(
-        "{:>14} | pool {:>6} | serial {:>12.0} ns | batch {:>10.0} ns | {:>6.1}x | {:>6.2} ns/candidate",
-        r.dataset, r.pool_size, r.serial_ns_per_iter, r.batch_ns_per_iter, r.speedup,
-        r.batch_ns_per_candidate_score
+        "{:>15} | pool {:>6} | sweep p50 {:>8} p90 {:>8} ns | index p50 {:>7} p90 {:>7} ns | {:>6.1}x | build {:>8} ns",
+        r.dataset, r.pool_size, r.sweep_ns_p50, r.sweep_ns_p90, r.index_ns_p50, r.index_ns_p90,
+        r.speedup_p50, r.index_build_ns
     );
     r
 }
 
+/// Builds one shipped dataset.
+type DatasetBuilder = fn() -> Dataset;
+
 fn main() {
     pin_threads();
-    eprintln!("[bench_selection] generating datasets…");
-    let registry = MetricsRegistry::new();
-    let pools = vec![
-        measure(
-            &registry,
-            "kripke-exec",
-            &kripke::exec_dataset(Scale::Target),
-        ),
-        measure(&registry, "hypre", &hypre::dataset(Scale::Target)),
-        measure(
-            &registry,
-            "kripke-energy",
-            &kripke::energy_dataset(Scale::Target),
-        ),
+    let pools: [(&str, DatasetBuilder); 6] = [
+        ("kripke-exec", || kripke::exec_dataset(Scale::Target)),
+        ("lulesh", || lulesh::dataset(Scale::Target)),
+        ("hypre", || hypre::dataset(Scale::Target)),
+        ("openatom", || openatom::dataset(Scale::Target)),
+        ("kripke-energy", || kripke::energy_dataset(Scale::Target)),
+        ("hypre-transfer", || hypre::transfer_dataset(Scale::Target)),
     ];
+    let pools = pools
+        .iter()
+        .map(|(name, build)| {
+            eprintln!("[bench_selection] {name}: generating the dataset…");
+            measure(name, &build())
+        })
+        .collect();
     let report = Report {
+        bench: "Ranking argmax per pick: pool sweep vs run-index branch-and-bound".into(),
         host: host_meta(),
-        bench: "ranking hot path: serial log_ei vs batch score-table argmax".into(),
-        trials: TRIALS,
+        seed: SEED,
+        budget: BUDGET,
+        reps_per_pick: REPS,
         pools,
     };
     write_bench_json("BENCH_selection.json", &report);
-    println!("\n{}", registry.render_summary());
 }

@@ -613,7 +613,7 @@ impl IncrementalSurrogate {
     }
 
     /// The per-parameter score columns (`tables[p][v] = ln p_g(v) − ln
-    /// p_b(v)`) in the layout the chunked Ranking argmax sweeps, or `None`
+    /// p_b(v)`) in the layout the Ranking argmax reads, or `None`
     /// if any parameter is continuous. Bit-identical to
     /// `ScoreTable::discrete_tables()` of a from-scratch fit.
     pub fn tables(&self) -> Option<Vec<&[f64]>> {

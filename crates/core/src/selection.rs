@@ -11,12 +11,19 @@
 //!   good density `p_g` and keep the best-scoring one. Sampling from `p_g`
 //!   focuses on promising regions while the randomness keeps exploring.
 //!
-//! Ranking is the per-iteration hot path (pools reach 17 815 configs for
-//! Kripke energy, swept once per iteration per repetition), so it runs on
-//! the batch-scoring engine: a [`ScoreTable`] of precomputed per-value
-//! scores, a [`PoolEncoding`] flattening the pool into a contiguous index
-//! buffer, and a [`PoolMask`] marking seen pool positions — reduced by a
-//! rayon-chunked argmax. See [`rank_encoded`] for the determinism contract.
+//! Ranking runs once per iteration per repetition over pools of up to
+//! 62 208 configurations (the HYPRE transfer space; Kripke energy's model
+//! pool holds 17 160), so it runs on the batch-scoring engine: a
+//! [`ScoreTable`] of precomputed per-value scores, a [`PoolEncoding`]
+//! flattening the pool into a contiguous index buffer, and a [`PoolMask`]
+//! marking seen pool positions. The TPE score is a sum of per-parameter
+//! table entries (paper eqs. 7–8), so the hot path is [`rank_indexed`]: an
+//! exact branch-and-bound search over the pool's prefix runs
+//! ([`RunIndex`]) that scores each shared prefix once and skips runs whose
+//! upper bound cannot beat the incumbent. The rayon-chunked sweep
+//! [`rank_encoded`] defines the result — the search returns its pick bit
+//! for bit — and stays as the fallback for non-finite tables and as the
+//! test oracle.
 
 use crate::history::ObservationHistory;
 use crate::surrogate::{CandidateMatrix, ScoreTable, TpeSurrogate};
@@ -25,6 +32,7 @@ use hiperbot_space::{Configuration, ParameterSpace};
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which selection regime the tuner uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -117,12 +125,243 @@ pub fn rank_encoded(tables: &[&[f64]], encoding: &PoolEncoding, seen: &PoolMask)
     best.map(|(_, c)| c)
 }
 
+/// The prefix-run index of an encoded pool: for every prefix length
+/// `k = 1..n_params`, the maximal runs of consecutive pool positions that
+/// share their first `k` parameter values. Runs nest, so the children of a
+/// run are a contiguous range of runs one level deeper; the deepest runs'
+/// children are pool positions, whose last value is read from the
+/// [`PoolEncoding`] (the index holds no copy of it).
+///
+/// Correctness never depends on the pool's order: an unsorted pool only
+/// yields shorter runs. [`ParameterSpace::enumerate`] is lexicographic, so
+/// shipped pools have long runs at every level.
+#[derive(Debug, Clone)]
+pub struct RunIndex {
+    n_configs: usize,
+    n_params: usize,
+    /// `levels[d]` holds the runs sharing their first `d + 1` values, for
+    /// `d < n_params - 1`.
+    levels: Vec<RunLevel>,
+}
+
+/// The runs of one prefix length, in pool order.
+#[derive(Debug, Clone, Default)]
+struct RunLevel {
+    /// Domain index this level's parameter takes in each run.
+    values: Vec<u32>,
+    /// First pool position of each run, then an `n_configs` sentinel.
+    starts: Vec<u32>,
+    /// First child run (one level deeper) of each run, then a sentinel.
+    /// Empty at the deepest level, whose children are pool positions.
+    children: Vec<u32>,
+}
+
+impl RunIndex {
+    /// Builds the index in one pass over `encoding`: the first parameter at
+    /// which a position differs from its predecessor opens a new run at
+    /// that level and at every deeper one.
+    pub fn build(encoding: &PoolEncoding) -> Self {
+        let (n_configs, n_params) = (encoding.n_configs(), encoding.n_params());
+        let levels = match encoding.buffer() {
+            IndexBuffer::U16(b) => build_levels(b, n_configs, n_params),
+            IndexBuffer::U32(b) => build_levels(b, n_configs, n_params),
+        };
+        Self {
+            n_configs,
+            n_params,
+            levels,
+        }
+    }
+}
+
+fn build_levels<T: PoolIndex>(buf: &[T], n_configs: usize, n_params: usize) -> Vec<RunLevel> {
+    let depth = n_params.saturating_sub(1);
+    let mut levels = vec![RunLevel::default(); depth];
+    for c in 0..n_configs {
+        let row = &buf[c * n_params..(c + 1) * n_params];
+        let first = match c.checked_sub(1) {
+            None => 0,
+            Some(prev) => {
+                let prev = &buf[prev * n_params..c * n_params];
+                row.iter()
+                    .zip(prev)
+                    .position(|(a, b)| a.as_usize() != b.as_usize())
+                    .unwrap_or(n_params)
+            }
+        };
+        for d in first..depth {
+            if d + 1 < depth {
+                let child = levels[d + 1].values.len() as u32;
+                levels[d].children.push(child);
+            }
+            levels[d].values.push(row[d].as_usize() as u32);
+            levels[d].starts.push(c as u32);
+        }
+    }
+    for d in 0..depth {
+        levels[d].starts.push(n_configs as u32);
+        if d + 1 < depth {
+            let child = levels[d + 1].values.len() as u32;
+            levels[d].children.push(child);
+        }
+    }
+    levels
+}
+
+/// Per-parameter column maxima, or `None` when the branch-and-bound search
+/// must leave the table to [`rank_encoded`]: an entry is NaN or ±inf, or
+/// a sum of entries could overflow. Otherwise every score and bound is
+/// finite — `|score|` is at most the fold of the column maxima of `|entry|`.
+fn finite_column_maxima(tables: &[&[f64]]) -> Option<Vec<f64>> {
+    let mut abs_bound = 0.0f64;
+    let mut maxima = Vec::with_capacity(tables.len());
+    for table in tables {
+        let (mut max, mut max_abs) = (f64::NEG_INFINITY, 0.0f64);
+        for &x in table.iter() {
+            if !x.is_finite() {
+                return None;
+            }
+            max = max.max(x);
+            max_abs = max_abs.max(x.abs());
+        }
+        abs_bound += max_abs;
+        maxima.push(max);
+    }
+    abs_bound.is_finite().then_some(maxima)
+}
+
+/// The exact branch-and-bound argmax over a [`RunIndex`]: returns the same
+/// pool position as [`rank_encoded`], bit for bit, or `None` when every
+/// position is seen.
+///
+/// - **Same additions.** A score is the left-to-right `f64` sum from `0.0`
+///   of the configuration's table entries, as in the sweep; a run's prefix
+///   sum is computed once and extended by each child.
+/// - **Bound.** A run's bound is its prefix sum folded left to right with
+///   the column maxima of the remaining parameters. Round-to-nearest
+///   addition is monotone, so no score under the run exceeds it.
+/// - **Order and ties.** Runs and positions are visited in pool order; the
+///   incumbent changes only on a strictly greater score and a run is
+///   skipped when `bound <= incumbent`, so the lowest pool index among tied
+///   maxima wins, with `+0.0 == -0.0` as in the sweep.
+/// - **Non-finite tables** (NaN or ±inf entries, e.g. with
+///   `pseudo_count = 0`, or entries large enough for a sum to overflow)
+///   go to [`rank_encoded`], whose chunk-order reduction defines the
+///   result when scores are NaN.
+///
+/// # Panics
+/// Panics if `runs` was built from a different pool shape, if `tables`'
+/// arity differs from the encoding's, or if the mask length differs from
+/// the pool length.
+pub fn rank_indexed(
+    tables: &[&[f64]],
+    encoding: &PoolEncoding,
+    runs: &RunIndex,
+    seen: &PoolMask,
+) -> Option<usize> {
+    let n = encoding.n_configs();
+    assert_eq!(seen.len(), n, "mask/pool length mismatch");
+    assert!(
+        runs.n_configs == n && runs.n_params == encoding.n_params(),
+        "run index built for a different pool"
+    );
+    if n == 0 {
+        return None;
+    }
+    assert_eq!(tables.len(), encoding.n_params(), "arity mismatch");
+    let Some(col_max) = finite_column_maxima(tables) else {
+        return rank_encoded(tables, encoding, seen);
+    };
+    if tables.is_empty() {
+        // Every score is 0.0: the first unseen position wins.
+        return (0..n).find(|&c| !seen.get(c));
+    }
+    match encoding.buffer() {
+        IndexBuffer::U16(b) => BranchAndBound::search(b, tables, &col_max, runs, seen),
+        IndexBuffer::U32(b) => BranchAndBound::search(b, tables, &col_max, runs, seen),
+    }
+}
+
+/// The state of one [`rank_indexed`] search: the inputs plus the
+/// incumbent. The incumbent score starts at `-inf`, which every finite
+/// score beats and no finite bound is `<=` to.
+struct BranchAndBound<'a, T> {
+    buf: &'a [T],
+    tables: &'a [&'a [f64]],
+    col_max: &'a [f64],
+    levels: &'a [RunLevel],
+    seen: &'a PoolMask,
+    best: f64,
+    pick: Option<usize>,
+}
+
+impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
+    fn search(
+        buf: &'a [T],
+        tables: &'a [&'a [f64]],
+        col_max: &'a [f64],
+        runs: &'a RunIndex,
+        seen: &'a PoolMask,
+    ) -> Option<usize> {
+        let mut s = Self {
+            buf,
+            tables,
+            col_max,
+            levels: &runs.levels,
+            seen,
+            best: f64::NEG_INFINITY,
+            pick: None,
+        };
+        match s.levels.first() {
+            None => s.positions(0.0, 0..runs.n_configs),
+            Some(top) => s.runs(0, 0..top.values.len(), 0.0),
+        }
+        s.pick
+    }
+
+    /// Visits runs `runs` of level `d`, whose parent's prefix sum is
+    /// `prefix`.
+    fn runs(&mut self, d: usize, runs: Range<usize>, prefix: f64) {
+        let levels = self.levels;
+        let (level, table) = (&levels[d], self.tables[d]);
+        for r in runs {
+            let sum = prefix + table[level.values[r] as usize];
+            let bound = self.col_max[d + 1..].iter().fold(sum, |b, &m| b + m);
+            if bound <= self.best {
+                continue;
+            }
+            if d + 1 == levels.len() {
+                let (start, end) = (level.starts[r], level.starts[r + 1]);
+                self.positions(sum, start as usize..end as usize);
+            } else {
+                let (first, last) = (level.children[r], level.children[r + 1]);
+                self.runs(d + 1, first as usize..last as usize, sum);
+            }
+        }
+    }
+
+    /// Scores pool positions `range`, which share every value but the last
+    /// and whose shared prefix sum is `prefix`.
+    fn positions(&mut self, prefix: f64, range: Range<usize>) {
+        let n_params = self.tables.len();
+        let table = self.tables[n_params - 1];
+        for c in range {
+            let score = prefix + table[self.buf[c * n_params + n_params - 1].as_usize()];
+            if score > self.best && !self.seen.get(c) {
+                self.best = score;
+                self.pick = Some(c);
+            }
+        }
+    }
+}
+
 /// Selects the next configuration by exhaustive ranking over `pool`,
 /// skipping configurations already in `history`. Returns `None` when the
 /// pool is exhausted.
 ///
 /// **Tie-breaking contract:** among equal-scoring unseen candidates the one
-/// at the lowest pool index is selected (see [`rank_encoded`]); this held
+/// at the lowest pool index is selected (see [`rank_encoded`], whose pick
+/// [`rank_indexed`] returns bit for bit); this held
 /// implicitly in the original serial loop and is now guaranteed under
 /// parallel execution too.
 ///
@@ -142,7 +381,8 @@ pub fn select_by_ranking(
                 seen.set(i);
             }
         }
-        return rank_encoded(&tables, &encoding, &seen).map(|i| pool[i].clone());
+        let runs = RunIndex::build(&encoding);
+        return rank_indexed(&tables, &encoding, &runs, &seen).map(|i| pool[i].clone());
     }
     // Exact fallback for pools the engine cannot flatten (continuous
     // values); same scores, same lowest-index tie-breaking.
@@ -445,6 +685,113 @@ mod tests {
         seen.set(0);
         let table: &[f64] = &[0.0];
         assert_eq!(rank_encoded(&[table], &enc, &seen), None);
+    }
+
+    fn indexed(tables: &[&[f64]], pool: &[Configuration], seen: &PoolMask) -> Option<usize> {
+        let enc = PoolEncoding::encode(pool).unwrap();
+        rank_indexed(tables, &enc, &RunIndex::build(&enc), seen)
+    }
+
+    #[test]
+    fn run_index_records_nested_prefix_runs() {
+        let pool: Vec<Configuration> = [[0, 0, 1], [0, 0, 2], [0, 1, 0], [1, 1, 0], [0, 1, 1]]
+            .iter()
+            .map(|c| Configuration::from_indices(c))
+            .collect();
+        let runs = RunIndex::build(&PoolEncoding::encode(&pool).unwrap());
+        assert_eq!(runs.levels.len(), 2);
+        // First value: runs [0, 3), [3, 4) and [4, 5) — the trailing 0 is
+        // not merged with the leading ones.
+        assert_eq!(runs.levels[0].values, vec![0, 1, 0]);
+        assert_eq!(runs.levels[0].starts, vec![0, 3, 4, 5]);
+        assert_eq!(runs.levels[0].children, vec![0, 2, 3, 4]);
+        // First two values: (0,0) (0,1) | (1,1) | (0,1).
+        assert_eq!(runs.levels[1].values, vec![0, 1, 1, 1]);
+        assert_eq!(runs.levels[1].starts, vec![0, 2, 3, 4, 5]);
+        assert!(runs.levels[1].children.is_empty());
+    }
+
+    #[test]
+    fn rank_indexed_keeps_the_lowest_index_among_signed_zero_ties() {
+        // (0,1) scores 0.0 + 0.0 = +0.0 and (1,0) scores -0.0 + -0.0 =
+        // -0.0: equal under `>`, so the lower position wins in either
+        // order (a `total_cmp` search would always take +0.0).
+        let t0: &[f64] = &[0.0, -0.0];
+        let t1: &[f64] = &[-0.0, 0.0];
+        for order in [[[0, 1], [1, 0]], [[1, 0], [0, 1]]] {
+            let pool: Vec<Configuration> = order
+                .iter()
+                .map(|c| Configuration::from_indices(c))
+                .collect();
+            let seen = PoolMask::new(2);
+            let enc = PoolEncoding::encode(&pool).unwrap();
+            assert_eq!(indexed(&[t0, t1], &pool, &seen), Some(0));
+            assert_eq!(rank_encoded(&[t0, t1], &enc, &seen), Some(0));
+        }
+    }
+
+    #[test]
+    fn rank_indexed_skips_seen_positions_and_exhausts_to_none() {
+        let pool: Vec<Configuration> = (0..4).map(|i| Configuration::from_indices(&[i])).collect();
+        let table: &[f64] = &[0.5, 3.0, 2.0, 3.0];
+        let mut seen = PoolMask::new(4);
+        assert_eq!(indexed(&[table], &pool, &seen), Some(1));
+        seen.set(1);
+        assert_eq!(indexed(&[table], &pool, &seen), Some(3));
+        for i in [0, 2, 3] {
+            seen.set(i);
+        }
+        assert_eq!(indexed(&[table], &pool, &seen), None);
+        assert_eq!(indexed(&[], &[], &PoolMask::new(0)), None);
+    }
+
+    #[test]
+    fn non_finite_tables_take_the_sweeps_chunk_order_result() {
+        // One parameter, two chunks. A NaN score makes the next position
+        // win a scan, and the sweep scans each chunk and then reduces the
+        // chunk winners in order; the search must return its pick.
+        let n = RANK_CHUNK + 3;
+        let pool: Vec<Configuration> = (0..n).map(|i| Configuration::from_indices(&[i])).collect();
+        let enc = PoolEncoding::encode(&pool).unwrap();
+        let seen = PoolMask::new(n);
+        let table_with = |entries: &[(usize, f64)]| {
+            let mut t = vec![0.0; n];
+            for &(i, x) in entries {
+                t[i] = x;
+            }
+            t
+        };
+        // NaN inside chunk 1: its winner becomes 0.5 at 4098, which loses
+        // to chunk 0's 3.0, while one scan over the pool would end on 4098.
+        let mid = table_with(&[
+            (1, 3.0),
+            (RANK_CHUNK, 1.0),
+            (RANK_CHUNK + 1, f64::NAN),
+            (RANK_CHUNK + 2, 0.5),
+        ]);
+        // NaN ending chunk 0: its winner is NaN, which chunk 1's 1.0
+        // replaces, while a search that never takes NaN would return 1.
+        let end = table_with(&[(1, 3.0), (RANK_CHUNK - 1, f64::NAN), (RANK_CHUNK, 1.0)]);
+        let inf = table_with(&[(5, f64::INFINITY), (7, f64::NEG_INFINITY)]);
+        for (table, expected) in [(mid, 1), (end, RANK_CHUNK), (inf, 5)] {
+            assert_eq!(rank_encoded(&[&table], &enc, &seen), Some(expected));
+            assert_eq!(indexed(&[&table], &pool, &seen), Some(expected));
+        }
+    }
+
+    #[test]
+    fn overflowing_sums_take_the_sweep() {
+        // Finite entries whose sums overflow to -inf: the sweep still
+        // returns the first unseen position, which a search starting from a
+        // -inf incumbent would never take.
+        let pool: Vec<Configuration> = [[0, 0], [0, 1], [1, 0]]
+            .iter()
+            .map(|c| Configuration::from_indices(c))
+            .collect();
+        let t: &[f64] = &[-f64::MAX, -f64::MAX];
+        let mut seen = PoolMask::new(3);
+        seen.set(0);
+        assert_eq!(indexed(&[t, t], &pool, &seen), Some(1));
     }
 
     #[test]

@@ -667,7 +667,7 @@ impl ScoreTable {
 
     /// The per-parameter score slices, or `None` if any parameter is
     /// continuous. The returned layout (`tables[p][v]`) is what the
-    /// chunked argmax in `selection` sweeps.
+    /// Ranking argmax in `selection` reads.
     pub fn discrete_tables(&self) -> Option<Vec<&[f64]>> {
         self.entries
             .iter()

@@ -14,7 +14,7 @@ use crate::history::ObservationHistory;
 use crate::incremental::{ChurnStats, IncrementalSurrogate};
 use crate::outcome::EvalOutcome;
 use crate::selection::{
-    rank_encoded, select_by_proposal_vectorized, ProposalScratch, SelectionStrategy,
+    rank_indexed, select_by_proposal_vectorized, ProposalScratch, RunIndex, SelectionStrategy,
     PROPOSAL_REDRAW_ROUNDS,
 };
 use crate::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
@@ -182,13 +182,38 @@ pub struct BestResult {
     pub evaluations: usize,
 }
 
+/// Rejects a restored configuration that is not a feasible member of
+/// `space`. Membership (arity, value kinds, index and bound ranges) is
+/// checked first: constraints index into domains and the fits index
+/// histograms by value, so a hostile snapshot or trace must fail here as a
+/// typed error rather than panic later.
+fn check_member(
+    space: &ParameterSpace,
+    cfg: &Configuration,
+    source: &str,
+) -> Result<(), CheckpointError> {
+    let why = if !space.contains(cfg) {
+        "a configuration outside"
+    } else if !space.is_feasible(cfg) {
+        "a configuration infeasible in"
+    } else {
+        return Ok(());
+    };
+    Err(CheckpointError::InvalidHistory(format!(
+        "{source} contains {why} this space"
+    )))
+}
+
 /// The lazily built Ranking-strategy state: the enumerated feasible pool
 /// plus the batch-scoring engine's per-pool artifacts, all constructed once
 /// per tuning run.
 struct RankingPool {
     configs: Vec<Configuration>,
-    /// Contiguous config-major index buffer the argmax sweeps.
+    /// Contiguous config-major index buffer the argmax reads.
     encoding: PoolEncoding,
+    /// Prefix runs of `encoding`, searched by the exact branch-and-bound
+    /// argmax.
+    runs: RunIndex,
     /// Pool position per configuration (used to fold history into `seen`).
     position: FxHashMap<Configuration, u32>,
     /// Seen bitset over pool positions, maintained incrementally: each
@@ -208,6 +233,7 @@ impl RankingPool {
         let configs = space.enumerate();
         let encoding = PoolEncoding::encode(&configs)
             .expect("Ranking pools are fully discrete and uniform-arity");
+        let runs = RunIndex::build(&encoding);
         let position = configs
             .iter()
             .enumerate()
@@ -217,11 +243,26 @@ impl RankingPool {
         Self {
             configs,
             encoding,
+            runs,
             position,
             seen,
             synced_ok: 0,
             synced_failed: 0,
         }
+    }
+
+    /// The best position not set in `seen` under the per-parameter score
+    /// `tables`, or `None` when every position is seen: the run-index
+    /// search, which debug builds cross-check against the pool sweep.
+    fn best_unseen(&self, tables: &[&[f64]], seen: &PoolMask) -> Option<usize> {
+        let pick = rank_indexed(tables, &self.encoding, &self.runs, seen);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            pick,
+            crate::selection::rank_encoded(tables, &self.encoding, seen),
+            "run-index search diverged from the pool sweep"
+        );
+        pick
     }
 
     /// Folds unsynced history entries — observations and permanent
@@ -499,8 +540,8 @@ impl Tuner {
     /// `run`/`step` calls continue model-driven selection from there.
     ///
     /// # Panics
-    /// Panics if any saved configuration is infeasible in `space` (the
-    /// space definition changed since the save).
+    /// Panics if any saved configuration is outside or infeasible in
+    /// `space` (the space definition changed since the save).
     pub fn resume(
         space: ParameterSpace,
         options: TunerOptions,
@@ -508,8 +549,8 @@ impl Tuner {
     ) -> Self {
         for cfg in history.configs() {
             assert!(
-                space.is_feasible(cfg),
-                "saved history contains a configuration infeasible in this space"
+                space.contains(cfg) && space.is_feasible(cfg),
+                "saved history contains a configuration outside or infeasible in this space"
             );
         }
         let bootstrapped = !history.is_empty();
@@ -579,11 +620,7 @@ impl Tuner {
             .iter()
             .chain(history.failures().iter().map(|f| &f.config))
         {
-            if !space.is_feasible(cfg) {
-                return Err(CheckpointError::InvalidHistory(
-                    "snapshot contains a configuration infeasible in this space".into(),
-                ));
-            }
+            check_member(&space, cfg, "snapshot")?;
         }
         let mut tuner = Self::new(space, options);
         tuner.rng.set_word_pos(snapshot.rng_word_pos);
@@ -662,11 +699,10 @@ impl Tuner {
             }
             match trial {
                 TraceTrial::Ok(cfg, y) => {
-                    if !tuner.space.is_feasible(cfg) || !y.is_finite() {
+                    check_member(&tuner.space, cfg, "trace")?;
+                    if !y.is_finite() {
                         return Err(CheckpointError::InvalidHistory(
-                            "trace contains an infeasible configuration or non-finite \
-                             objective"
-                                .into(),
+                            "trace contains a non-finite objective".into(),
                         ));
                     }
                     if tuner.history.contains(cfg) {
@@ -678,11 +714,7 @@ impl Tuner {
                     successes += 1;
                 }
                 TraceTrial::Failed(cfg, reason) => {
-                    if !tuner.space.is_feasible(cfg) {
-                        return Err(CheckpointError::InvalidHistory(
-                            "trace contains an infeasible configuration".into(),
-                        ));
-                    }
+                    check_member(&tuner.space, cfg, "trace")?;
                     if tuner.history.contains(cfg) {
                         return Err(CheckpointError::InvalidHistory(
                             "trace contains a duplicate configuration".into(),
@@ -1067,7 +1099,8 @@ impl Tuner {
                     .expect("Ranking requires a fully discrete space");
                 let pool = self.pool();
                 let pool_len = pool.configs.len() as u64;
-                let picked = rank_encoded(&tables, &pool.encoding, &pool.seen)
+                let picked = pool
+                    .best_unseen(&tables, &pool.seen)
                     .map(|i| pool.configs[i].clone());
                 (picked, pool_len, None)
             }
@@ -1129,8 +1162,9 @@ impl Tuner {
         let tables = engine
             .tables()
             .expect("Ranking requires a fully discrete space");
-        let picked =
-            rank_encoded(&tables, &pool.encoding, &pool.seen).map(|i| pool.configs[i].clone());
+        let picked = pool
+            .best_unseen(&tables, &pool.seen)
+            .map(|i| pool.configs[i].clone());
         if let (Some(elapsed_ns), Some(cfg)) = (select_timer.elapsed_ns(), &picked) {
             self.recorder.record(&Event::SelectionScored {
                 iteration,
@@ -1208,9 +1242,9 @@ impl Tuner {
     /// outcomes are merged later by [`step_batch_fallible`](Self::step_batch_fallible).
     ///
     /// Each refit reuses the batch-scoring engine — the cached
-    /// [`PoolEncoding`] and an incrementally updated [`PoolMask`] — so the
-    /// `k` argmax sweeps stay vectorized; only the per-value score tables
-    /// are rebuilt per fantasy.
+    /// [`PoolEncoding`] and run index and an incrementally updated
+    /// [`PoolMask`] — so only the per-value score tables are rebuilt per
+    /// fantasy before each of the `k` argmax searches.
     ///
     /// With `k == 1` this is exactly [`suggest`](Self::suggest): one fit,
     /// one argmax, same tie-break (lowest pool index), bit-identical pick.
@@ -1282,7 +1316,7 @@ impl Tuner {
             let tables = table
                 .discrete_tables()
                 .expect("Ranking requires a fully discrete space");
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
+            let Some(pos) = pool.best_unseen(&tables, &seen) else {
                 break; // pool exhausted mid-batch
             };
             let cfg = pool.configs[pos].clone();
@@ -1457,7 +1491,7 @@ impl Tuner {
             let tables = engine
                 .tables()
                 .expect("Ranking requires a fully discrete space");
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
+            let Some(pos) = pool.best_unseen(&tables, &seen) else {
                 break; // pool exhausted mid-batch
             };
             let cfg = pool.configs[pos].clone();
@@ -1889,7 +1923,7 @@ impl Tuner {
                 .tables()
                 .expect("Ranking requires a fully discrete space");
             let snapshot = tables.iter().map(|t| t.to_vec()).collect();
-            let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
+            let Some(pos) = pool.best_unseen(&tables, &seen) else {
                 break; // pool exhausted mid-batch
             };
             seen.set(pos);
@@ -2083,7 +2117,7 @@ impl Tuner {
                     st.pick_pos as usize
                 }
                 _ => {
-                    let Some(pos) = rank_encoded(&tables, &pool.encoding, &seen) else {
+                    let Some(pos) = pool.best_unseen(&tables, &seen) else {
                         break; // pool exhausted mid-batch
                     };
                     pos

@@ -33,7 +33,7 @@ fn objective(cfg: &Configuration) -> f64 {
 /// Deterministic fault injection keyed on the configuration alone, so the
 /// outcome is independent of scheduling and of where a run was killed.
 fn faulty(cfg: &Configuration) -> EvalOutcome {
-    if (cfg.value(0).index() * 3 + cfg.value(1).index()) % 4 == 0 {
+    if (cfg.value(0).index() * 3 + cfg.value(1).index()).is_multiple_of(4) {
         EvalOutcome::Failed {
             reason: "injected".into(),
         }
@@ -147,6 +147,7 @@ fn kill_serial_at(
 /// Resumes from `snap`, finishes the run, and asserts bit-identity with
 /// the reference: history bytes, best result, final snapshot bytes, and
 /// the timing-normalized trace suffix after the kill point.
+#[allow(clippy::too_many_arguments)]
 fn assert_resumed_matches(
     space: ParameterSpace,
     opts: TunerOptions,
@@ -658,4 +659,132 @@ fn checkpoint_cadence_and_final_snapshot_are_traced() {
     let snap = TunerCheckpoint::load(&path).unwrap();
     assert_eq!(snap.history.configs.len(), 17);
     std::fs::remove_file(&path).ok();
+}
+
+/// A 4 × 4 space over thread-like levels; `constrained` adds a predicate
+/// that resolves values through their domains, as real app spaces do.
+fn four_value_space(constrained: bool) -> ParameterSpace {
+    let levels = [1, 2, 4, 8];
+    let b = ParameterSpace::builder()
+        .param(ParamDef::new("ranks", Domain::discrete_ints(&levels)))
+        .param(ParamDef::new("omp", Domain::discrete_ints(&levels)));
+    let b = if constrained {
+        b.constraint("ranks*omp <= 16", |c, d| {
+            c.numeric_value(0, &d[0]) * c.numeric_value(1, &d[1]) <= 16.0
+        })
+    } else {
+        b
+    };
+    b.build().unwrap()
+}
+
+fn four_value_objective(cfg: &Configuration) -> EvalOutcome {
+    let (r, o) = (cfg.value(0).index() as f64, cfg.value(1).index() as f64);
+    EvalOutcome::Ok((r - 2.0).powi(2) + (o - 1.0).powi(2) + 1.0)
+}
+
+/// Snapshot and trace configurations that are not members of the space
+/// (an index past the domain, the wrong arity, the wrong value kind) must
+/// come back as `InvalidHistory`, never as a panic — neither inside the
+/// resume (constraints resolve values through their domains) nor at the
+/// first fit afterwards (histograms index by value).
+#[test]
+fn hostile_snapshot_configurations_are_typed_errors() {
+    let opts = TunerOptions::default().with_seed(3).with_init_samples(4);
+    let hostile = [
+        Configuration::from_indices(&[99, 0]),
+        Configuration::from_indices(&[0, 4]),
+        Configuration::from_indices(&[0]),
+        Configuration::from_indices(&[0, 0, 0]),
+        Configuration::new(vec![
+            hiperbot_space::ParamValue::Real(0.5),
+            hiperbot_space::ParamValue::Index(0),
+        ]),
+    ];
+    for constrained in [false, true] {
+        let mut tuner = Tuner::new(four_value_space(constrained), opts.clone());
+        tuner.run_fallible(6, four_value_objective).unwrap();
+        let snap = tuner.checkpoint();
+        for cfg in &hostile {
+            for in_failures in [false, true] {
+                let mut bad = snap.clone();
+                if in_failures {
+                    bad.history.failures = vec![hiperbot_core::FailureRecord {
+                        config: cfg.clone(),
+                        reason: "injected".into(),
+                    }];
+                } else {
+                    bad.history.configs[0] = cfg.clone();
+                }
+                let resumed = catch_unwind(AssertUnwindSafe(|| {
+                    Tuner::resume_from_checkpoint(four_value_space(constrained), opts.clone(), &bad)
+                        .map(|mut t| t.step_fallible(four_value_objective))
+                }))
+                .unwrap_or_else(|_| panic!("resume of {cfg:?} panicked"));
+                let err = resumed
+                    .err()
+                    .unwrap_or_else(|| panic!("{cfg:?} accepted (constrained: {constrained})"));
+                assert!(matches!(err, CheckpointError::InvalidHistory(_)));
+                assert!(err.to_string().contains("outside this space"), "{err}");
+            }
+        }
+    }
+}
+
+/// The trace fallback validates the configurations embedded in trial
+/// events the same way.
+#[test]
+fn hostile_trace_configurations_are_typed_errors() {
+    let opts = TunerOptions::default().with_seed(5).with_init_samples(4);
+    for constrained in [false, true] {
+        let rec = Arc::new(MemoryRecorder::new());
+        let mut tuner =
+            Tuner::new(four_value_space(constrained), opts.clone()).with_recorder(rec.clone());
+        tuner.run_fallible(6, four_value_objective).unwrap();
+        let events = rec.events();
+        let at = events
+            .iter()
+            .position(|e| matches!(e, Event::ObjectiveEvaluated { .. }))
+            .expect("the run evaluated something");
+        let Event::ObjectiveEvaluated { iteration, .. } = events[at] else {
+            unreachable!()
+        };
+        for hostile in [
+            Configuration::from_indices(&[99, 0]),
+            Configuration::from_indices(&[0, 0, 0]),
+        ] {
+            for failed in [false, true] {
+                let mut tampered = events.clone();
+                tampered[at] = if failed {
+                    Event::TrialFailed {
+                        iteration,
+                        reason: "injected".into(),
+                        elapsed_ns: 0,
+                        config: Some(hostile.clone()),
+                    }
+                } else {
+                    Event::ObjectiveEvaluated {
+                        iteration,
+                        objective: 1.0,
+                        bootstrap: true,
+                        elapsed_ns: 0,
+                        config: Some(hostile.clone()),
+                    }
+                };
+                let lines: Vec<String> = tampered
+                    .iter()
+                    .map(|e| serde_json::to_string(e).unwrap())
+                    .collect();
+                let trace = lines.join("\n");
+                let resumed = catch_unwind(AssertUnwindSafe(|| {
+                    Tuner::resume_from_trace(four_value_space(constrained), opts.clone(), &trace)
+                        .map(|_| ())
+                }))
+                .unwrap_or_else(|_| panic!("trace resume of {hostile:?} panicked"));
+                let err = resumed.expect_err("hostile trace accepted");
+                assert!(matches!(err, CheckpointError::InvalidHistory(_)));
+                assert!(err.to_string().contains("outside this space"), "{err}");
+            }
+        }
+    }
 }

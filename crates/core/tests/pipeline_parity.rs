@@ -49,7 +49,7 @@ fn ok(cfg: &Configuration) -> EvalOutcome {
 /// Deterministic fault injection keyed on the configuration alone, so the
 /// outcome is independent of scheduling and of where a run was killed.
 fn faulty(cfg: &Configuration) -> EvalOutcome {
-    if (cfg.value(0).index() * 3 + cfg.value(1).index()) % 5 == 0 {
+    if (cfg.value(0).index() * 3 + cfg.value(1).index()).is_multiple_of(5) {
         EvalOutcome::Failed {
             reason: "injected".into(),
         }

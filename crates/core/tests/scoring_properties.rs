@@ -1,16 +1,18 @@
 //! Property-based invariants of the batch-scoring engine: the precomputed
-//! [`ScoreTable`] must agree with the per-candidate `log_ei` path, and the
+//! [`ScoreTable`] must agree with the per-candidate `log_ei` path, the
 //! rayon-chunked ranking must be bit-identical to the serial oracle at
-//! every thread count.
+//! every thread count, and the run-index search must return the sweep's
+//! pick on any pool, mask and table.
 
-use hiperbot_core::selection::{rank_encoded, select_by_ranking_serial};
+use hiperbot_core::selection::{rank_encoded, rank_indexed, select_by_ranking_serial, RunIndex};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::ObservationHistory;
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
 use hiperbot_space::sampling::sample_distinct;
 use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A random fully discrete space of 1–4 parameters with 2–5 values each.
@@ -156,5 +158,64 @@ proptest! {
             );
         }
         std::env::remove_var("RAYON_NUM_THREADS");
+    }
+}
+
+/// Table entries for the search property: a small set, so scores tie
+/// exactly and often, holding both signed zeros.
+const TIE_VALUES: [f64; 6] = [-1.5, -0.5, -0.0, 0.0, 0.5, 1.5];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The branch-and-bound search over the prefix-run index returns the
+    /// sweep's pool position on constrained (non-product) pools, shuffled
+    /// pools, one-parameter spaces, tie-heavy tables with `±0.0`, random
+    /// seen masks (all-seen gives `None`) and tables holding NaN or ±inf
+    /// (the fallback path).
+    #[test]
+    fn run_index_search_matches_the_sweep(
+        cards in proptest::collection::vec(1usize..=5, 1..=4),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut b = ParameterSpace::builder();
+        for (i, &c) in cards.iter().enumerate() {
+            let vals: Vec<i64> = (0..c as i64).collect();
+            b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
+        }
+        let mut pool = b.build().expect("valid").enumerate();
+        if rng.gen_bool(0.5) {
+            // A constrained pool: drop a random subset of the product.
+            let keep = rng.gen_range(0.2..1.0);
+            pool.retain(|_| rng.gen_bool(keep));
+        }
+        if rng.gen_bool(0.3) {
+            pool.shuffle(&mut rng);
+        }
+        let mut tables: Vec<Vec<f64>> = cards
+            .iter()
+            .map(|&c| (0..c).map(|_| TIE_VALUES[rng.gen_range(0..TIE_VALUES.len())]).collect())
+            .collect();
+        if rng.gen_bool(0.2) {
+            let p = rng.gen_range(0..tables.len());
+            let v = rng.gen_range(0..tables[p].len());
+            tables[p][v] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3)];
+        }
+        let tables: Vec<&[f64]> = tables.iter().map(Vec::as_slice).collect();
+        let density = [0.0, 0.3, 0.8, 1.0][rng.gen_range(0..4)];
+        let mut seen = PoolMask::new(pool.len());
+        for i in 0..pool.len() {
+            if rng.gen_bool(density) {
+                seen.set(i);
+            }
+        }
+        let encoding = PoolEncoding::encode(&pool).expect("encodable");
+        let runs = RunIndex::build(&encoding);
+        let pick = rank_indexed(&tables, &encoding, &runs, &seen);
+        prop_assert_eq!(pick, rank_encoded(&tables, &encoding, &seen));
+        if seen.count() == pool.len() {
+            prop_assert_eq!(pick, None);
+        }
     }
 }

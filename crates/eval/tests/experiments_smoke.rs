@@ -54,7 +54,7 @@ fn sensitivity_pipeline_on_openatom() {
     assert_eq!(report.threshold.len(), 1);
     for series in report.init_samples.iter().chain(&report.threshold) {
         for &m in &series.ratio_mean {
-            assert!(m >= 1.0 - 1e-9 && m < 2.0, "ratio {m}");
+            assert!((1.0 - 1e-9..2.0).contains(&m), "ratio {m}");
         }
     }
     assert!(report.render_text().contains("openatom"));

@@ -43,15 +43,16 @@ fn faulty_eval(cfg: &Configuration, attempt: u32) -> EvalOutcome {
 
 /// The observable result of a run: successes, failures, incumbent, and
 /// what the tuner would suggest next.
-fn fingerprint(
-    t: &mut Tuner,
-) -> (
+type Fingerprint = (
     Vec<String>,
     Vec<f64>,
     Vec<String>,
     Option<String>,
     Vec<String>,
-) {
+);
+
+/// The [`Fingerprint`] of `t`'s run so far.
+fn fingerprint(t: &mut Tuner) -> Fingerprint {
     let configs = t
         .history()
         .configs()
@@ -86,15 +87,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Runs a batch tuning campaign whose evaluator *completes* trials in a
 /// shuffled order (per `perm_seed`) before returning them input-ordered,
 /// exactly as a worker pool would under arbitrary scheduling.
-fn run_with_completion_order(
-    perm_seed: u64,
-) -> (
-    Vec<String>,
-    Vec<f64>,
-    Vec<String>,
-    Option<String>,
-    Vec<String>,
-) {
+fn run_with_completion_order(perm_seed: u64) -> Fingerprint {
     let mut state = perm_seed;
     let mut t = tuner(17);
     t.run_batch_fallible(32, 4, |cfgs, base| {

@@ -261,7 +261,7 @@ mod tests {
         let t = [0.5, -0.25];
         let grads = net.gradients(&x, &t);
         let eps = 1e-6;
-        for li in 0..net.layers().len() {
+        for (li, grad) in grads.iter().enumerate() {
             for wi in 0..net.layers()[li].w.len() {
                 let orig = net.layers()[li].w[wi];
                 net.layers_mut()[li].w[wi] = orig + eps;
@@ -270,7 +270,7 @@ mod tests {
                 let lm = net.loss(&x, &t);
                 net.layers_mut()[li].w[wi] = orig;
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[li].w[wi];
+                let analytic = grad.w[wi];
                 assert!(
                     (numeric - analytic).abs() < 1e-6 * (1.0 + numeric.abs()),
                     "layer {li} w[{wi}]: numeric {numeric} vs analytic {analytic}"
@@ -284,7 +284,7 @@ mod tests {
                 let lm = net.loss(&x, &t);
                 net.layers_mut()[li].b[bi] = orig;
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[li].b[bi];
+                let analytic = grad.b[bi];
                 assert!(
                     (numeric - analytic).abs() < 1e-6 * (1.0 + numeric.abs()),
                     "layer {li} b[{bi}]: numeric {numeric} vs analytic {analytic}"

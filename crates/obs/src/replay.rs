@@ -178,7 +178,7 @@ mod tests {
     use super::*;
 
     fn trace_text() -> String {
-        let events = vec![
+        let events = [
             Event::IterationStart {
                 iteration: 2,
                 history_len: 2,

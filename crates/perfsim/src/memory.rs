@@ -189,7 +189,7 @@ mod tests {
             line in 16usize..256,
         ) {
             let e = stream_efficiency(run, elem, line);
-            prop_assert!(e >= 0.05 && e <= 1.0);
+            prop_assert!((0.05..=1.0).contains(&e));
         }
     }
 }

@@ -165,6 +165,27 @@ impl ParameterSpace {
         self.params.iter().all(|p| p.domain().is_discrete())
     }
 
+    /// Whether `cfg` is a member of the unconstrained space: one value per
+    /// parameter, of the domain's kind — a discrete index below the
+    /// cardinality, or a finite continuous value within the bounds.
+    /// Constraints are not evaluated (see [`is_feasible`](Self::is_feasible),
+    /// which expects a member and may panic on anything else).
+    pub fn contains(&self, cfg: &Configuration) -> bool {
+        cfg.len() == self.params.len()
+            && self
+                .params
+                .iter()
+                .zip(cfg.values())
+                .all(|(p, v)| match (p.domain(), *v) {
+                    (Domain::Discrete(vals), ParamValue::Index(i)) => i < vals.len(),
+                    // The builder keeps bounds finite, so NaN and ±inf fail.
+                    (Domain::Continuous { lo, hi }, ParamValue::Real(r)) => {
+                        (*lo..=*hi).contains(&r)
+                    }
+                    _ => false,
+                })
+    }
+
     /// Whether `cfg` satisfies all feasibility constraints.
     pub fn is_feasible(&self, cfg: &Configuration) -> bool {
         self.constraints
@@ -277,6 +298,33 @@ mod tests {
             .param(ParamDef::new("c", Domain::discrete_ints(&[10, 20])))
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn contains_checks_arity_kind_and_range() {
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("x", Domain::continuous(-1.0, 1.0)))
+            .constraint("a != 3", |c, _| c.value(0).index() != 3)
+            .build()
+            .unwrap();
+        let cfg = |a: ParamValue, x: ParamValue| Configuration::new(vec![a, x]);
+        assert!(s.contains(&cfg(ParamValue::Index(3), ParamValue::Real(1.0))));
+        // Membership ignores constraints: (3, x) is a member, not feasible.
+        assert!(!s.is_feasible(&cfg(ParamValue::Index(3), ParamValue::Real(0.0))));
+        assert!(!s.contains(&cfg(ParamValue::Index(4), ParamValue::Real(0.0))));
+        assert!(!s.contains(&cfg(ParamValue::Index(99), ParamValue::Real(0.0))));
+        assert!(!s.contains(&cfg(ParamValue::Real(0.0), ParamValue::Real(0.0))));
+        assert!(!s.contains(&cfg(ParamValue::Index(0), ParamValue::Index(0))));
+        for bad in [1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!s.contains(&cfg(ParamValue::Index(0), ParamValue::Real(bad))));
+        }
+        assert!(!s.contains(&Configuration::from_indices(&[0])));
+        assert!(!s.contains(&Configuration::new(vec![
+            ParamValue::Index(0),
+            ParamValue::Real(0.0),
+            ParamValue::Index(0),
+        ])));
     }
 
     #[test]
