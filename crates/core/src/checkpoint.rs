@@ -32,6 +32,12 @@ use std::path::Path;
 /// loads of a different version fail loudly instead of misresuming.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
+/// The largest RNG word position a snapshot may carry. The generator
+/// reports its position as a `u64`; a run this far into the keystream is
+/// out of reach (2^63 words), so a larger cursor is corrupt — and resuming
+/// at it would overflow the position the next snapshot records.
+const MAX_RNG_WORD_POS: u64 = u64::MAX / 2;
+
 /// A versioned, self-validating snapshot of a tuning campaign.
 ///
 /// Produced by [`Tuner::checkpoint`](crate::tuner::Tuner::checkpoint) and
@@ -99,6 +105,12 @@ pub enum CheckpointError {
         /// Fingerprint stored in the snapshot.
         found: String,
     },
+    /// The snapshot's RNG word position lies past any position a run can
+    /// reach.
+    RngPosition {
+        /// Word position stored in the snapshot.
+        found: u64,
+    },
     /// The saved history failed validation (mismatched tables, non-finite
     /// objective, duplicate configuration) or contains a configuration
     /// infeasible in the current space.
@@ -131,6 +143,10 @@ impl fmt::Display for CheckpointError {
             Self::SpaceMismatch { expected, found } => write!(
                 f,
                 "checkpoint space mismatch: tuner space fingerprint is {expected} but the snapshot was taken over {found}"
+            ),
+            Self::RngPosition { found } => write!(
+                f,
+                "checkpoint RNG position {found} is past any reachable position (at most {MAX_RNG_WORD_POS})"
             ),
             Self::InvalidHistory(why) => write!(f, "invalid checkpoint history: {why}"),
             Self::Parse(why) => write!(f, "unparseable checkpoint: {why}"),
@@ -181,7 +197,8 @@ impl TunerCheckpoint {
 
     /// Validates the snapshot against the identity of the tuner about to
     /// resume it: format version, seed, option summary, and space
-    /// fingerprint must all match exactly.
+    /// fingerprint must all match exactly, and the RNG word position must
+    /// be one a run can reach.
     pub fn validate(
         &self,
         seed: u64,
@@ -209,6 +226,11 @@ impl TunerCheckpoint {
             return Err(CheckpointError::SpaceMismatch {
                 expected: space_fingerprint.to_string(),
                 found: self.space_fingerprint.clone(),
+            });
+        }
+        if self.rng_word_pos > MAX_RNG_WORD_POS {
+            return Err(CheckpointError::RngPosition {
+                found: self.rng_word_pos,
             });
         }
         Ok(())

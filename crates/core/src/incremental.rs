@@ -11,6 +11,11 @@
 //! refresh. Constant-liar fantasy observations push and pop through the same
 //! path, so `suggest_batch` no longer pays k full refits per batch.
 //!
+//! One engine serves both selection strategies. Ranking reads the score
+//! columns; Proposal borrows the per-parameter [`ParamView`]s
+//! ([`IncrementalSurrogate::views`]) — draws walk the maintained good pmf
+//! or sample the good KDE, scores read the columns and the KDEs.
+//!
 //! ## The bit-identity contract
 //!
 //! The engine's densities, threshold, score columns, and candidate scores
@@ -29,15 +34,18 @@
 //! ## What is and is not O(churn)
 //!
 //! The split maintenance and density updates are genuinely O(log n + churn).
-//! The discrete score *columns* are refreshed in full — O(Σ|domain_i|) `ln`
-//! calls — on every update, because Laplace smoothing couples every bin of a
-//! column through the shared denominator `total + n·pseudo`: one changed
-//! observation changes the class totals and therefore every bin's smoothed
-//! pmf, so a single-bin delta is impossible (see DESIGN §11). Domain sizes
-//! are tiny (tens of values) relative to histories (thousands), so this term
-//! is noise next to the eliminated O(n log n) sort and O(n·P) re-observe.
+//! The discrete good pmfs and score *columns* are refreshed in full —
+//! O(Σ|domain_i|) divisions and `ln` calls — on every update, because
+//! Laplace smoothing couples every bin of a column through the shared
+//! denominator `total + n·pseudo`: one changed observation changes the
+//! class totals and therefore every bin's smoothed pmf, so a single-bin
+//! delta is impossible (see DESIGN §11). Domain sizes are tiny (tens of
+//! values) relative to histories (thousands), so this term is noise next
+//! to the eliminated O(n log n) sort and O(n·P) re-observe.
 
-use crate::surrogate::{ParamDensity, SurrogateOptions, TpeSurrogate};
+use crate::surrogate::{
+    ParamDensity, ParamView, ProposalModel, SurrogateOptions, TpeSurrogate, ViewTables,
+};
 use crate::transfer::TransferPrior;
 use hiperbot_space::{Configuration, Domain, ParameterSpace};
 use hiperbot_stats::histogram::SmoothedHistogram;
@@ -62,26 +70,31 @@ pub struct ChurnStats {
 }
 
 /// State of one discrete parameter: raw (target-domain) class histograms,
-/// an optional transfer prior, the per-observation value index, and the
-/// maintained score column `ln p_g(v) − ln p_b(v)`.
+/// an optional transfer prior, the per-observation value index, the
+/// maintained good pmf `p_g(v)` and the score column `ln p_g(v) − ln p_b(v)`.
 #[derive(Debug, Clone)]
 struct DiscreteState {
     good: SmoothedHistogram,
     bad: SmoothedHistogram,
     prior: Option<(SmoothedHistogram, SmoothedHistogram, f64)>,
     vals: Vec<usize>,
+    good_pmf: Vec<f64>,
     column: Vec<f64>,
 }
 
 impl DiscreteState {
-    /// Recomputes the score column from the current class histograms.
+    /// Recomputes the good pmf and the score column from the current class
+    /// histograms.
     ///
     /// The expressions mirror `SmoothedHistogram::pmf` (and `with_prior`
-    /// composition) term for term so the column is bit-identical to
-    /// `ScoreTable`'s entries for a from-scratch fit.
+    /// composition) term for term, so `good_pmf` is bit-identical to a
+    /// from-scratch fit's `p_g` — a Proposal draw walking it takes the
+    /// same bin from the same RNG word — and the column to `ScoreTable`'s
+    /// entries.
     fn refresh_column(&mut self, pseudo: f64) {
         let n = self.good.n_categories();
         let nf = n as f64;
+        self.good_pmf.clear();
         self.column.clear();
         match &self.prior {
             Some((pg, pb, w)) => {
@@ -90,17 +103,19 @@ impl DiscreteState {
                 for v in 0..n {
                     let gnum = (self.good.count(v) + w * pg.count(v)) + pseudo;
                     let bnum = (self.bad.count(v) + w * pb.count(v)) + pseudo;
-                    self.column.push((gnum / gden).ln() - (bnum / bden).ln());
+                    let g = gnum / gden;
+                    self.good_pmf.push(g);
+                    self.column.push(g.ln() - (bnum / bden).ln());
                 }
             }
             None => {
                 let gden = self.good.total_weight() + nf * pseudo;
                 let bden = self.bad.total_weight() + nf * pseudo;
                 for v in 0..n {
-                    self.column.push(
-                        ((self.good.count(v) + pseudo) / gden).ln()
-                            - ((self.bad.count(v) + pseudo) / bden).ln(),
-                    );
+                    let g = (self.good.count(v) + pseudo) / gden;
+                    self.good_pmf.push(g);
+                    self.column
+                        .push(g.ln() - ((self.bad.count(v) + pseudo) / bden).ln());
                 }
             }
         }
@@ -284,6 +299,7 @@ impl IncrementalSurrogate {
                             (pg.clone(), pb.clone(), w)
                         }),
                         vals: Vec::new(),
+                        good_pmf: Vec::with_capacity(n),
                         column: Vec::with_capacity(n),
                     };
                     st.refresh_column(options.pseudo_count);
@@ -652,9 +668,39 @@ impl IncrementalSurrogate {
             .sum()
     }
 
-    /// Materializes the current state as a [`TpeSurrogate`] (for Proposal
-    /// sampling, the importance analysis, and the tuner's public accessor).
-    /// Bit-identical to a from-scratch fit of the same data.
+    /// The per-parameter Proposal views over the maintained state: each
+    /// discrete parameter lends its `good_pmf` and score column, each
+    /// continuous one its KDEs. Bit-identical inputs to a from-scratch
+    /// fit's views, so draws and scores match it bit for bit.
+    ///
+    /// # Panics
+    /// Panics if a continuous parameter has no good KDE (no observations
+    /// and no prior points).
+    pub fn views(&self) -> Vec<ParamView<'_>> {
+        self.params
+            .iter()
+            .map(|st| match st {
+                ParamState::Discrete(d) => ParamView::Discrete {
+                    good_pmf: &d.good_pmf,
+                    column: &d.column,
+                },
+                ParamState::Continuous(c) => ParamView::Continuous {
+                    good: c
+                        .good_kde
+                        .as_ref()
+                        .expect("good KDE exists once observations are held"),
+                    bad: c.bad_kde.as_ref(),
+                    lo: c.lo,
+                    hi: c.hi,
+                },
+            })
+            .collect()
+    }
+
+    /// Materializes the current state as a [`TpeSurrogate`], bit-identical
+    /// to a from-scratch fit of the same data. The tuner never needs one —
+    /// both strategies select from the engine itself — so this serves the
+    /// parity check and callers that want an owned fit.
     ///
     /// # Panics
     /// Panics if no observations are held (a fit over no data is undefined).
@@ -766,10 +812,18 @@ impl IncrementalSurrogate {
                 _ => unreachable!("density kinds always match the space"),
             }
         }
-        // Columns must match the entries a ScoreTable would precompute.
+        // Columns must match the entries a ScoreTable would precompute, and
+        // the good pmf the masses a Proposal draw walks.
         for (p, (st, d)) in self.params.iter().zip(full.densities()).enumerate() {
             if let (ParamState::Discrete(ds), ParamDensity::Discrete { good, bad }) = (st, d) {
                 for v in 0..good.n_categories() {
+                    assert_eq!(
+                        ds.good_pmf[v].to_bits(),
+                        good.pmf(v).to_bits(),
+                        "param {p} good_pmf[{v}] diverged: incremental {} vs full {}",
+                        ds.good_pmf[v],
+                        good.pmf(v)
+                    );
                     let expected = good.pmf(v).ln() - bad.pmf(v).ln();
                     assert_eq!(
                         ds.column[v].to_bits(),
@@ -781,6 +835,14 @@ impl IncrementalSurrogate {
                 }
             }
         }
+    }
+}
+
+impl ProposalModel for IncrementalSurrogate {
+    /// The engine maintains every table a view needs, so `_tables` stays
+    /// untouched.
+    fn param_views<'a>(&'a self, _tables: &'a mut ViewTables) -> Vec<ParamView<'a>> {
+        self.views()
     }
 }
 

@@ -26,7 +26,9 @@
 //! test oracle.
 
 use crate::history::ObservationHistory;
-use crate::surrogate::{CandidateMatrix, ScoreTable, TpeSurrogate};
+use crate::surrogate::{
+    sample_views, score_views, CandidateMatrix, ProposalModel, ScoreTable, TpeSurrogate, ViewTables,
+};
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rayon::prelude::*;
@@ -449,12 +451,14 @@ pub fn select_by_proposal<R: rand::Rng + ?Sized>(
 /// reproduces the scalar [`select_by_proposal`] behavior exactly.
 pub const PROPOSAL_REDRAW_ROUNDS: usize = 3;
 
-/// Reusable buffers for the vectorized Proposal selector: the SoA
-/// candidate matrix, the score vector, and the probe [`Configuration`]
-/// that carries rows through feasibility and seen checks. One instance
-/// lives on the tuner and is recycled every iteration.
+/// Reusable buffers for the vectorized Proposal selector: the tables a
+/// from-scratch fit builds its views into, the SoA candidate matrix, the
+/// score vector, and the probe [`Configuration`] that carries rows through
+/// feasibility and seen checks. One instance lives on the tuner and is
+/// recycled every iteration.
 #[derive(Debug, Default)]
 pub struct ProposalScratch {
+    tables: ViewTables,
     matrix: CandidateMatrix,
     scores: Vec<f64>,
     probe: Option<Configuration>,
@@ -483,6 +487,12 @@ pub struct ProposalPick {
 /// lowest-draw-index tie-break (first strict maximum in draw order — the
 /// same winner the scalar [`select_by_proposal`] loop keeps).
 ///
+/// `model` is either a from-scratch [`TpeSurrogate`], whose views are built
+/// once per call into `scratch`, or the tuner's incremental engine, which
+/// lends the tables it maintains. Both run the same
+/// [`sample_views`]/[`score_views`] kernels, so equal fits give equal picks
+/// and equal RNG consumption.
+///
 /// When a round contains no unseen candidate, up to `redraw_rounds`
 /// additional sample+score rounds run before the selector concedes and
 /// returns the best seen draw with `duplicate: true`. With
@@ -493,8 +503,8 @@ pub struct ProposalPick {
 /// the constant-liar batch path passes its in-flight picks so one batch
 /// never proposes the same configuration twice.
 #[allow(clippy::too_many_arguments)]
-pub fn select_by_proposal_vectorized<R: rand::Rng + ?Sized>(
-    surrogate: &TpeSurrogate,
+pub fn select_by_proposal_vectorized<M: ProposalModel + ?Sized, R: rand::Rng + ?Sized>(
+    model: &M,
     space: &ParameterSpace,
     history: &ObservationHistory,
     extra_seen: Option<&FxHashSet<Configuration>>,
@@ -504,17 +514,19 @@ pub fn select_by_proposal_vectorized<R: rand::Rng + ?Sized>(
     scratch: &mut ProposalScratch,
 ) -> ProposalPick {
     assert!(candidates > 0, "need at least one candidate");
+    let views = model.param_views(&mut scratch.tables);
     let mut best_dup: Option<(f64, Configuration)> = None;
     let mut scored = 0u64;
     for _ in 0..=redraw_rounds {
-        surrogate.sample_good_batch(
+        sample_views(
+            &views,
             space,
             candidates,
             rng,
             &mut scratch.matrix,
             &mut scratch.probe,
         );
-        surrogate.log_ei_batch(&scratch.matrix, &mut scratch.scores);
+        score_views(&views, &scratch.matrix, &mut scratch.scores);
         scored += candidates as u64;
         let probe = scratch.probe.as_mut().expect("sampled at least one row");
         let mut best_unseen: Option<(f64, usize)> = None;

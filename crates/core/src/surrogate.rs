@@ -9,7 +9,7 @@
 
 use crate::transfer::TransferPrior;
 use hiperbot_space::{Configuration, Domain, ParamValue, ParameterSpace};
-use hiperbot_stats::histogram::SmoothedHistogram;
+use hiperbot_stats::histogram::{sample_masses, SmoothedHistogram};
 use hiperbot_stats::kde::{Bandwidth, GaussianKde};
 use hiperbot_stats::quantile::split_by_quantile;
 use rayon::prelude::*;
@@ -41,15 +41,18 @@ impl Default for SurrogateOptions {
     }
 }
 
-/// Which fit engine the tuner uses for Ranking-strategy suggestions.
+/// Which fit engine the tuner's model-driven suggestions use, under both
+/// selection strategies.
 ///
 /// `Incremental` (the default) maintains a persistent
 /// [`IncrementalSurrogate`](crate::incremental::IncrementalSurrogate) that
 /// absorbs each new observation in O(log n + churn) instead of re-fitting
-/// from scratch every iteration; `Full` is the from-scratch escape hatch.
-/// The two modes produce **bit-identical** suggestions, histories, and
-/// traces — the incremental engine's contract, enforced by debug-assert
-/// parity checks and the property suite in `tests/incremental_parity.rs`.
+/// from scratch every iteration: Ranking reads its score columns, Proposal
+/// samples and scores from its maintained pmfs, columns and KDEs. `Full` is
+/// the from-scratch reference. The two modes produce **bit-identical**
+/// suggestions, histories, and traces — the incremental engine's contract,
+/// enforced by debug-assert parity checks and the property suites in
+/// `tests/incremental_parity.rs` and `tests/proposal_engine_parity.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateMode {
     /// Persistent O(churn) delta-maintained surrogate (default).
@@ -275,10 +278,12 @@ impl TpeSurrogate {
     }
 
     /// Assembles a surrogate from already-fitted densities — the
-    /// materialization path of the incremental engine, which maintains the
-    /// densities and split metadata itself and only packages them into a
-    /// `TpeSurrogate` when a caller needs one (Proposal sampling, the public
-    /// accessor, importance analysis).
+    /// materialization path of the incremental engine
+    /// ([`IncrementalSurrogate::to_surrogate`](crate::incremental::IncrementalSurrogate::to_surrogate)),
+    /// which maintains the densities and split metadata itself and packages
+    /// them into a `TpeSurrogate` only for its parity check and for callers
+    /// that want an owned fit. The tuner's selections read the engine
+    /// directly.
     pub(crate) fn from_parts(
         densities: Vec<ParamDensity>,
         threshold: f64,
@@ -362,117 +367,19 @@ impl TpeSurrogate {
         matrix: &mut CandidateMatrix,
         probe: &mut Option<Configuration>,
     ) {
-        matrix.reset(&self.densities, n);
-        let probe = probe.get_or_insert_with(|| {
-            Configuration::new(
-                self.densities
-                    .iter()
-                    .map(|d| match d {
-                        ParamDensity::Discrete { .. } => ParamValue::Index(0),
-                        ParamDensity::Continuous { lo, .. } => ParamValue::Real(*lo),
-                    })
-                    .collect(),
-            )
-        });
-        assert_eq!(probe.len(), self.densities.len(), "arity mismatch");
-        for _ in 0..n {
-            let mut feasible = false;
-            for _ in 0..10_000 {
-                for (i, d) in self.densities.iter().enumerate() {
-                    let v = match d {
-                        ParamDensity::Discrete { good, .. } => ParamValue::Index(good.sample(rng)),
-                        ParamDensity::Continuous { good, lo, hi, .. } => {
-                            // clamp KDE tails back into the domain
-                            ParamValue::Real(good.sample(rng).clamp(*lo, *hi))
-                        }
-                    };
-                    probe.set_value(i, v);
-                }
-                if space.is_feasible(probe) {
-                    feasible = true;
-                    break;
-                }
-            }
-            if !feasible {
-                panic!("could not propose a feasible configuration from p_g");
-            }
-            matrix.push_row(probe);
-        }
+        let mut tables = ViewTables::default();
+        sample_views(&self.param_views(&mut tables), space, n, rng, matrix, probe);
     }
 
     /// Scores every candidate in `matrix`, writing `log_ei` per candidate
-    /// into `scores` (cleared and resized to `matrix.len()`).
+    /// into `scores` (cleared and resized to `matrix.len()`): the shared
+    /// kernel [`score_views`] over this fit's [`ParamView`]s.
     ///
     /// Bit-identity contract: `scores[c]` carries the same bits
-    /// [`log_ei`](Self::log_ei) would return for candidate `c`. The
-    /// per-candidate accumulation runs dimension by dimension in density
-    /// order starting from `0.0` — the same fold `Iterator::sum` performs
-    /// in the scalar path — with continuous dimensions delegated to the
-    /// bit-identical [`GaussianKde::log_pdf_batch`] kernel and discrete
-    /// dimensions looked up from tables built with the [`ScoreTable`]
-    /// expressions.
-    ///
-    /// Candidates are scored in fixed chunks of [`SCORE_CHUNK`] distributed
-    /// over the rayon pool; chunk results are independent (no cross-chunk
-    /// reduction), so the output is identical at every thread count.
+    /// [`log_ei`](Self::log_ei) would return for candidate `c`.
     pub fn log_ei_batch(&self, matrix: &CandidateMatrix, scores: &mut Vec<f64>) {
-        assert_eq!(
-            matrix.columns().len(),
-            self.densities.len(),
-            "arity mismatch"
-        );
-        let n = matrix.len();
-        scores.clear();
-        scores.resize(n, 0.0);
-        if n == 0 {
-            return;
-        }
-        let tables: Vec<Option<Vec<f64>>> = self
-            .densities
-            .iter()
-            .map(|d| match d {
-                ParamDensity::Discrete { good, bad } => Some(
-                    (0..good.n_categories())
-                        .map(|i| good.pmf(i).ln() - bad.pmf(i).ln())
-                        .collect(),
-                ),
-                ParamDensity::Continuous { .. } => None,
-            })
-            .collect();
-        scores
-            .par_chunks_mut(SCORE_CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let start = ci * SCORE_CHUNK;
-                let len = chunk.len();
-                let mut lg = vec![0.0f64; len];
-                let mut lb = vec![0.0f64; len];
-                for (p, d) in self.densities.iter().enumerate() {
-                    match (d, &matrix.columns()[p]) {
-                        (
-                            ParamDensity::Continuous { good, bad, lo, hi },
-                            CandidateColumn::Real(xs),
-                        ) => {
-                            let xs = &xs[start..start + len];
-                            good.log_pdf_batch(xs, &mut lg);
-                            match bad {
-                                Some(kde) => kde.log_pdf_batch(xs, &mut lb),
-                                None => lb.fill((1.0 / (hi - lo)).ln()), // uniform fallback
-                            }
-                            for (s, (&g, &b)) in chunk.iter_mut().zip(lg.iter().zip(&lb)) {
-                                *s += g - b;
-                            }
-                        }
-                        (ParamDensity::Discrete { .. }, CandidateColumn::Index(is)) => {
-                            let t = tables[p].as_ref().expect("discrete table");
-                            for (s, &v) in chunk.iter_mut().zip(&is[start..start + len]) {
-                                *s += t[v];
-                            }
-                        }
-                        _ => panic!("configuration value kind does not match parameter domain"),
-                    }
-                }
-            });
+        let mut tables = ViewTables::default();
+        score_views(&self.param_views(&mut tables), matrix, scores);
     }
 
     /// The good/bad threshold `y(τ)` used for this fit.
@@ -547,24 +454,24 @@ pub struct CandidateMatrix {
 }
 
 impl CandidateMatrix {
-    /// Clears the matrix and shapes its columns after `densities`,
-    /// reserving room for `n_hint` candidates. Existing column allocations
-    /// are kept when the shape already matches.
-    fn reset(&mut self, densities: &[ParamDensity], n_hint: usize) {
-        let matches = self.cols.len() == densities.len()
-            && self.cols.iter().zip(densities).all(|(c, d)| {
+    /// Clears the matrix and shapes its columns after `views`, reserving
+    /// room for `n_hint` candidates. Existing column allocations are kept
+    /// when the shape already matches.
+    fn reset(&mut self, views: &[ParamView<'_>], n_hint: usize) {
+        let matches = self.cols.len() == views.len()
+            && self.cols.iter().zip(views).all(|(c, v)| {
                 matches!(
-                    (c, d),
-                    (CandidateColumn::Real(_), ParamDensity::Continuous { .. })
-                        | (CandidateColumn::Index(_), ParamDensity::Discrete { .. })
+                    (c, v),
+                    (CandidateColumn::Real(_), ParamView::Continuous { .. })
+                        | (CandidateColumn::Index(_), ParamView::Discrete { .. })
                 )
             });
         if !matches {
-            self.cols = densities
+            self.cols = views
                 .iter()
-                .map(|d| match d {
-                    ParamDensity::Continuous { .. } => CandidateColumn::Real(Vec::new()),
-                    ParamDensity::Discrete { .. } => CandidateColumn::Index(Vec::new()),
+                .map(|v| match v {
+                    ParamView::Continuous { .. } => CandidateColumn::Real(Vec::new()),
+                    ParamView::Discrete { .. } => CandidateColumn::Index(Vec::new()),
                 })
                 .collect();
         }
@@ -622,6 +529,204 @@ impl CandidateMatrix {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+}
+
+/// One parameter's Proposal inputs, borrowed from a fitted model: the good
+/// density a draw samples and the terms a score reads. The from-scratch
+/// [`TpeSurrogate`] computes its discrete tables into a [`ViewTables`] once
+/// per selection; the incremental engine lends the ones it maintains.
+#[derive(Debug, Clone, Copy)]
+pub enum ParamView<'a> {
+    /// A discrete parameter.
+    Discrete {
+        /// `p_g(v)` per domain index: the masses a draw walks.
+        good_pmf: &'a [f64],
+        /// `ln p_g(v) − ln p_b(v)` per domain index: the score term.
+        column: &'a [f64],
+    },
+    /// A continuous parameter.
+    Continuous {
+        /// The good KDE a draw samples from.
+        good: &'a GaussianKde,
+        /// The bad KDE; `None` scores against the uniform fallback.
+        bad: Option<&'a GaussianKde>,
+        /// Domain lower bound.
+        lo: f64,
+        /// Domain upper bound.
+        hi: f64,
+    },
+}
+
+/// Backing storage for the discrete tables a from-scratch fit computes per
+/// selection: `p_g(v)` and `ln p_g(v) − ln p_b(v)` per parameter, in the
+/// expressions of [`SmoothedHistogram::pmf`] and [`ScoreTable`]. Kept
+/// across selections so the per-parameter vectors are reused.
+#[derive(Debug, Default)]
+pub struct ViewTables {
+    pmf: Vec<Vec<f64>>,
+    column: Vec<Vec<f64>>,
+}
+
+/// A fitted TPE model the Proposal selector draws and scores from.
+pub trait ProposalModel {
+    /// The per-parameter views, in parameter order. `tables` backs any
+    /// table the model computes on demand rather than maintains.
+    fn param_views<'a>(&'a self, tables: &'a mut ViewTables) -> Vec<ParamView<'a>>;
+}
+
+impl ProposalModel for TpeSurrogate {
+    fn param_views<'a>(&'a self, tables: &'a mut ViewTables) -> Vec<ParamView<'a>> {
+        let n = self.densities.len();
+        tables.pmf.resize_with(n, Vec::new);
+        tables.column.resize_with(n, Vec::new);
+        for (p, d) in self.densities.iter().enumerate() {
+            if let ParamDensity::Discrete { good, bad } = d {
+                let range = 0..good.n_categories();
+                tables.pmf[p].clear();
+                tables.pmf[p].extend(range.clone().map(|i| good.pmf(i)));
+                tables.column[p].clear();
+                tables.column[p].extend(range.map(|i| good.pmf(i).ln() - bad.pmf(i).ln()));
+            }
+        }
+        let tables: &'a ViewTables = tables;
+        self.densities
+            .iter()
+            .enumerate()
+            .map(|(p, d)| match d {
+                ParamDensity::Discrete { .. } => ParamView::Discrete {
+                    good_pmf: &tables.pmf[p],
+                    column: &tables.column[p],
+                },
+                ParamDensity::Continuous { good, bad, lo, hi } => ParamView::Continuous {
+                    good,
+                    bad: bad.as_ref(),
+                    lo: *lo,
+                    hi: *hi,
+                },
+            })
+            .collect()
+    }
+}
+
+/// Samples `n` feasible configurations from the good densities of `views`
+/// into `matrix`: per candidate, one draw per dimension in parameter order
+/// (a discrete dimension walks its `good_pmf` with
+/// [`sample_masses`](hiperbot_stats::histogram::sample_masses), a
+/// continuous one samples its KDE and clamps the tail into the domain),
+/// redrawing every dimension while the row is infeasible. Over the views of
+/// a fit this consumes the RNG exactly as `n` successive
+/// [`TpeSurrogate::sample_good`] calls on that fit.
+///
+/// `probe` is a reusable scratch [`Configuration`] (created on first use)
+/// that carries each draw through the feasibility check.
+///
+/// # Panics
+/// Panics if `probe` has the wrong arity, or if any draw fails to find a
+/// feasible configuration in 10 000 attempts.
+pub fn sample_views<R: rand::Rng + ?Sized>(
+    views: &[ParamView<'_>],
+    space: &ParameterSpace,
+    n: usize,
+    rng: &mut R,
+    matrix: &mut CandidateMatrix,
+    probe: &mut Option<Configuration>,
+) {
+    matrix.reset(views, n);
+    let probe = probe.get_or_insert_with(|| {
+        Configuration::new(
+            views
+                .iter()
+                .map(|v| match *v {
+                    ParamView::Discrete { .. } => ParamValue::Index(0),
+                    ParamView::Continuous { lo, .. } => ParamValue::Real(lo),
+                })
+                .collect(),
+        )
+    });
+    assert_eq!(probe.len(), views.len(), "arity mismatch");
+    for _ in 0..n {
+        let mut feasible = false;
+        for _ in 0..10_000 {
+            for (i, v) in views.iter().enumerate() {
+                let value = match *v {
+                    ParamView::Discrete { good_pmf, .. } => {
+                        ParamValue::Index(sample_masses(good_pmf.iter().copied(), rng))
+                    }
+                    // clamp KDE tails back into the domain
+                    ParamView::Continuous { good, lo, hi, .. } => {
+                        ParamValue::Real(good.sample(rng).clamp(lo, hi))
+                    }
+                };
+                probe.set_value(i, value);
+            }
+            if space.is_feasible(probe) {
+                feasible = true;
+                break;
+            }
+        }
+        if !feasible {
+            panic!("could not propose a feasible configuration from p_g");
+        }
+        matrix.push_row(probe);
+    }
+}
+
+/// Scores every candidate in `matrix` under `views`, writing
+/// `Σ_i ln p_g(x_i) − ln p_b(x_i)` per candidate into `scores` (cleared and
+/// resized to `matrix.len()`).
+///
+/// Bit-identity contract: over the views of a fit, `scores[c]` carries the
+/// bits [`TpeSurrogate::log_ei`] returns for candidate `c`. Each
+/// candidate's sum runs dimension by dimension in parameter order from
+/// `0.0` — the fold `Iterator::sum` performs in the scalar path — with
+/// continuous dimensions delegated to the bit-identical
+/// [`GaussianKde::log_pdf_batch`] kernel and discrete dimensions read from
+/// their `column`.
+///
+/// Candidates are scored in fixed chunks of [`SCORE_CHUNK`] distributed
+/// over the rayon pool; chunk results are independent (no cross-chunk
+/// reduction), so the output is identical at every thread count.
+///
+/// # Panics
+/// Panics if the matrix's arity or column kinds do not match `views`.
+pub fn score_views(views: &[ParamView<'_>], matrix: &CandidateMatrix, scores: &mut Vec<f64>) {
+    assert_eq!(matrix.columns().len(), views.len(), "arity mismatch");
+    let n = matrix.len();
+    scores.clear();
+    scores.resize(n, 0.0);
+    if n == 0 {
+        return;
+    }
+    scores
+        .par_chunks_mut(SCORE_CHUNK)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let start = ci * SCORE_CHUNK;
+            let len = chunk.len();
+            let mut lg = vec![0.0f64; len];
+            let mut lb = vec![0.0f64; len];
+            for (v, col) in views.iter().zip(matrix.columns()) {
+                match (*v, col) {
+                    (ParamView::Continuous { good, bad, lo, hi }, CandidateColumn::Real(xs)) => {
+                        let xs = &xs[start..start + len];
+                        good.log_pdf_batch(xs, &mut lg);
+                        match bad {
+                            Some(kde) => kde.log_pdf_batch(xs, &mut lb),
+                            None => lb.fill((1.0 / (hi - lo)).ln()), // uniform fallback
+                        }
+                        for (s, (&g, &b)) in chunk.iter_mut().zip(lg.iter().zip(&lb)) {
+                            *s += g - b;
+                        }
+                    }
+                    (ParamView::Discrete { column, .. }, CandidateColumn::Index(is)) => {
+                        for (s, &i) in chunk.iter_mut().zip(&is[start..start + len]) {
+                            *s += column[i];
+                        }
+                    }
+                    _ => panic!("configuration value kind does not match parameter domain"),
+                }
+            }
+        });
 }
 
 /// A dense per-value score table precomputed from one surrogate fit — the

@@ -88,9 +88,9 @@ pub struct TunerOptions {
     pub seed: u64,
     /// Optional transfer-learning prior with its mixture weight `w`.
     pub prior: Option<(TransferPrior, f64)>,
-    /// How Ranking-strategy surrogate fits are maintained: a persistent
-    /// O(churn) incremental engine (default) or a from-scratch refit per
-    /// iteration. Bit-identical by contract; Proposal mode always refits.
+    /// How surrogate fits are maintained, under both strategies: a
+    /// persistent O(churn) incremental engine (default) or a from-scratch
+    /// refit per iteration. Bit-identical by contract.
     pub surrogate_mode: SurrogateMode,
 }
 
@@ -389,14 +389,16 @@ pub struct Tuner {
     /// and never touches `rng`, so traced and untraced runs are
     /// bit-identical for the same seed.
     recorder: Arc<dyn Recorder>,
-    /// Persistent incremental surrogate (Ranking + `SurrogateMode::Incremental`
-    /// only; built lazily on the first model-driven suggestion). Fantasy
+    /// Persistent incremental surrogate (`SurrogateMode::Incremental` only,
+    /// either strategy; built lazily on the first model-driven suggestion,
+    /// so a resumed tuner rebuilds it from the restored history). Fantasy
     /// observations pushed during batch suggestion are always popped before
     /// the suggesting call returns, so between calls the engine mirrors
-    /// `history` exactly.
+    /// `history` exactly (or lags it by the entries since the last sync).
     engine: Option<IncrementalSurrogate>,
-    /// Reused point/weight buffers for from-scratch KDE fits (the full-mode
-    /// and Proposal paths) — no per-fit allocations.
+    /// Reused point/weight buffers for from-scratch KDE fits — the
+    /// `SurrogateMode::Full` paths and the pipeline's Proposal speculation
+    /// — so those fits allocate no staging vectors.
     fit_scratch: FitScratch,
     proposal_scratch: ProposalScratch,
     /// Prefix-cloned failure configurations, grown once per new failure
@@ -818,11 +820,10 @@ impl Tuner {
     }
 
     /// Whether model-driven suggestions run through the persistent
-    /// incremental engine (Ranking strategy only; Proposal mode samples
-    /// from the good KDE and keeps the from-scratch fit).
+    /// incremental engine (both strategies) rather than a from-scratch fit
+    /// per pick.
     fn use_incremental(&self) -> bool {
         self.options.surrogate_mode == SurrogateMode::Incremental
-            && self.options.strategy == SelectionStrategy::Ranking
     }
 
     /// Brings the incremental engine up to date with the history: builds it
@@ -902,6 +903,29 @@ impl Tuner {
         self.last_churn = stats;
     }
 
+    /// The number of bootstrap samples to draw: `init_samples`, clamped on a
+    /// fully discrete space so the bootstrap never asks for more distinct
+    /// samples than exist. Ranking builds its pool here, where it needs it
+    /// for every pick anyway; Proposal never ranks a pool, so it counts
+    /// feasible configurations only until it reaches `init_samples` — the
+    /// same `n`, hence the same RNG draws, without enumerating the space.
+    fn bootstrap_count(&mut self, init_samples: usize) -> usize {
+        if !self.space.is_fully_discrete() {
+            return init_samples;
+        }
+        match self.options.strategy {
+            SelectionStrategy::Ranking => init_samples.min(self.pool().configs.len()),
+            SelectionStrategy::Proposal { .. } => {
+                let product = self.space.product_cardinality().expect("fully discrete");
+                (0..product)
+                    .map(|i| self.space.config_at(i))
+                    .filter(|cfg| self.space.is_feasible(cfg))
+                    .take(init_samples)
+                    .count()
+            }
+        }
+    }
+
     /// Runs the bootstrap phase if it has not happened yet: evaluates
     /// `init_samples` distinct uniform random configurations. The count is
     /// a parameter (not read from `self.options`) so budget-driven clamping
@@ -914,13 +938,7 @@ impl Tuner {
         if self.bootstrapped {
             return;
         }
-        let n = if self.space.is_fully_discrete() {
-            // Never ask for more distinct samples than exist.
-            let pool_len = self.pool().configs.len();
-            init_samples.min(pool_len)
-        } else {
-            init_samples
-        };
+        let n = self.bootstrap_count(init_samples);
         // A mid-bootstrap resume restarts here with the RNG at the
         // pre-draw position and the evaluated prefix already in the
         // history: redraw the identical sample list and skip that prefix.
@@ -931,7 +949,12 @@ impl Tuner {
             InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
         };
         for cfg in samples.into_iter().skip(done) {
-            self.evaluate_and_push(cfg, &mut *objective, true);
+            // The redraw of a genuine snapshot never repeats its evaluated
+            // prefix; that of a corrupt one can, and must not evaluate a
+            // configuration twice.
+            if !self.history.contains(&cfg) {
+                self.evaluate_and_push(cfg, &mut *objective, true);
+            }
         }
         self.bootstrapped = true;
     }
@@ -1077,7 +1100,7 @@ impl Tuner {
         let traced = self.recorder.enabled();
         let iteration = self.history.trials() as u64;
         if self.use_incremental() {
-            return self.suggest_ranking_incremental(traced, iteration);
+            return self.suggest_incremental(traced, iteration);
         }
         let fit_timer = SpanTimer::start(traced);
         let surrogate = self.fit_surrogate();
@@ -1131,17 +1154,14 @@ impl Tuner {
         picked
     }
 
-    /// The incremental-engine Ranking suggestion: syncs the persistent
-    /// engine (O(churn) per new history entry), then runs the same
-    /// vectorized pool argmax over the engine's delta-maintained score
-    /// columns. Emits the exact `SurrogateFit`/`SelectionScored` events the
-    /// from-scratch path would — same fields, same values (bit-identical by
-    /// the parity contract), timings aside.
-    fn suggest_ranking_incremental(
-        &mut self,
-        traced: bool,
-        iteration: u64,
-    ) -> Option<Configuration> {
+    /// The incremental-engine suggestion: syncs the persistent engine
+    /// (O(churn) per new history entry), then selects from its maintained
+    /// state — the pool argmax over its score columns under Ranking, draws
+    /// and scores from its pmfs, columns and KDEs under Proposal. Emits the
+    /// exact `SurrogateFit`/`SelectionScored` events and consumes the exact
+    /// RNG draws of the from-scratch path — same fields, same values
+    /// (bit-identical by the parity contract), timings aside.
+    fn suggest_incremental(&mut self, traced: bool, iteration: u64) -> Option<Configuration> {
         let fit_timer = SpanTimer::start(traced);
         self.sync_engine();
         let engine = self.engine.as_ref().expect("just synced");
@@ -1156,20 +1176,43 @@ impl Tuner {
             });
         }
         let select_timer = SpanTimer::start(traced);
-        self.pool();
-        let pool = self.pool.as_ref().expect("just built");
-        let engine = self.engine.as_ref().expect("synced above");
-        let tables = engine
-            .tables()
-            .expect("Ranking requires a fully discrete space");
-        let picked = pool
-            .best_unseen(&tables, &pool.seen)
-            .map(|i| pool.configs[i].clone());
-        if let (Some(elapsed_ns), Some(cfg)) = (select_timer.elapsed_ns(), &picked) {
+        let (picked, candidates, best_ei) = match self.options.strategy {
+            SelectionStrategy::Ranking => {
+                self.pool();
+                let pool = self.pool.as_ref().expect("just built");
+                let engine = self.engine.as_ref().expect("synced above");
+                let tables = engine
+                    .tables()
+                    .expect("Ranking requires a fully discrete space");
+                let picked = pool
+                    .best_unseen(&tables, &pool.seen)
+                    .map(|i| pool.configs[i].clone());
+                // Scored only for the trace: the argmax returns no score.
+                let best_ei = picked
+                    .as_ref()
+                    .filter(|_| traced)
+                    .map(|cfg| engine.score(cfg));
+                (picked, pool.configs.len() as u64, best_ei)
+            }
+            SelectionStrategy::Proposal { candidates } => {
+                let pick = select_by_proposal_vectorized(
+                    self.engine.as_ref().expect("synced above"),
+                    &self.space,
+                    &self.history,
+                    None,
+                    candidates,
+                    PROPOSAL_REDRAW_ROUNDS,
+                    &mut self.rng,
+                    &mut self.proposal_scratch,
+                );
+                (Some(pick.config), pick.scored, Some(pick.score))
+            }
+        };
+        if let (Some(elapsed_ns), Some(best_ei)) = (select_timer.elapsed_ns(), best_ei) {
             self.recorder.record(&Event::SelectionScored {
                 iteration,
-                candidates: pool.configs.len() as u64,
-                best_ei: engine.score(cfg),
+                candidates,
+                best_ei,
                 elapsed_ns,
             });
         }
@@ -1251,10 +1294,13 @@ impl Tuner {
     /// Returns fewer than `k` configurations when the pool runs out.
     ///
     /// Under the **Proposal** strategy the same constant-liar scheme runs
-    /// on the vectorized Proposal selector (see
-    /// [`suggest_batch_proposal`](Self::suggest_batch_proposal)): picks
-    /// that duplicate history after the in-selection redraw rounds are
-    /// dropped from the batch and counted as stalls.
+    /// on the vectorized Proposal selector: picks that duplicate history
+    /// after the in-selection redraw rounds are dropped from the batch and
+    /// counted as stalls. With the default incremental engine both
+    /// strategies push and pop their fantasies through it (see
+    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental));
+    /// `SurrogateMode::Full` refits per pick as described above (see
+    /// [`suggest_batch_proposal`](Self::suggest_batch_proposal)).
     ///
     /// # Panics
     /// Panics before bootstrap, or when every trial so far failed (no
@@ -1268,11 +1314,11 @@ impl Tuner {
             !self.history.is_empty(),
             "no successful observations to fit the surrogate on"
         );
-        if let SelectionStrategy::Proposal { candidates } = self.options.strategy {
-            return self.suggest_batch_proposal(k, candidates);
-        }
         if self.use_incremental() {
             return self.suggest_batch_incremental(k);
+        }
+        if let SelectionStrategy::Proposal { candidates } = self.options.strategy {
+            return self.suggest_batch_proposal(k, candidates);
         }
         self.sync_failed_cache();
         self.pool(); // build + sync once; the loop borrows it immutably
@@ -1341,7 +1387,10 @@ impl Tuner {
         picks
     }
 
-    /// Constant-liar batch suggestion for the **Proposal** strategy: every
+    /// Constant-liar batch suggestion for the **Proposal** strategy under
+    /// `SurrogateMode::Full` — the from-scratch reference of the engine's
+    /// Proposal arm in
+    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental): every
     /// pick refits the surrogate over history + fantasy observations at
     /// the liar value (the pre-batch good-threshold `y(τ)`, exactly as in
     /// the Ranking arm) and runs the vectorized Proposal selector with the
@@ -1430,27 +1479,39 @@ impl Tuner {
         picks
     }
 
-    /// Constant-liar batch suggestion on the incremental engine: the
-    /// pre-batch sync absorbs only the new history entries, and each
-    /// fantasy observation is an O(churn) delta update instead of a
-    /// from-scratch refit over history + fantasies. All fantasies are
-    /// popped (LIFO, exactly invertible) before returning, so the engine
-    /// again mirrors the real history. Event sequence, picks, and liar
-    /// value are bit-identical to the full-refit path by the parity
+    /// Constant-liar batch suggestion on the incremental engine, under
+    /// either strategy: the pre-batch sync absorbs only the new history
+    /// entries, and each fantasy observation is an O(churn) delta update
+    /// instead of a from-scratch refit over history + fantasies. Ranking
+    /// masks its picks in a copy of the pool's seen mask; Proposal folds
+    /// them into the duplicate check and, like
+    /// [`suggest_batch_proposal`](Self::suggest_batch_proposal), drops a
+    /// pick that still duplicates after the redraw rounds and counts a
+    /// stall — no fantasy is pushed for it. All fantasies are popped (LIFO,
+    /// exactly invertible) before returning, so the engine again mirrors
+    /// the real history. Event sequence, picks, RNG draws, stalls and liar
+    /// value are bit-identical to the full-refit paths by the parity
     /// contract; in debug builds that is re-verified against a full fit
     /// after every fantasy push and after the pops.
     fn suggest_batch_incremental(&mut self, k: usize) -> Vec<Configuration> {
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let span = SpanTimer::start(self.metrics.is_some());
-        self.pool(); // build + sync once; the loop borrows it immutably
-        let mut seen = self.pool.as_ref().expect("just built").seen.clone();
+        let mut seen = match self.options.strategy {
+            SelectionStrategy::Ranking => {
+                self.pool(); // build + sync once; the loop borrows it immutably
+                Some(self.pool.as_ref().expect("just built").seen.clone())
+            }
+            SelectionStrategy::Proposal { .. } => None,
+        };
+        let mut batch_seen: FxHashSet<Configuration> = FxHashSet::default();
         #[cfg(debug_assertions)]
         let mut dbg_configs: Vec<Configuration> = Vec::new();
         #[cfg(debug_assertions)]
         let mut dbg_objectives: Vec<f64> = Vec::new();
         let mut fantasies = 0usize;
         let mut liar = 0.0;
+        let mut stalled = 0usize;
         let mut picks: Vec<Configuration> = Vec::with_capacity(k);
         for i in 0..k {
             let fit_timer = SpanTimer::start(traced);
@@ -1463,8 +1524,9 @@ impl Tuner {
                     dbg_configs = self.history.configs().to_vec();
                     dbg_objectives = self.history.objectives().to_vec();
                 }
-            } else {
-                let prev = picks.last().expect("picked last iteration").clone();
+            }
+            // Fantasize the previous pick, unless it was a dropped duplicate.
+            if let Some(prev) = picks.get(fantasies).cloned() {
                 let engine = self.engine.as_mut().expect("synced on first pick");
                 engine.observe(&prev, liar);
                 fantasies += 1;
@@ -1486,25 +1548,54 @@ impl Tuner {
                 });
             }
             let select_timer = SpanTimer::start(traced);
-            let pool = self.pool.as_ref().expect("just built");
-            let engine = self.engine.as_ref().expect("synced on first pick");
-            let tables = engine
-                .tables()
-                .expect("Ranking requires a fully discrete space");
-            let Some(pos) = pool.best_unseen(&tables, &seen) else {
-                break; // pool exhausted mid-batch
+            let (picked, candidates, best_ei) = match self.options.strategy {
+                SelectionStrategy::Ranking => {
+                    let seen = seen.as_mut().expect("Ranking builds its mask");
+                    let pool = self.pool.as_ref().expect("just built");
+                    let tables = engine
+                        .tables()
+                        .expect("Ranking requires a fully discrete space");
+                    let Some(pos) = pool.best_unseen(&tables, seen) else {
+                        break; // pool exhausted mid-batch
+                    };
+                    seen.set(pos);
+                    let cfg = pool.configs[pos].clone();
+                    // Scored only for the trace: the argmax returns no score.
+                    let best_ei = if traced { engine.score(&cfg) } else { 0.0 };
+                    (Some(cfg), pool.configs.len() as u64, best_ei)
+                }
+                SelectionStrategy::Proposal { candidates } => {
+                    let pick = select_by_proposal_vectorized(
+                        engine,
+                        &self.space,
+                        &self.history,
+                        Some(&batch_seen),
+                        candidates,
+                        PROPOSAL_REDRAW_ROUNDS,
+                        &mut self.rng,
+                        &mut self.proposal_scratch,
+                    );
+                    // A pick that duplicates history or an earlier pick is
+                    // dropped (None): a stall, and the batch goes on.
+                    let kept = (!pick.duplicate).then(|| {
+                        batch_seen.insert(pick.config.clone());
+                        pick.config
+                    });
+                    (kept, pick.scored, pick.score)
+                }
             };
-            let cfg = pool.configs[pos].clone();
             if let Some(elapsed_ns) = select_timer.elapsed_ns() {
                 self.recorder.record(&Event::SelectionScored {
                     iteration: base_iteration + i as u64,
-                    candidates: pool.configs.len() as u64,
-                    best_ei: engine.score(&cfg),
+                    candidates,
+                    best_ei,
                     elapsed_ns,
                 });
             }
-            seen.set(pos);
-            picks.push(cfg);
+            match picked {
+                Some(cfg) => picks.push(cfg),
+                None => stalled += 1,
+            }
         }
         // Evict the fantasies: the engine must mirror the real history
         // before outcomes are merged back.
@@ -1519,6 +1610,7 @@ impl Tuner {
             self.assert_engine_parity(&dbg_configs, &dbg_objectives);
         }
         self.publish_churn(span.elapsed_ns());
+        self.stalls += stalled;
         if k > 0 {
             self.last_liar = Some(liar);
         }
@@ -2016,11 +2108,8 @@ impl Tuner {
             None => self.suggest_batch(k),
             Some(Speculation::Ranking(spec)) => self.suggest_batch_ranking_validated(k, spec),
             Some(Speculation::Proposal(spec)) => {
-                let SelectionStrategy::Proposal { candidates } = self.options.strategy else {
-                    unreachable!("Proposal speculation under a non-Proposal strategy");
-                };
                 let iteration = self.history.trials() as u64;
-                let picks = self.suggest_batch_proposal(k, candidates);
+                let picks = self.suggest_batch(k);
                 let matched = spec
                     .picks
                     .iter()
@@ -2203,12 +2292,7 @@ impl Tuner {
         if self.bootstrapped {
             return;
         }
-        let n = if self.space.is_fully_discrete() {
-            let pool_len = self.pool().configs.len();
-            init_samples.min(pool_len)
-        } else {
-            init_samples
-        };
+        let n = self.bootstrap_count(init_samples);
         // Mirror the serial bootstrap's resume support: redraw from the
         // pre-draw RNG position and skip the already-evaluated prefix.
         // Skipping whole chunks keeps the batch boundaries — and therefore
@@ -2227,7 +2311,14 @@ impl Tuner {
             start % k == 0 || start == samples.len(),
             "mid-bootstrap resume requires the batch size of the interrupted run"
         );
-        for chunk in samples[start..].chunks(k) {
+        // As in the serial bootstrap, a corrupt snapshot's redraw may repeat
+        // its evaluated prefix; those samples are not evaluated again.
+        let pending: Vec<Configuration> = samples
+            .into_iter()
+            .skip(start)
+            .filter(|cfg| !self.history.contains(cfg))
+            .collect();
+        for chunk in pending.chunks(k) {
             self.evaluate_and_merge(chunk, evaluate_batch, true);
         }
         self.bootstrapped = true;

@@ -158,16 +158,31 @@ impl SmoothedHistogram {
 
     /// Samples a category index proportionally to the smoothed pmf.
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let mut u: f64 = rng.gen_range(0.0..1.0);
-        for i in 0..self.counts.len() {
-            let p = self.pmf(i);
-            if u < p {
-                return i;
-            }
-            u -= p;
-        }
-        self.counts.len() - 1 // floating-point slack lands on the last bin
+        sample_masses((0..self.counts.len()).map(|i| self.pmf(i)), rng)
     }
+}
+
+/// Draws a category index from `masses` (a pmf, in category order): one
+/// uniform draw in `[0, 1)`, then the first category whose cumulative mass
+/// exceeds it. A caller holding precomputed masses draws exactly the index
+/// [`SmoothedHistogram::sample`] would from the same values, consuming the
+/// same RNG words.
+///
+/// # Panics
+/// Panics if `masses` is empty.
+pub fn sample_masses<R: rand::Rng + ?Sized>(
+    masses: impl ExactSizeIterator<Item = f64>,
+    rng: &mut R,
+) -> usize {
+    let last = masses.len().checked_sub(1).expect("no categories");
+    let mut u: f64 = rng.gen_range(0.0..1.0);
+    for (i, p) in masses.enumerate() {
+        if u < p {
+            return i;
+        }
+        u -= p;
+    }
+    last // floating-point slack lands on the last bin
 }
 
 #[cfg(test)]

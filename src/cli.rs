@@ -194,9 +194,10 @@ pub struct CliOptions {
     /// batches pick from the refit score table; Proposal batches pick
     /// through the vectorized proposal engine, same liar protocol.
     pub batch: usize,
-    /// Surrogate maintenance mode: the O(churn) incremental engine
-    /// (default) or a from-scratch refit per iteration. Bit-identical
-    /// results either way; `full` is the escape hatch / reference path.
+    /// Surrogate maintenance mode, for Ranking and Proposal alike: the
+    /// O(churn) incremental engine (default), which both strategies select
+    /// from directly, or a from-scratch refit per pick. Bit-identical
+    /// results either way; `full` is the reference path.
     pub surrogate: SurrogateMode,
     /// Where to write crash-recovery snapshots (`None` = checkpointing
     /// off). Written atomically every `checkpoint_every` trials and at
@@ -257,7 +258,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                  [--budget N=50] [--seed N=0] [--init N=20] [--measure stdout|time] \
                  [--max-retries N=0] [--workers N=1] [--batch K=1] \
                  [--pipeline on|off=off] [--threads N] \
-                 [--surrogate incremental|full] \
+                 [--surrogate incremental|full=incremental] \
                  [--trace-out <trace.jsonl>] [--log-level off|info|debug] [--metrics-summary] \
                  [--metrics-out <file.prom>] [--diag] [--strict-health] \
                  [--profile-out <file.folded>] \
@@ -1322,6 +1323,77 @@ mod tests {
         })
         .unwrap();
         assert_eq!(incremental, full);
+    }
+
+    #[test]
+    fn surrogate_modes_agree_on_a_continuous_command_mode_space() {
+        // The same contract on the Proposal strategy: a continuous space
+        // selects by Proposal, which samples and scores from the
+        // incremental engine by default. Serially and at 4 workers, batch
+        // 4, both modes report the same best and write the same trace,
+        // timings and the `surrogate=` option token aside.
+        fn zero_timings(v: &mut serde_json::Value) {
+            match v {
+                serde_json::Value::Object(entries) => {
+                    for (key, child) in entries.iter_mut() {
+                        if key.ends_with("_ns") {
+                            *child = serde_json::Value::UInt(0);
+                        } else {
+                            zero_timings(child);
+                        }
+                    }
+                }
+                serde_json::Value::Array(items) => items.iter_mut().for_each(zero_timings),
+                _ => {}
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("hiperbot-cli-modes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("space.json");
+        std::fs::write(
+            &spec_path,
+            r#"{"params": [
+                {"type": "continuous", "name": "alpha", "lo": 0.0, "hi": 1.0},
+                {"type": "continuous", "name": "beta", "lo": -1.0, "hi": 1.0},
+                {"type": "ints", "name": "k", "values": [0, 1, 2, 3]}
+            ]}"#,
+        )
+        .unwrap();
+        for (workers, batch) in [(1, 1), (4, 4)] {
+            let mut reports = Vec::new();
+            for surrogate in [SurrogateMode::Incremental, SurrogateMode::Full] {
+                let trace_path = dir.join(format!("{surrogate:?}-{workers}.jsonl"));
+                let options = CliOptions {
+                    space_path: spec_path.to_string_lossy().into_owned(),
+                    command: "awk 'BEGIN { print ({alpha} - 0.3)^2 + ({beta})^2 + 0.1 * {k} + 1 }'"
+                        .into(),
+                    budget: 24,
+                    seed: 9,
+                    init_samples: 8,
+                    workers,
+                    batch,
+                    surrogate,
+                    trace_out: Some(trace_path.to_string_lossy().into_owned()),
+                    ..CliOptions::default()
+                };
+                let best = run(&options).unwrap();
+                let trace: Vec<String> = std::fs::read_to_string(&trace_path)
+                    .unwrap()
+                    .lines()
+                    .map(|line| {
+                        let mut event: serde_json::Value = serde_json::from_str(line).unwrap();
+                        zero_timings(&mut event);
+                        serde_json::to_string(&event)
+                            .unwrap()
+                            .replace("surrogate=Full", "surrogate=Incremental")
+                    })
+                    .collect();
+                reports.push((best, trace));
+            }
+            assert!(reports[0].1.iter().any(|l| l.contains("SelectionScored")));
+            assert_eq!(reports[0], reports[1], "workers {workers}, batch {batch}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
