@@ -8,12 +8,17 @@
 //! seeded noise (so the exhaustive best is a fixed, reproducible value).
 
 use hiperbot_perfsim::faults::{FaultModel, SimOutcome};
-use hiperbot_space::{Configuration, ParameterSpace};
+use hiperbot_space::{Configuration, ParameterSpace, PoolCodes};
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 
 /// A fully evaluated parameter sweep: the substitute for the paper's
 /// measured datasets.
+///
+/// Rows are kept in code order — the order of
+/// [`ParameterSpace::enumerate`] — next to each row's mixed-radix code
+/// ([`ParameterSpace::index_of`]), so a lookup computes the code and
+/// binary-searches it: no configuration is hashed, and none is stored
+/// twice.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
@@ -21,7 +26,8 @@ pub struct Dataset {
     space: ParameterSpace,
     configs: Vec<Configuration>,
     objectives: Vec<f64>,
-    index: FxHashMap<Configuration, u32>,
+    /// Code of each row: the row lookup.
+    codes: PoolCodes,
 }
 
 impl Dataset {
@@ -31,7 +37,12 @@ impl Dataset {
     ///
     /// Evaluation parallelizes across configurations with rayon; the result
     /// is identical to a sequential evaluation (the noise depends only on
-    /// the configuration's enumeration position).
+    /// the configuration's enumeration position). The rows and their codes
+    /// come from one [`walk`](ParameterSpace::walk) of the space.
+    ///
+    /// # Panics
+    /// Panics if the space has continuous parameters or no feasible
+    /// configuration, or the model returns a non-positive objective.
     pub fn generate(
         name: impl Into<String>,
         objective_label: impl Into<String>,
@@ -40,8 +51,16 @@ impl Dataset {
         noise_sigma: f64,
         model: impl Fn(&Configuration, &ParameterSpace) -> f64 + Sync,
     ) -> Self {
-        let configs = space.enumerate();
+        let (mut configs, mut codes) = (Vec::new(), Vec::new());
+        let mut walk = space.walk();
+        while let Some((code, cfg)) = walk.next_member() {
+            codes.push(code);
+            configs.push(cfg.clone());
+        }
         assert!(!configs.is_empty(), "space has no feasible configurations");
+        configs.shrink_to_fit();
+        codes.shrink_to_fit();
+        let codes = PoolCodes::new(codes).expect("a walk's codes ascend");
         let objectives: Vec<f64> = configs
             .par_iter()
             .enumerate()
@@ -54,14 +73,26 @@ impl Dataset {
                 clean * hiperbot_perfsim::noise::lognormal_factor(&[seed, i as u64], noise_sigma)
             })
             .collect();
-        Self::from_table(name, objective_label, space, configs, objectives)
+        Self {
+            name: name.into(),
+            objective_label: objective_label.into(),
+            space,
+            configs,
+            objectives,
+            codes,
+        }
     }
 
-    /// Builds a dataset from an explicit (configuration, objective) table.
+    /// Builds a dataset from an explicit (configuration, objective) table,
+    /// stored in code order: the rows are sorted once by code, so row
+    /// positions follow [`ParameterSpace::enumerate`] whatever the input
+    /// order was.
     ///
     /// # Panics
-    /// Panics if lengths differ, the table is empty, or it contains
-    /// duplicate configurations.
+    /// Panics if lengths differ, the table is empty, it contains duplicate
+    /// configurations, or a configuration has no code: a dataset is an
+    /// exhaustive sweep, so its space must be fully discrete and every row
+    /// a member of it.
     pub fn from_table(
         name: impl Into<String>,
         objective_label: impl Into<String>,
@@ -71,19 +102,31 @@ impl Dataset {
     ) -> Self {
         assert_eq!(configs.len(), objectives.len(), "table length mismatch");
         assert!(!configs.is_empty(), "empty dataset");
-        let mut index = FxHashMap::default();
-        index.reserve(configs.len());
-        for (i, c) in configs.iter().enumerate() {
-            let prev = index.insert(c.clone(), i as u32);
-            assert!(prev.is_none(), "duplicate configuration in dataset");
+        let mut rows: Vec<(usize, Configuration, f64)> = configs
+            .into_iter()
+            .zip(objectives)
+            .map(|(cfg, y)| match space.index_of(&cfg) {
+                Some(code) => (code, cfg, y),
+                None => panic!("configuration without a code in this space: {cfg:?}"),
+            })
+            .collect();
+        rows.sort_unstable_by_key(|row| row.0);
+        let mut codes = Vec::with_capacity(rows.len());
+        let mut configs = Vec::with_capacity(rows.len());
+        let mut objectives = Vec::with_capacity(rows.len());
+        for (code, cfg, y) in rows {
+            codes.push(code);
+            configs.push(cfg);
+            objectives.push(y);
         }
+        let codes = PoolCodes::new(codes).expect("duplicate configuration in dataset");
         Self {
             name: name.into(),
             objective_label: objective_label.into(),
             space,
             configs,
             objectives,
-            index,
+            codes,
         }
     }
 
@@ -112,7 +155,7 @@ impl Dataset {
         self.configs.is_empty()
     }
 
-    /// All configurations, in enumeration order.
+    /// All configurations, in enumeration (code) order.
     pub fn configs(&self) -> &[Configuration] {
         &self.configs
     }
@@ -132,9 +175,10 @@ impl Dataset {
         self.objectives[i]
     }
 
-    /// Looks up the table position of a configuration.
+    /// Looks up the table position of a configuration: its code, found by
+    /// binary search. `None` for a configuration not in the dataset.
     pub fn position(&self, cfg: &Configuration) -> Option<usize> {
-        self.index.get(cfg).map(|&i| i as usize)
+        self.codes.position(&self.space, cfg)
     }
 
     /// Evaluates the "true objective" for `cfg` — the lookup that stands in
@@ -198,7 +242,10 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiperbot_space::{Domain, ParamDef};
+    use hiperbot_space::{Domain, ParamDef, ParamValue};
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn space() -> ParameterSpace {
         ParameterSpace::builder()
@@ -333,6 +380,89 @@ mod tests {
         // Timeouts are retry-proof.
         let slow = d.config(d.len() - 1);
         assert_eq!(d.evaluate_outcome(slow, &m, 5), SimOutcome::TimedOut);
+    }
+
+    fn constrained_space() -> ParameterSpace {
+        ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("c", Domain::discrete_ints(&[0, 1])))
+            .constraint("a + b != 3", |c, _| {
+                c.value(0).index() + c.value(1).index() != 3
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn position_agrees_with_a_linear_scan() {
+        let s = constrained_space();
+        let d = Dataset::generate("t", "time", s.clone(), 1, 0.0, |c, _| {
+            1.0 + c.value(0).index() as f64
+        });
+        let scan = |cfg: &Configuration| d.configs().iter().position(|c| c == cfg);
+        // Feasible members, infeasible members of the product, and
+        // configurations outside the space.
+        for i in 0..s.product_cardinality().unwrap() {
+            let cfg = s.config_at(i);
+            assert_eq!(d.position(&cfg), scan(&cfg), "{cfg:?}");
+        }
+        for cfg in [
+            Configuration::from_indices(&[4, 0, 0]),
+            Configuration::from_indices(&[0, 0]),
+            Configuration::from_indices(&[0, 0, 0, 0]),
+            Configuration::new(vec![
+                ParamValue::Real(0.0),
+                ParamValue::Index(0),
+                ParamValue::Index(0),
+            ]),
+        ] {
+            assert_eq!(d.position(&cfg), None);
+            assert_eq!(scan(&cfg), None);
+        }
+    }
+
+    #[test]
+    fn from_table_finds_every_row_of_a_shuffled_table() {
+        let s = constrained_space();
+        let mut rows: Vec<(Configuration, f64)> = s
+            .enumerate()
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (c, 1.0 + i as f64))
+            .collect();
+        rows.shuffle(&mut ChaCha8Rng::seed_from_u64(3));
+        let (cfgs, ys): (Vec<_>, Vec<_>) = rows.iter().cloned().unzip();
+        let d = Dataset::from_table("t", "time", s.clone(), cfgs, ys);
+        assert_eq!(
+            d.configs(),
+            s.enumerate().as_slice(),
+            "rows are kept in code order"
+        );
+        for (cfg, y) in &rows {
+            let at = d.position(cfg).expect("every row is found");
+            assert_eq!(d.config(at), cfg);
+            assert_eq!(d.objective(at), *y);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate configuration")]
+    fn duplicate_rows_panic_wherever_they_sit() {
+        let cfgs = vec![
+            Configuration::from_indices(&[0, 0]),
+            Configuration::from_indices(&[2, 1]),
+            Configuration::from_indices(&[1, 0]),
+            Configuration::from_indices(&[0, 0]),
+        ];
+        let _ = Dataset::from_table("t", "time", space(), cfgs, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a code")]
+    fn from_table_rejects_rows_outside_the_space() {
+        let cfgs = vec![Configuration::from_indices(&[3, 0])];
+        let _ = Dataset::from_table("t", "time", space(), cfgs, vec![1.0]);
     }
 
     #[test]

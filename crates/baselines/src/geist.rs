@@ -20,7 +20,6 @@
 
 use crate::selector::{ConfigSelector, SelectionRun};
 use hiperbot_obs::{Event, NoopRecorder, Recorder, SpanTimer};
-use hiperbot_space::pool::PoolEncoding;
 use hiperbot_space::{Configuration, ParameterSpace};
 use hiperbot_stats::quantile::quantile;
 use parking_lot::Mutex;
@@ -43,10 +42,9 @@ pub struct GeistSelector {
     pub beta: f64,
     /// Propagation sweeps per round.
     pub propagation_iters: usize,
-    /// Cached configuration graph and pool encoding, keyed by a pool
-    /// fingerprint so that the repeated-trial runner builds the (expensive)
-    /// graph and the flattened encoding once per dataset rather than once
-    /// per repetition.
+    /// Cached configuration graph, keyed by a pool fingerprint so that the
+    /// repeated-trial runner builds the (expensive) graph once per dataset
+    /// rather than once per repetition.
     graph_cache: Mutex<Option<GraphCacheEntry>>,
     /// Trace sink for per-round propagation events (default: disabled).
     pub recorder: Arc<dyn Recorder>,
@@ -64,15 +62,11 @@ impl std::fmt::Debug for GeistSelector {
     }
 }
 
-/// One cached per-pool artifact set. The encoding is `None` for pools the
-/// flattener rejects (continuous values or ragged arity), in which case the
-/// graph was built through the slower configuration-hashing path.
+/// One cached per-pool graph.
 #[derive(Debug, Clone)]
 struct GraphCacheEntry {
     fingerprint: u64,
     graph: Arc<ConfigGraph>,
-    #[allow(dead_code)] // kept warm for callers that batch-score the pool
-    encoding: Option<Arc<PoolEncoding>>,
 }
 
 impl Default for GeistSelector {
@@ -149,55 +143,30 @@ struct ConfigGraph {
 }
 
 impl ConfigGraph {
-    /// Convenience constructor (tests): encoded fast path with hashed
-    /// fallback, without threading a cache entry through.
-    #[cfg(test)]
+    /// Builds the graph keyed by code, falling back to configuration
+    /// hashing for pools the code cannot address.
     fn build(space: &ParameterSpace, pool: &[Configuration]) -> Self {
-        if let Some(enc) = PoolEncoding::encode(pool) {
-            if let Some(graph) = Self::build_encoded(space, pool, &enc) {
-                return graph;
-            }
-        }
-        Self::build_hashed(space, pool)
+        Self::build_coded(space, pool).unwrap_or_else(|| Self::build_hashed(space, pool))
     }
 
-    /// Position lookup keyed by the mixed-radix product index computed from
-    /// the flattened [`PoolEncoding`] rows: hashing one `u64` per node and
-    /// per neighbor instead of a whole tagged `Configuration`. Returns
-    /// `None` when the product cardinality overflows `u64` (fall back to
-    /// configuration hashing).
-    fn build_encoded(
-        space: &ParameterSpace,
-        pool: &[Configuration],
-        enc: &PoolEncoding,
-    ) -> Option<Self> {
-        let cards: Vec<u64> = space
-            .params()
+    /// Position lookup keyed by each configuration's mixed-radix code
+    /// ([`ParameterSpace::index_of`]): hashing one `usize` per node and per
+    /// neighbor instead of a whole tagged `Configuration`. Returns `None`
+    /// when a pool member has no code — a continuous value, or a product
+    /// that overflows `usize` — and the graph must hash configurations.
+    fn build_coded(space: &ParameterSpace, pool: &[Configuration]) -> Option<Self> {
+        let position: FxHashMap<usize, u32> = pool
             .iter()
-            .map(|p| p.domain().cardinality().map(|c| c as u64))
+            .enumerate()
+            .map(|(i, c)| Some((space.index_of(c)?, i as u32)))
             .collect::<Option<_>>()?;
-        cards.iter().try_fold(1u64, |acc, &c| acc.checked_mul(c))?;
-        fn key_of(values: impl Iterator<Item = usize>, cards: &[u64]) -> u64 {
-            values
-                .zip(cards)
-                .fold(0u64, |acc, (v, &card)| acc * card + v as u64)
-        }
-        let position: FxHashMap<u64, u32> = (0..enc.n_configs())
-            .map(|i| {
-                let key = key_of((0..enc.n_params()).map(|p| enc.index(i, p)), &cards);
-                (key, i as u32)
-            })
-            .collect();
         let neighbors = pool
             .iter()
             .map(|c| {
                 space
                     .neighbors(c)
                     .iter()
-                    .filter_map(|n| {
-                        let key = key_of(n.values().iter().map(|v| v.index()), &cards);
-                        position.get(&key).copied()
-                    })
+                    .filter_map(|n| position.get(&space.index_of(n)?).copied())
                     .collect()
             })
             .collect();
@@ -297,18 +266,9 @@ impl ConfigSelector for GeistSelector {
             match cache.as_ref() {
                 Some(e) if e.fingerprint == fingerprint => e.clone(),
                 _ => {
-                    // Encode once and reuse the buffer for the graph build;
-                    // the entry keeps it alive for the lifetime of the cache.
-                    let encoding = PoolEncoding::encode(pool).map(Arc::new);
-                    let graph = Arc::new(match &encoding {
-                        Some(enc) => ConfigGraph::build_encoded(space, pool, enc)
-                            .unwrap_or_else(|| ConfigGraph::build_hashed(space, pool)),
-                        None => ConfigGraph::build_hashed(space, pool),
-                    });
                     let e = GraphCacheEntry {
                         fingerprint,
-                        graph,
-                        encoding,
+                        graph: Arc::new(ConfigGraph::build(space, pool)),
                     };
                     *cache = Some(e.clone());
                     e
@@ -412,6 +372,32 @@ mod tests {
         let x = c.value(0).index() as f64;
         let y = c.value(1).index() as f64;
         (x - 7.0).powi(2) + (y - 3.0).powi(2) + 1.0
+    }
+
+    #[test]
+    fn coded_and_hashed_graphs_agree() {
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new(
+                "x",
+                Domain::discrete_ints(&[0, 1, 2, 3, 4, 5]),
+            ))
+            .param(ParamDef::new("y", Domain::discrete_ints(&[0, 1, 2, 3, 4])))
+            .constraint("x + y != 4", |c, _| {
+                c.value(0).index() + c.value(1).index() != 4
+            })
+            .build()
+            .unwrap();
+        // Pool order is the caller's: the code only keys positions.
+        let mut pool = s.enumerate();
+        pool.reverse();
+        let coded = ConfigGraph::build_coded(&s, &pool).expect("a discrete pool has codes");
+        assert_eq!(
+            coded.neighbors,
+            ConfigGraph::build_hashed(&s, &pool).neighbors
+        );
+        // A member without a code leaves the graph to configuration hashing.
+        let stray = [Configuration::from_indices(&[0])];
+        assert!(ConfigGraph::build_coded(&s, &stray).is_none());
     }
 
     #[test]

@@ -23,12 +23,12 @@ use hiperbot_obs::{
     counters, space_fingerprint, Event, MetricsRegistry, NoopRecorder, Recorder, RunHeader,
     SpanTimer,
 };
-use hiperbot_space::pool::{PoolEncoding, PoolMask};
+use hiperbot_space::pool::{PoolCodes, PoolEncoding, PoolMask};
 use hiperbot_space::sampling::{latin_hypercube, sample_distinct, sample_uniform};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -204,20 +204,22 @@ fn check_member(
     )))
 }
 
-/// The lazily built Ranking-strategy state: the enumerated feasible pool
-/// plus the batch-scoring engine's per-pool artifacts, all constructed once
-/// per tuning run.
+/// The lazily built Ranking-strategy state: the feasible pool, addressed
+/// by code, plus the batch-scoring engine's per-pool artifacts, all
+/// constructed once per tuning run from one walk of the space. No
+/// `Configuration` is stored: picks are materialized from their encoding
+/// row, and configurations find their position by code (DESIGN §17).
 struct RankingPool {
-    configs: Vec<Configuration>,
-    /// Contiguous config-major index buffer the argmax reads.
+    /// Contiguous config-major index buffer the argmax reads; row `i` is
+    /// pool position `i`.
     encoding: PoolEncoding,
     /// Prefix runs of `encoding`, searched by the exact branch-and-bound
     /// argmax.
     runs: RunIndex,
-    /// Pool position per configuration (used to fold history into `seen`).
-    position: FxHashMap<Configuration, u32>,
+    /// Mixed-radix code of each pool position: the position lookup.
+    codes: PoolCodes,
     /// Seen bitset over pool positions, maintained incrementally: each
-    /// history entry is hashed into it exactly once, instead of the old
+    /// history entry is looked up into it exactly once, instead of the old
     /// per-candidate `history.contains` hash inside the ranking loop.
     /// Permanently-failed configurations are folded in too, so the argmax
     /// never re-suggests a config that will only fail again.
@@ -230,25 +232,38 @@ struct RankingPool {
 
 impl RankingPool {
     fn build(space: &ParameterSpace) -> Self {
-        let configs = space.enumerate();
-        let encoding = PoolEncoding::encode(&configs)
-            .expect("Ranking pools are fully discrete and uniform-arity");
+        let (encoding, codes) = PoolEncoding::enumerate(space);
         let runs = RunIndex::build(&encoding);
-        let position = configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.clone(), i as u32))
-            .collect();
-        let seen = PoolMask::new(configs.len());
+        let seen = PoolMask::new(codes.len());
         Self {
-            configs,
             encoding,
             runs,
-            position,
+            codes,
             seen,
             synced_ok: 0,
             synced_failed: 0,
         }
+    }
+
+    /// Number of pool positions.
+    fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// The first position in pool order that is neither seen nor held by
+    /// `taken`, as a configuration: the recovery scan's last resort.
+    fn first_unseen(
+        &self,
+        space: &ParameterSpace,
+        taken: &[Configuration],
+    ) -> Option<Configuration> {
+        let taken: Vec<usize> = taken
+            .iter()
+            .filter_map(|cfg| self.codes.position(space, cfg))
+            .collect();
+        (0..self.len())
+            .find(|i| !self.seen.get(*i) && !taken.contains(i))
+            .map(|i| self.encoding.config(i))
     }
 
     /// The best position not set in `seen` under the per-parameter score
@@ -267,16 +282,16 @@ impl RankingPool {
 
     /// Folds unsynced history entries — observations and permanent
     /// failures — into the seen bitset.
-    fn sync(&mut self, history: &ObservationHistory) {
+    fn sync(&mut self, space: &ParameterSpace, history: &ObservationHistory) {
         for cfg in &history.configs()[self.synced_ok..] {
-            if let Some(&i) = self.position.get(cfg) {
-                self.seen.set(i as usize);
+            if let Some(i) = self.codes.position(space, cfg) {
+                self.seen.set(i);
             }
         }
         self.synced_ok = history.len();
         for f in &history.failures()[self.synced_failed..] {
-            if let Some(&i) = self.position.get(&f.config) {
-                self.seen.set(i as usize);
+            if let Some(i) = self.codes.position(space, &f.config) {
+                self.seen.set(i);
             }
         }
         self.synced_failed = history.n_failures();
@@ -685,11 +700,7 @@ impl Tuner {
         // The full bootstrap size this space and these options produce
         // (traces do not record the original budget, so a budget-clamped
         // bootstrap smaller than this reads as mid-bootstrap below).
-        let full_boot = if tuner.space.is_fully_discrete() {
-            tuner.options.init_samples.min(tuner.pool().configs.len())
-        } else {
-            tuner.options.init_samples
-        };
+        let full_boot = tuner.bootstrap_count(tuner.options.init_samples);
         let mut successes = 0usize;
         for (i, trial) in state.trials.iter().enumerate() {
             if i >= full_boot && successes == 0 {
@@ -778,7 +789,7 @@ impl Tuner {
             self.pool = Some(RankingPool::build(&self.space));
         }
         let pool = self.pool.as_mut().expect("just built");
-        pool.sync(&self.history);
+        pool.sync(&self.space, &self.history);
         pool
     }
 
@@ -906,7 +917,7 @@ impl Tuner {
     /// The number of bootstrap samples to draw: `init_samples`, clamped on a
     /// fully discrete space so the bootstrap never asks for more distinct
     /// samples than exist. Ranking builds its pool here, where it needs it
-    /// for every pick anyway; Proposal never ranks a pool, so it counts
+    /// for every pick anyway; Proposal never ranks a pool, so it walks the
     /// feasible configurations only until it reaches `init_samples` — the
     /// same `n`, hence the same RNG draws, without enumerating the space.
     fn bootstrap_count(&mut self, init_samples: usize) -> usize {
@@ -914,14 +925,14 @@ impl Tuner {
             return init_samples;
         }
         match self.options.strategy {
-            SelectionStrategy::Ranking => init_samples.min(self.pool().configs.len()),
+            SelectionStrategy::Ranking => init_samples.min(self.pool().len()),
             SelectionStrategy::Proposal { .. } => {
-                let product = self.space.product_cardinality().expect("fully discrete");
-                (0..product)
-                    .map(|i| self.space.config_at(i))
-                    .filter(|cfg| self.space.is_feasible(cfg))
-                    .take(init_samples)
-                    .count()
+                let mut walk = self.space.walk();
+                let mut n = 0;
+                while n < init_samples && walk.next_member().is_some() {
+                    n += 1;
+                }
+                n
             }
         }
     }
@@ -1043,10 +1054,9 @@ impl Tuner {
             }
         }
         if self.space.is_fully_discrete() {
-            let pool = self.pool();
-            return (0..pool.configs.len())
-                .find(|&i| !pool.seen.get(i))
-                .map(|i| pool.configs[i].clone());
+            self.pool();
+            let pool = self.pool.as_ref().expect("just built");
+            return pool.first_unseen(&self.space, &[]);
         }
         None
     }
@@ -1121,11 +1131,10 @@ impl Tuner {
                     .discrete_tables()
                     .expect("Ranking requires a fully discrete space");
                 let pool = self.pool();
-                let pool_len = pool.configs.len() as u64;
                 let picked = pool
                     .best_unseen(&tables, &pool.seen)
-                    .map(|i| pool.configs[i].clone());
-                (picked, pool_len, None)
+                    .map(|i| pool.encoding.config(i));
+                (picked, pool.len() as u64, None)
             }
             SelectionStrategy::Proposal { candidates } => {
                 let pick = select_by_proposal_vectorized(
@@ -1186,13 +1195,13 @@ impl Tuner {
                     .expect("Ranking requires a fully discrete space");
                 let picked = pool
                     .best_unseen(&tables, &pool.seen)
-                    .map(|i| pool.configs[i].clone());
+                    .map(|i| pool.encoding.config(i));
                 // Scored only for the trace: the argmax returns no score.
                 let best_ei = picked
                     .as_ref()
                     .filter(|_| traced)
                     .map(|cfg| engine.score(cfg));
-                (picked, pool.configs.len() as u64, best_ei)
+                (picked, pool.len() as u64, best_ei)
             }
             SelectionStrategy::Proposal { candidates } => {
                 let pick = select_by_proposal_vectorized(
@@ -1365,11 +1374,11 @@ impl Tuner {
             let Some(pos) = pool.best_unseen(&tables, &seen) else {
                 break; // pool exhausted mid-batch
             };
-            let cfg = pool.configs[pos].clone();
+            let cfg = pool.encoding.config(pos);
             if let Some(elapsed_ns) = select_timer.elapsed_ns() {
                 self.recorder.record(&Event::SelectionScored {
                     iteration: base_iteration + i as u64,
-                    candidates: pool.configs.len() as u64,
+                    candidates: pool.len() as u64,
                     best_ei: surrogate.log_ei(&cfg),
                     elapsed_ns,
                 });
@@ -1559,10 +1568,10 @@ impl Tuner {
                         break; // pool exhausted mid-batch
                     };
                     seen.set(pos);
-                    let cfg = pool.configs[pos].clone();
+                    let cfg = pool.encoding.config(pos);
                     // Scored only for the trace: the argmax returns no score.
                     let best_ei = if traced { engine.score(&cfg) } else { 0.0 };
-                    (Some(cfg), pool.configs.len() as u64, best_ei)
+                    (Some(cfg), pool.len() as u64, best_ei)
                 }
                 SelectionStrategy::Proposal { candidates } => {
                     let pick = select_by_proposal_vectorized(
@@ -1993,8 +2002,8 @@ impl Tuner {
         for cfg in pending {
             engine.observe(cfg, lie);
             fantasies += 1;
-            if let Some(&i) = pool.position.get(cfg) {
-                seen.set(i as usize);
+            if let Some(i) = pool.codes.position(&self.space, cfg) {
+                seen.set(i);
             }
         }
         let start_seen = seen.clone();
@@ -2007,7 +2016,7 @@ impl Tuner {
                 spec_liar = engine.threshold();
             } else {
                 let prev = stages.last().expect("picked last stage").pick_pos as usize;
-                let prev_cfg = pool.configs[prev].clone();
+                let prev_cfg = pool.encoding.config(prev);
                 engine.observe(&prev_cfg, spec_liar);
                 fantasies += 1;
             }
@@ -2217,11 +2226,11 @@ impl Tuner {
                 _ => prefix = false,
             }
             debug_assert!(!seen.get(pos), "adopted a speculative pick already seen");
-            let cfg = pool.configs[pos].clone();
+            let cfg = pool.encoding.config(pos);
             if let Some(elapsed_ns) = select_timer.elapsed_ns() {
                 self.recorder.record(&Event::SelectionScored {
                     iteration: base_iteration + i as u64,
-                    candidates: pool.configs.len() as u64,
+                    candidates: pool.len() as u64,
                     best_ei: engine.score(&cfg),
                     elapsed_ns,
                 });
@@ -2342,9 +2351,7 @@ impl Tuner {
             if found.is_none() && self.space.is_fully_discrete() {
                 self.pool();
                 let pool = self.pool.as_ref().expect("just built");
-                found = (0..pool.configs.len())
-                    .find(|&i| !pool.seen.get(i) && !out.contains(&pool.configs[i]))
-                    .map(|i| pool.configs[i].clone());
+                found = pool.first_unseen(&self.space, &out);
             }
             match found {
                 Some(cfg) => out.push(cfg),

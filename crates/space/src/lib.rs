@@ -12,8 +12,10 @@
 //! - [`space`] — the [`ParameterSpace`]: construction, feasibility
 //!   constraints (which is how the measured datasets of the paper end up
 //!   with non-product cardinalities like Kripke's 1609), exhaustive
-//!   enumeration in mixed-radix order, and Hamming-distance-1 neighborhoods
-//!   (the edge relation of GEIST's configuration graph).
+//!   enumeration in mixed-radix order by one allocation-free odometer
+//!   ([`FeasibleWalk`]), the mixed-radix *code* that addresses every member
+//!   of a discrete space, and Hamming-distance-1 neighborhoods (the edge
+//!   relation of GEIST's configuration graph).
 //! - [`sampling`] — uniform random configuration sampling, with and without
 //!   replacement, used for initial observation histories.
 //! - [`encoding`] — one-hot and normalized numeric encodings consumed by
@@ -31,5 +33,5 @@ pub mod space;
 pub use config::{Configuration, ParamValue};
 pub use encoding::{Encoder, EncodingKind};
 pub use param::{DiscreteValue, Domain, ParamDef};
-pub use pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
-pub use space::{ParameterSpace, SpaceBuilder, SpaceError};
+pub use pool::{IndexBuffer, PoolCodes, PoolEncoding, PoolIndex, PoolMask};
+pub use space::{FeasibleWalk, ParameterSpace, SpaceBuilder, SpaceError};

@@ -9,11 +9,22 @@
 //! when every index fits (the common case — HPC domains have at most a few
 //! dozen levels), so the scoring loop is a linear sweep over dense memory.
 //!
+//! A space's own pool is *code-addressed*:
+//! [`PoolEncoding::enumerate`] writes the rows straight from one
+//! [`walk`](ParameterSpace::walk), with no `Configuration` per member, and
+//! returns each row's mixed-radix code
+//! ([`index_of`](ParameterSpace::index_of)) as [`PoolCodes`]. Codes ascend
+//! with the rows, so code order, enumeration order and pool position agree:
+//! a configuration finds its position by code and binary search
+//! ([`PoolCodes::position`]), and a position becomes a configuration again
+//! through [`PoolEncoding::config`].
+//!
 //! [`PoolMask`] is the companion per-pool-position bitset: the tuner marks
 //! evaluated positions instead of hashing full configurations against the
 //! history on every candidate visit.
 
 use crate::config::{Configuration, ParamValue};
+use crate::space::ParameterSpace;
 
 /// An index type a pool can be encoded with.
 pub trait PoolIndex: Copy + Send + Sync {
@@ -94,6 +105,34 @@ impl PoolEncoding {
         })
     }
 
+    /// Encodes the feasible configurations of a fully discrete `space` in
+    /// one [`walk`](ParameterSpace::walk), without materializing them, and
+    /// returns the rows' codes: row `i` is the `i`-th configuration of
+    /// [`enumerate`](ParameterSpace::enumerate), at position `i` of the
+    /// codes. Rows are `u16` when every domain has at most 65,536 values.
+    ///
+    /// # Panics
+    /// Panics if the space has continuous parameters.
+    pub fn enumerate(space: &ParameterSpace) -> (Self, PoolCodes) {
+        let narrow = space
+            .params()
+            .iter()
+            .all(|p| p.domain().cardinality().is_some_and(|c| c <= 1 << 16));
+        let mut codes = Vec::new();
+        let buf = if narrow {
+            IndexBuffer::U16(walk_rows(space, &mut codes, |i| i as u16))
+        } else {
+            IndexBuffer::U32(walk_rows(space, &mut codes, |i| i as u32))
+        };
+        codes.shrink_to_fit();
+        let encoding = Self {
+            n_configs: codes.len(),
+            n_params: space.n_params(),
+            buf,
+        };
+        (encoding, PoolCodes(codes))
+    }
+
     /// Number of configurations in the encoded pool.
     pub fn n_configs(&self) -> usize {
         self.n_configs
@@ -120,6 +159,67 @@ impl PoolEncoding {
             IndexBuffer::U16(b) => b[at] as usize,
             IndexBuffer::U32(b) => b[at] as usize,
         }
+    }
+
+    /// Configuration `config`, materialized from its row.
+    ///
+    /// # Panics
+    /// Panics if `config` is out of range.
+    pub fn config(&self, config: usize) -> Configuration {
+        Configuration::new(
+            (0..self.n_params)
+                .map(|p| ParamValue::Index(self.index(config, p)))
+                .collect(),
+        )
+    }
+}
+
+/// The rows and codes of one walk over `space`'s feasible members, each
+/// index narrowed by `narrow`.
+fn walk_rows<T>(space: &ParameterSpace, codes: &mut Vec<usize>, narrow: fn(usize) -> T) -> Vec<T> {
+    let mut rows = Vec::new();
+    let mut walk = space.walk();
+    while let Some((code, cfg)) = walk.next_member() {
+        codes.push(code);
+        rows.extend(cfg.values().iter().map(|v| narrow(v.index())));
+    }
+    rows.shrink_to_fit();
+    rows
+}
+
+/// The codes of a code-addressed pool, strictly ascending: position `i`
+/// holds the code ([`ParameterSpace::index_of`]) of pool member `i`.
+#[derive(Debug, Clone)]
+pub struct PoolCodes(Vec<usize>);
+
+impl PoolCodes {
+    /// Wraps `codes`, or returns `None` unless they strictly ascend (a
+    /// repeated code is a duplicate member).
+    pub fn new(codes: Vec<usize>) -> Option<Self> {
+        codes.windows(2).all(|w| w[0] < w[1]).then_some(Self(codes))
+    }
+
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the pool is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The codes, by position.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.0
+    }
+
+    /// The position of `cfg`: its code, found by binary search. `None` for
+    /// a configuration of `space` that is not in the pool, or one that has
+    /// no code.
+    pub fn position(&self, space: &ParameterSpace, cfg: &Configuration) -> Option<usize> {
+        let code = space.index_of(cfg)?;
+        self.0.binary_search(&code).ok()
     }
 }
 
@@ -227,6 +327,51 @@ mod tests {
         let enc = PoolEncoding::encode(&[]).unwrap();
         assert_eq!(enc.n_configs(), 0);
         assert_eq!(enc.n_params(), 0);
+    }
+
+    #[test]
+    fn enumerated_rows_and_codes_follow_the_walk() {
+        use crate::param::{Domain, ParamDef};
+        let space = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1])))
+            .constraint("a + b != 2", |c, _| {
+                c.value(0).index() + c.value(1).index() != 2
+            })
+            .build()
+            .unwrap();
+        let (enc, codes) = PoolEncoding::enumerate(&space);
+        assert_eq!((enc.n_configs(), enc.n_params()), (4, 2));
+        assert!(matches!(enc.buffer(), IndexBuffer::U16(_)));
+        assert_eq!(enc.config(3), Configuration::from_indices(&[2, 1]));
+        assert_eq!(codes.as_slice(), &[0, 1, 2, 5]);
+        // Infeasible members of the product and non-members have no
+        // position.
+        for absent in [[1, 1], [2, 0], [3, 0], [0, 2]] {
+            assert_eq!(
+                codes.position(&space, &Configuration::from_indices(&absent)),
+                None
+            );
+        }
+        let wide = ParameterSpace::builder()
+            .param(ParamDef::new(
+                "w",
+                Domain::discrete_ints(&(0..70_000).collect::<Vec<i64>>()),
+            ))
+            .build()
+            .unwrap();
+        let (enc, codes) = PoolEncoding::enumerate(&wide);
+        assert!(matches!(enc.buffer(), IndexBuffer::U32(_)));
+        assert_eq!(enc.index(69_999, 0), 69_999);
+        assert_eq!(codes.len(), 70_000);
+    }
+
+    #[test]
+    fn codes_must_strictly_ascend() {
+        assert!(PoolCodes::new(vec![0, 3, 4]).is_some());
+        assert!(PoolCodes::new(Vec::new()).is_some_and(|c| c.is_empty()));
+        assert!(PoolCodes::new(vec![0, 3, 3]).is_none());
+        assert!(PoolCodes::new(vec![4, 3]).is_none());
     }
 
     #[test]

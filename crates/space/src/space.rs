@@ -194,12 +194,11 @@ impl ParameterSpace {
     }
 
     /// Cardinality of the *unconstrained* cross product; `None` if any
-    /// parameter is continuous.
+    /// parameter is continuous or the product overflows `usize`.
     pub fn product_cardinality(&self) -> Option<usize> {
         self.params
             .iter()
-            .map(|p| p.domain().cardinality())
-            .try_fold(1usize, |acc, c| c.map(|c| acc * c))
+            .try_fold(1usize, |acc, p| acc.checked_mul(p.domain().cardinality()?))
     }
 
     /// Converts a mixed-radix index into the unconstrained product to a
@@ -224,35 +223,60 @@ impl ParameterSpace {
         Configuration::from_indices(&indices)
     }
 
-    /// Inverse of [`config_at`](Self::config_at).
-    ///
-    /// # Panics
-    /// Panics if the space has continuous parameters or `cfg` holds a
-    /// continuous value.
-    pub fn index_of(&self, cfg: &Configuration) -> usize {
-        assert_eq!(cfg.len(), self.params.len());
-        let mut index = 0usize;
-        for (i, p) in self.params.iter().enumerate() {
-            let card = p.domain().cardinality().expect("discrete space");
-            let v = cfg.value(i).index();
-            debug_assert!(v < card);
-            index = index * card + v;
+    /// The mixed-radix code of `cfg`: the inverse of
+    /// [`config_at`](Self::config_at), so codes ascend in enumeration
+    /// order. `None` unless the space is fully discrete with a product that
+    /// fits in `usize` and `cfg` is a member: one in-domain index per
+    /// parameter.
+    pub fn index_of(&self, cfg: &Configuration) -> Option<usize> {
+        self.product_cardinality()?;
+        if cfg.len() != self.params.len() {
+            return None;
         }
-        index
+        self.params
+            .iter()
+            .zip(cfg.values())
+            .try_fold(0usize, |code, (p, v)| {
+                let card = p.domain().cardinality()?;
+                match *v {
+                    ParamValue::Index(i) if i < card => Some(code * card + i),
+                    _ => None,
+                }
+            })
     }
 
-    /// Enumerates every **feasible** configuration in mixed-radix order.
+    /// Walks the feasible configurations in code order (see
+    /// [`FeasibleWalk`]).
+    ///
+    /// # Panics
+    /// Panics if the space has continuous parameters.
+    pub fn walk(&self) -> FeasibleWalk<'_> {
+        let total = self
+            .product_cardinality()
+            .expect("enumeration requires a fully discrete space");
+        FeasibleWalk {
+            space: self,
+            probe: Configuration::new(vec![ParamValue::Index(0); self.params.len()]),
+            code: 0,
+            total,
+            lent: false,
+        }
+    }
+
+    /// Enumerates every **feasible** configuration in mixed-radix order,
+    /// which is code order: the `i`-th member has the `i`-th smallest
+    /// [`index_of`](Self::index_of). Built by one [`walk`](Self::walk),
+    /// cloning only the feasible members.
     ///
     /// # Panics
     /// Panics if the space has continuous parameters.
     pub fn enumerate(&self) -> Vec<Configuration> {
-        let total = self
-            .product_cardinality()
-            .expect("enumerate requires a fully discrete space");
-        (0..total)
-            .map(|i| self.config_at(i))
-            .filter(|c| self.is_feasible(c))
-            .collect()
+        let mut walk = self.walk();
+        let mut out = Vec::new();
+        while let Some((_, cfg)) = walk.next_member() {
+            out.push(cfg.clone());
+        }
+        out
     }
 
     /// All feasible configurations at Hamming distance exactly 1 from `cfg`
@@ -283,6 +307,55 @@ impl ParameterSpace {
             }
         }
         out
+    }
+}
+
+/// The feasible members of a fully discrete space in code order: the one
+/// odometer behind [`ParameterSpace::enumerate`], the Ranking pool and the
+/// datasets. A single probe configuration steps through the product, last
+/// parameter fastest as in [`config_at`](ParameterSpace::config_at), is
+/// tested against the feasibility constraints in that order, and is lent
+/// to the caller at each feasible member. A walk therefore allocates once
+/// however large the product is; callers clone only what they keep.
+#[derive(Debug)]
+pub struct FeasibleWalk<'s> {
+    space: &'s ParameterSpace,
+    probe: Configuration,
+    /// Code of the product member the probe holds.
+    code: usize,
+    /// Product cardinality: one past the last code.
+    total: usize,
+    /// Whether the probe was lent at `code` and steps before the next test.
+    lent: bool,
+}
+
+impl FeasibleWalk<'_> {
+    /// The next feasible member and its code, or `None` past the last.
+    pub fn next_member(&mut self) -> Option<(usize, &Configuration)> {
+        if std::mem::take(&mut self.lent) {
+            self.step();
+        }
+        while self.code < self.total {
+            if self.space.is_feasible(&self.probe) {
+                self.lent = true;
+                return Some((self.code, &self.probe));
+            }
+            self.step();
+        }
+        None
+    }
+
+    /// Advances the probe to the next product member.
+    fn step(&mut self) {
+        self.code += 1;
+        for (i, p) in self.space.params.iter().enumerate().rev() {
+            let next = self.probe.value(i).index() + 1;
+            if next < p.domain().cardinality().expect("discrete") {
+                self.probe.set_value(i, ParamValue::Index(next));
+                return;
+            }
+            self.probe.set_value(i, ParamValue::Index(0));
+        }
     }
 }
 
@@ -477,7 +550,7 @@ mod tests {
             let s = b.build().unwrap();
             let total = s.product_cardinality().unwrap();
             let idx = seed % total;
-            prop_assert_eq!(s.index_of(&s.config_at(idx)), idx);
+            prop_assert_eq!(s.index_of(&s.config_at(idx)), Some(idx));
         }
 
         #[test]
@@ -491,7 +564,7 @@ mod tests {
             }
             let s = b.build().unwrap();
             let all = s.enumerate();
-            let idxs: Vec<usize> = all.iter().map(|c| s.index_of(c)).collect();
+            let idxs: Vec<usize> = all.iter().map(|c| s.index_of(c).unwrap()).collect();
             let mut sorted = idxs.clone();
             sorted.sort_unstable();
             prop_assert_eq!(idxs, sorted);

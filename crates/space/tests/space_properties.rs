@@ -3,10 +3,55 @@
 //! on randomized spaces.
 
 use hiperbot_space::sampling::{latin_hypercube, sample_distinct};
-use hiperbot_space::{Configuration, Domain, Encoder, EncodingKind, ParamDef, ParameterSpace};
+use hiperbot_space::{
+    Configuration, Domain, Encoder, EncodingKind, ParamDef, ParamValue, ParameterSpace,
+    PoolEncoding,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Arc, Mutex};
+
+/// A salted hash of a configuration's indices: the random feasibility
+/// predicates below reject the members whose hash is a multiple of 3.
+fn salted(cfg: &Configuration, salt: u64) -> u64 {
+    cfg.values().iter().fold(salt, |h, v| {
+        h.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(v.index() as u64 + 1)
+            .rotate_left(17)
+    })
+}
+
+/// A random constrained space: 1–4 parameters of 1–5 values and up to two
+/// salted-hash constraints, each rejecting about a third of the product.
+fn arb_constrained_space() -> impl Strategy<Value = ParameterSpace> {
+    (
+        proptest::collection::vec(1usize..=5, 1..=4),
+        proptest::collection::vec(0u64..1000, 0..=2),
+    )
+        .prop_map(|(cards, salts)| {
+            let mut b = ParameterSpace::builder();
+            for (i, c) in cards.into_iter().enumerate() {
+                let vals: Vec<i64> = (0..c as i64).collect();
+                b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
+            }
+            for salt in salts {
+                b = b.constraint(format!("salt {salt}"), move |c, _| {
+                    !salted(c, salt).is_multiple_of(3)
+                });
+            }
+            b.build().expect("valid")
+        })
+}
+
+/// The enumeration the walk replaced, kept as its oracle: every product
+/// index through `config_at`, filtered by feasibility.
+fn oracle(space: &ParameterSpace) -> Vec<(usize, Configuration)> {
+    (0..space.product_cardinality().unwrap())
+        .map(|i| (i, space.config_at(i)))
+        .filter(|(_, cfg)| space.is_feasible(cfg))
+        .collect()
+}
 
 fn arb_discrete_space() -> impl Strategy<Value = ParameterSpace> {
     proptest::collection::vec(2usize..=5, 1..=4).prop_map(|cards| {
@@ -27,8 +72,91 @@ proptest! {
         let all = space.enumerate();
         prop_assert_eq!(all.len(), space.product_cardinality().unwrap());
         for (i, cfg) in all.iter().enumerate() {
-            prop_assert_eq!(space.index_of(cfg), i);
+            prop_assert_eq!(space.index_of(cfg), Some(i));
             prop_assert_eq!(&space.config_at(i), cfg);
+        }
+    }
+
+    #[test]
+    fn walk_matches_the_config_at_oracle(space in arb_constrained_space()) {
+        let expected = oracle(&space);
+        let mut walk = space.walk();
+        let mut walked = Vec::new();
+        while let Some((code, cfg)) = walk.next_member() {
+            walked.push((code, cfg.clone()));
+        }
+        prop_assert_eq!(&walked, &expected);
+        prop_assert!(walk.next_member().is_none(), "a finished walk stays finished");
+
+        let all = space.enumerate();
+        prop_assert_eq!(all.len(), expected.len());
+        for (cfg, (code, want)) in all.iter().zip(&expected) {
+            prop_assert_eq!(cfg, want);
+            prop_assert_eq!(space.index_of(cfg), Some(*code));
+        }
+
+        let (encoding, codes) = PoolEncoding::enumerate(&space);
+        prop_assert_eq!(encoding.n_configs(), expected.len());
+        prop_assert_eq!(
+            codes.as_slice(),
+            expected.iter().map(|(code, _)| *code).collect::<Vec<_>>().as_slice()
+        );
+        for (i, (_, want)) in expected.iter().enumerate() {
+            prop_assert_eq!(&encoding.config(i), want);
+            prop_assert_eq!(codes.position(&space, want), Some(i));
+        }
+    }
+
+    #[test]
+    fn walk_calls_the_predicates_in_the_oracles_order(
+        cards in proptest::collection::vec(1usize..=4, 1..=3),
+        salt in 0u64..1000,
+    ) {
+        let log: Arc<Mutex<Vec<(u8, Configuration)>>> = Arc::default();
+        let mut b = ParameterSpace::builder();
+        for (i, c) in cards.into_iter().enumerate() {
+            let vals: Vec<i64> = (0..c as i64).collect();
+            b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
+        }
+        for which in 0..2u8 {
+            let log = Arc::clone(&log);
+            b = b.constraint(format!("c{which}"), move |c, _| {
+                log.lock().unwrap().push((which, c.clone()));
+                !salted(c, salt + which as u64).is_multiple_of(3)
+            });
+        }
+        let space = b.build().unwrap();
+        let _ = oracle(&space);
+        let expected = std::mem::take(&mut *log.lock().unwrap());
+        let _ = space.enumerate();
+        let walked = std::mem::take(&mut *log.lock().unwrap());
+        prop_assert_eq!(walked, expected);
+    }
+
+    #[test]
+    fn index_of_inverts_config_at_and_rejects_non_members(space in arb_constrained_space()) {
+        let total = space.product_cardinality().unwrap();
+        for i in 0..total {
+            prop_assert_eq!(space.index_of(&space.config_at(i)), Some(i));
+        }
+        let first = space.config_at(0);
+        let mut short = first.values().to_vec();
+        short.pop();
+        prop_assert_eq!(space.index_of(&Configuration::new(short)), None);
+        let mut long = first.values().to_vec();
+        long.push(ParamValue::Index(0));
+        prop_assert_eq!(space.index_of(&Configuration::new(long)), None);
+        for (p, def) in space.params().iter().enumerate() {
+            let card = def.domain().cardinality().unwrap();
+            for bad in [
+                ParamValue::Real(0.0),
+                ParamValue::Index(card),
+                ParamValue::Index(usize::MAX),
+            ] {
+                let mut cfg = first.clone();
+                cfg.set_value(p, bad);
+                prop_assert_eq!(space.index_of(&cfg), None, "{:?}", cfg);
+            }
         }
     }
 
@@ -116,4 +244,28 @@ proptest! {
         // all-zeros is always feasible under this constraint
         prop_assert!(!feasible.is_empty());
     }
+}
+
+#[test]
+fn spaces_the_code_cannot_address_have_no_codes() {
+    let mixed = ParameterSpace::builder()
+        .param(ParamDef::new("k", Domain::discrete_ints(&[1, 2])))
+        .param(ParamDef::new("x", Domain::continuous(0.0, 1.0)))
+        .build()
+        .unwrap();
+    for x in [ParamValue::Real(0.5), ParamValue::Index(0)] {
+        let cfg = Configuration::new(vec![ParamValue::Index(0), x]);
+        assert_eq!(mixed.index_of(&cfg), None);
+    }
+    // 2^65 members: the product overflows, so no member has a code.
+    let mut b = ParameterSpace::builder();
+    for i in 0..65 {
+        b = b.param(ParamDef::new(
+            format!("p{i}"),
+            Domain::discrete_ints(&[0, 1]),
+        ));
+    }
+    let huge = b.build().unwrap();
+    assert_eq!(huge.product_cardinality(), None);
+    assert_eq!(huge.index_of(&Configuration::from_indices(&[0; 65])), None);
 }
