@@ -8,37 +8,39 @@
 //! seeded noise (so the exhaustive best is a fixed, reproducible value).
 
 use hiperbot_perfsim::faults::{FaultModel, SimOutcome};
+use hiperbot_perfsim::noise::lognormal_factor;
 use hiperbot_space::{Configuration, ParameterSpace, PoolCodes};
-use rayon::prelude::*;
 
 /// A fully evaluated parameter sweep: the substitute for the paper's
 /// measured datasets.
 ///
-/// Rows are kept in code order — the order of
-/// [`ParameterSpace::enumerate`] — next to each row's mixed-radix code
-/// ([`ParameterSpace::index_of`]), so a lookup computes the code and
-/// binary-searches it: no configuration is hashed, and none is stored
-/// twice.
+/// A row is its configuration's mixed-radix code
+/// ([`ParameterSpace::index_of`]) and its objective: 16 bytes, whatever the
+/// arity. Rows are kept in code order — the order of
+/// [`ParameterSpace::enumerate`] — so a lookup computes the code and
+/// binary-searches it, and [`config`](Self::config) rebuilds a row's
+/// configuration from its code ([`ParameterSpace::config_at`]). No
+/// configuration is stored.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
     objective_label: String,
     space: ParameterSpace,
-    configs: Vec<Configuration>,
-    objectives: Vec<f64>,
-    /// Code of each row: the row lookup.
+    /// Code of each row: the row lookup and the row's configuration.
     codes: PoolCodes,
+    objectives: Vec<f64>,
 }
 
 impl Dataset {
     /// Generates a dataset by evaluating `model` on every feasible
     /// configuration of `space`, multiplying each value by deterministic
-    /// lognormal noise of scale `noise_sigma` keyed on `(seed, config id)`.
+    /// lognormal noise of scale `noise_sigma` keyed on `(seed, row)`.
     ///
-    /// Evaluation parallelizes across configurations with rayon; the result
-    /// is identical to a sequential evaluation (the noise depends only on
-    /// the configuration's enumeration position). The rows and their codes
-    /// come from one [`walk`](ParameterSpace::walk) of the space.
+    /// One serial [`walk`](ParameterSpace::walk) of the space yields each
+    /// row's code, and `model` runs on the configuration the walk lends,
+    /// so no configuration is copied. The columns are sized once, to the
+    /// product's cardinality, and shrunk to the member count at the end:
+    /// a build makes the same few allocations whatever its row count.
     ///
     /// # Panics
     /// Panics if the space has continuous parameters or no feasible
@@ -49,44 +51,43 @@ impl Dataset {
         space: ParameterSpace,
         seed: u64,
         noise_sigma: f64,
-        model: impl Fn(&Configuration, &ParameterSpace) -> f64 + Sync,
+        model: impl Fn(&Configuration, &ParameterSpace) -> f64,
     ) -> Self {
-        let (mut configs, mut codes) = (Vec::new(), Vec::new());
-        let mut walk = space.walk();
-        while let Some((code, cfg)) = walk.next_member() {
-            codes.push(code);
-            configs.push(cfg.clone());
-        }
-        assert!(!configs.is_empty(), "space has no feasible configurations");
-        configs.shrink_to_fit();
-        codes.shrink_to_fit();
-        let codes = PoolCodes::new(codes).expect("a walk's codes ascend");
-        let objectives: Vec<f64> = configs
-            .par_iter()
-            .enumerate()
-            .map(|(i, cfg)| {
+        let bound = space
+            .product_cardinality()
+            .expect("enumeration requires a fully discrete space");
+        // Capacity past the last member is never written.
+        let mut codes = Vec::with_capacity(bound);
+        let mut objectives = Vec::with_capacity(bound);
+        {
+            let mut walk = space.walk();
+            while let Some((code, cfg)) = walk.next_member() {
                 let clean = model(cfg, &space);
                 assert!(
                     clean.is_finite() && clean > 0.0,
                     "model produced a non-positive objective for {cfg:?}"
                 );
-                clean * hiperbot_perfsim::noise::lognormal_factor(&[seed, i as u64], noise_sigma)
-            })
-            .collect();
+                let row = objectives.len() as u64;
+                codes.push(code);
+                objectives.push(clean * lognormal_factor(&[seed, row], noise_sigma));
+            }
+        }
+        assert!(!codes.is_empty(), "space has no feasible configurations");
+        codes.shrink_to_fit();
+        objectives.shrink_to_fit();
         Self {
             name: name.into(),
             objective_label: objective_label.into(),
             space,
-            configs,
+            codes: PoolCodes::new(codes).expect("a walk's codes ascend"),
             objectives,
-            codes,
         }
     }
 
     /// Builds a dataset from an explicit (configuration, objective) table,
     /// stored in code order: the rows are sorted once by code, so row
     /// positions follow [`ParameterSpace::enumerate`] whatever the input
-    /// order was.
+    /// order was. Only each row's code is kept.
     ///
     /// # Panics
     /// Panics if lengths differ, the table is empty, it contains duplicate
@@ -102,31 +103,22 @@ impl Dataset {
     ) -> Self {
         assert_eq!(configs.len(), objectives.len(), "table length mismatch");
         assert!(!configs.is_empty(), "empty dataset");
-        let mut rows: Vec<(usize, Configuration, f64)> = configs
-            .into_iter()
+        let mut rows: Vec<(usize, f64)> = configs
+            .iter()
             .zip(objectives)
-            .map(|(cfg, y)| match space.index_of(&cfg) {
-                Some(code) => (code, cfg, y),
+            .map(|(cfg, y)| match space.index_of(cfg) {
+                Some(code) => (code, y),
                 None => panic!("configuration without a code in this space: {cfg:?}"),
             })
             .collect();
         rows.sort_unstable_by_key(|row| row.0);
-        let mut codes = Vec::with_capacity(rows.len());
-        let mut configs = Vec::with_capacity(rows.len());
-        let mut objectives = Vec::with_capacity(rows.len());
-        for (code, cfg, y) in rows {
-            codes.push(code);
-            configs.push(cfg);
-            objectives.push(y);
-        }
-        let codes = PoolCodes::new(codes).expect("duplicate configuration in dataset");
+        let (codes, objectives): (Vec<usize>, Vec<f64>) = rows.into_iter().unzip();
         Self {
             name: name.into(),
             objective_label: objective_label.into(),
             space,
-            configs,
+            codes: PoolCodes::new(codes).expect("duplicate configuration in dataset"),
             objectives,
-            codes,
         }
     }
 
@@ -147,27 +139,39 @@ impl Dataset {
 
     /// Number of configurations.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.objectives.len()
     }
 
     /// Whether the dataset is empty (never true for a constructed one).
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.objectives.is_empty()
     }
 
-    /// All configurations, in enumeration (code) order.
-    pub fn configs(&self) -> &[Configuration] {
-        &self.configs
+    /// Every row's configuration, rebuilt from its code, in table (code)
+    /// order: the pool for callers that take the rows as a slice, such as
+    /// `ConfigSelector::select` in `hiperbot-baselines`. Allocates one
+    /// configuration per row, so hold the list only for the call that
+    /// needs it.
+    pub fn to_configs(&self) -> Vec<Configuration> {
+        (0..self.len()).map(|i| self.config(i)).collect()
     }
 
-    /// All objective values, parallel to [`configs`](Self::configs).
+    /// All objective values, by table position.
     pub fn objectives(&self) -> &[f64] {
         &self.objectives
     }
 
-    /// The configuration at table position `i`.
-    pub fn config(&self, i: usize) -> &Configuration {
-        &self.configs[i]
+    /// Every row's code ([`ParameterSpace::index_of`]), by table position.
+    pub fn codes(&self) -> &PoolCodes {
+        &self.codes
+    }
+
+    /// The configuration at table position `i`, rebuilt from its code.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn config(&self, i: usize) -> Configuration {
+        self.space.config_at(self.codes.as_slice()[i])
     }
 
     /// The objective at table position `i`.
@@ -263,14 +267,15 @@ mod tests {
     fn generation_covers_the_feasible_space() {
         let d = Dataset::generate("t", "time", space(), 1, 0.0, linear_model);
         assert_eq!(d.len(), 6);
-        assert_eq!(d.configs().len(), d.objectives().len());
+        assert_eq!(d.to_configs().len(), d.objectives().len());
+        assert_eq!(d.codes().len(), d.len());
     }
 
     #[test]
     fn zero_noise_matches_model_exactly() {
         let d = Dataset::generate("t", "time", space(), 1, 0.0, linear_model);
         for i in 0..d.len() {
-            assert_eq!(d.objective(i), linear_model(d.config(i), d.space()));
+            assert_eq!(d.objective(i), linear_model(&d.config(i), d.space()));
         }
     }
 
@@ -293,7 +298,7 @@ mod tests {
         let d = Dataset::generate("t", "time", space(), 1, 0.0, linear_model);
         let (i, v) = d.best();
         assert_eq!(v, 1.0);
-        assert_eq!(d.config(i), &Configuration::from_indices(&[0, 0]));
+        assert_eq!(d.config(i), Configuration::from_indices(&[0, 0]));
         for j in 0..d.len() {
             assert!(d.objective(j) >= v);
         }
@@ -337,7 +342,7 @@ mod tests {
     fn fault_free_outcome_matches_plain_evaluation() {
         let d = Dataset::generate("t", "time", space(), 1, 0.0, linear_model);
         let m = FaultModel::none();
-        for cfg in d.configs() {
+        for cfg in &d.to_configs() {
             assert_eq!(
                 d.evaluate_outcome(cfg, &m, 0),
                 SimOutcome::Completed(d.evaluate(cfg))
@@ -350,12 +355,12 @@ mod tests {
         let d = Dataset::generate("t", "time", space(), 1, 0.0, linear_model);
         let m = FaultModel::new(9, 0.5);
         let first: Vec<SimOutcome> = d
-            .configs()
+            .to_configs()
             .iter()
             .map(|c| d.evaluate_outcome(c, &m, 0))
             .collect();
         let second: Vec<SimOutcome> = d
-            .configs()
+            .to_configs()
             .iter()
             .map(|c| d.evaluate_outcome(c, &m, 0))
             .collect();
@@ -369,7 +374,7 @@ mod tests {
         // objectives span 1..=6; threshold 3.5 times out the slow half.
         let m = FaultModel::new(0, 0.0).with_timeout(3.5);
         let timed_out = d
-            .configs()
+            .to_configs()
             .iter()
             .filter(|c| d.evaluate_outcome(c, &m, 0) == SimOutcome::TimedOut)
             .count();
@@ -379,7 +384,7 @@ mod tests {
         );
         // Timeouts are retry-proof.
         let slow = d.config(d.len() - 1);
-        assert_eq!(d.evaluate_outcome(slow, &m, 5), SimOutcome::TimedOut);
+        assert_eq!(d.evaluate_outcome(&slow, &m, 5), SimOutcome::TimedOut);
     }
 
     fn constrained_space() -> ParameterSpace {
@@ -400,7 +405,8 @@ mod tests {
         let d = Dataset::generate("t", "time", s.clone(), 1, 0.0, |c, _| {
             1.0 + c.value(0).index() as f64
         });
-        let scan = |cfg: &Configuration| d.configs().iter().position(|c| c == cfg);
+        let rows = d.to_configs();
+        let scan = |cfg: &Configuration| rows.iter().position(|c| c == cfg);
         // Feasible members, infeasible members of the product, and
         // configurations outside the space.
         for i in 0..s.product_cardinality().unwrap() {
@@ -423,6 +429,21 @@ mod tests {
     }
 
     #[test]
+    fn rows_rebuild_the_walked_configurations() {
+        let s = constrained_space();
+        let d = Dataset::generate("t", "time", s.clone(), 1, 0.0, |c, _| {
+            1.0 + c.value(2).index() as f64
+        });
+        let members = s.enumerate();
+        assert_eq!(d.to_configs(), members);
+        for (i, cfg) in members.iter().enumerate() {
+            assert_eq!(d.codes().as_slice()[i], s.index_of(cfg).unwrap());
+            assert_eq!(d.position(cfg), Some(i));
+            assert_eq!(d.objective(i), 1.0 + cfg.value(2).index() as f64);
+        }
+    }
+
+    #[test]
     fn from_table_finds_every_row_of_a_shuffled_table() {
         let s = constrained_space();
         let mut rows: Vec<(Configuration, f64)> = s
@@ -434,14 +455,10 @@ mod tests {
         rows.shuffle(&mut ChaCha8Rng::seed_from_u64(3));
         let (cfgs, ys): (Vec<_>, Vec<_>) = rows.iter().cloned().unzip();
         let d = Dataset::from_table("t", "time", s.clone(), cfgs, ys);
-        assert_eq!(
-            d.configs(),
-            s.enumerate().as_slice(),
-            "rows are kept in code order"
-        );
+        assert_eq!(d.to_configs(), s.enumerate(), "rows are kept in code order");
         for (cfg, y) in &rows {
             let at = d.position(cfg).expect("every row is found");
-            assert_eq!(d.config(at), cfg);
+            assert_eq!(&d.config(at), cfg);
             assert_eq!(d.objective(at), *y);
         }
     }

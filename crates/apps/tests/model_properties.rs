@@ -46,7 +46,7 @@ fn datasets_are_exactly_reproducible() {
     let a = kripke::exec_dataset(Scale::Target);
     let b = kripke::exec_dataset(Scale::Target);
     assert_eq!(a.objectives(), b.objectives());
-    assert_eq!(a.configs(), b.configs());
+    assert_eq!(a.to_configs(), b.to_configs());
 }
 
 #[test]

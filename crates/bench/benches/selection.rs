@@ -23,6 +23,7 @@ use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::ObservationHistory;
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
 use hiperbot_space::sampling::sample_distinct;
+use hiperbot_space::Configuration;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -32,6 +33,8 @@ const HISTORY_LEN: usize = 100;
 struct Fixture {
     name: &'static str,
     dataset: Dataset,
+    /// The dataset's rows, built once for the per-configuration scan.
+    pool: Vec<Configuration>,
     surrogate: TpeSurrogate,
     history: ObservationHistory,
     encoding: PoolEncoding,
@@ -54,10 +57,11 @@ fn fixture(name: &'static str, dataset: Dataset) -> Fixture {
     for (c, &y) in configs.iter().zip(&objectives) {
         history.push(c.clone(), y);
     }
-    let encoding = PoolEncoding::encode(dataset.configs()).expect("discrete pool");
+    let pool = dataset.to_configs();
+    let encoding = PoolEncoding::encode(&pool).expect("discrete pool");
     let runs = RunIndex::build(&encoding);
     let mut seen = PoolMask::new(dataset.len());
-    for (i, c) in dataset.configs().iter().enumerate() {
+    for (i, c) in pool.iter().enumerate() {
         if history.contains(c) {
             seen.set(i);
         }
@@ -65,6 +69,7 @@ fn fixture(name: &'static str, dataset: Dataset) -> Fixture {
     Fixture {
         name,
         dataset,
+        pool,
         surrogate,
         history,
         encoding,
@@ -87,7 +92,7 @@ fn bench_ranking(c: &mut Criterion) {
             b.iter(|| {
                 let mut best = f64::NEG_INFINITY;
                 let mut best_i = None;
-                for (i, cfg) in f.dataset.configs().iter().enumerate() {
+                for (i, cfg) in f.pool.iter().enumerate() {
                     if f.history.contains(cfg) {
                         continue;
                     }

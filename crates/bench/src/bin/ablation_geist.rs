@@ -20,6 +20,7 @@ fn main() {
         .unwrap_or(10);
     let dataset = kripke::exec_dataset(Scale::Target);
     let recall = Recall::new(&dataset, GoodSet::Percentile(0.02));
+    let pool = dataset.to_configs();
 
     let mut out = String::new();
     out.push_str("## ablation-geist — GEIST hyperparameter sensitivity (Kripke exec)\n");
@@ -44,7 +45,7 @@ fn main() {
             for _ in 0..reps {
                 let run = geist.select(
                     dataset.space(),
-                    dataset.configs(),
+                    &pool,
                     &|c| dataset.evaluate(c),
                     BUDGET,
                     seq.next_seed(),

@@ -29,7 +29,7 @@ fn main() {
     for d in &datasets {
         let surrogate = TpeSurrogate::fit(
             d.space(),
-            d.configs(),
+            &d.to_configs(),
             d.objectives(),
             &SurrogateOptions::default(),
             None,

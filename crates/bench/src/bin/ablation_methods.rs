@@ -21,6 +21,7 @@ fn main() {
     let dataset = lulesh::dataset(Scale::Target);
     let recall = Recall::new(&dataset, GoodSet::Percentile(0.02));
     let (_, exhaustive) = dataset.best();
+    let pool = dataset.to_configs();
 
     let mut rows: Vec<(String, Summary, Summary)> = Vec::new();
 
@@ -28,7 +29,7 @@ fn main() {
     rows.push(score("HiPerBOt/Ranking", reps, &recall, |seed| {
         HiPerBOtSelector::default().select(
             dataset.space(),
-            dataset.configs(),
+            &pool,
             &|c| dataset.evaluate(c),
             BUDGET,
             seed,
@@ -59,7 +60,7 @@ fn main() {
     rows.push(score("GP-EI", reps, &recall, |seed| {
         gp.select(
             dataset.space(),
-            dataset.configs(),
+            &pool,
             &|c| dataset.evaluate(c),
             BUDGET,
             seed,

@@ -69,8 +69,8 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
     tuner.run(BUDGET, |c| dataset.evaluate(c));
     let history = tuner.history();
 
-    let pool = dataset.configs();
-    let encoding = PoolEncoding::encode(pool).expect("discrete pool");
+    let pool = dataset.to_configs();
+    let encoding = PoolEncoding::encode(&pool).expect("discrete pool");
     let index_build_ns = (0..REPS)
         .map(|_| time_ns(|| drop(std::hint::black_box(RunIndex::build(&encoding)))))
         .min()

@@ -345,7 +345,8 @@ pub fn repro_ablation_transfer_weight() {
     let reps = env_reps("HIPERBOT_TRANSFER_REPS", 10);
     let src = kripke::energy_dataset(Scale::Source);
     let tgt = kripke::energy_dataset(Scale::Target);
-    let prior = TransferPrior::from_source(src.space(), src.configs(), src.objectives(), 0.20, 1.0);
+    let prior =
+        TransferPrior::from_source(src.space(), &src.to_configs(), src.objectives(), 0.20, 1.0);
     let budget = fig8::budget_for(&tgt);
     let good = GoodSet::Tolerance(0.10);
     let total_good = Recall::new(&tgt, good).total_good();

@@ -61,12 +61,13 @@ fn ratio_for(
     };
     let mut seq = SeedSequence::new(seed);
     let seeds: Vec<u64> = (0..repetitions).map(|_| seq.next_seed()).collect();
+    let pool = dataset.to_configs();
     let ratios: Vec<f64> = seeds
         .par_iter()
         .map(|&s| {
             let run = selector.select(
                 dataset.space(),
-                dataset.configs(),
+                &pool,
                 &|c| dataset.evaluate(c),
                 TOTAL_SAMPLES,
                 s,

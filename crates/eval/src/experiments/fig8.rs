@@ -117,9 +117,10 @@ pub fn run(
         "source and target must share the parameter space"
     );
     let budget = budget_for(target);
+    let source_configs = source.to_configs();
     let prior = TransferPrior::from_source(
         source.space(),
-        source.configs(),
+        &source_configs,
         source.objectives(),
         0.20,
         1.0,
@@ -134,13 +135,14 @@ pub fn run(
         .collect();
 
     let perfnet = PerfNet::default();
+    let target_configs = target.to_configs();
     let pn_runs: Vec<SelectionRun> = seeds
         .par_iter()
         .map(|&s| {
             perfnet.select_transfer(
                 target.space(),
-                target.configs(),
-                source.configs(),
+                &target_configs,
+                &source_configs,
                 source.objectives(),
                 &|c| target.evaluate(c),
                 budget,
@@ -281,6 +283,6 @@ mod tests {
         let r = run("fig8-test", &src, &tgt, 1, 9);
         assert_eq!(r.budget, tgt.len() / 100 + 100);
         // All selected configs exist in the target dataset.
-        let _probe: Vec<Configuration> = tgt.configs().to_vec();
+        let _probe: Vec<Configuration> = tgt.to_configs();
     }
 }

@@ -46,7 +46,7 @@ pub fn row(dataset: &Dataset, partial_fraction: f64, seed: u64) -> ImportanceRow
     // Full column: all samples as observations.
     let full_ranking = parameter_importance(
         dataset.space(),
-        dataset.configs(),
+        &dataset.to_configs(),
         dataset.objectives(),
         0.20,
     );

@@ -99,6 +99,8 @@ pub fn run_trials_traced(
         .expect("non-empty checkpoints");
     let recall = Recall::new(dataset, config.good);
     let traced = recorder.enabled();
+    // The selectors take the pool as a slice; it lives for this call only.
+    let pool = dataset.to_configs();
 
     // Pre-derive per-repetition seeds (order-independent determinism).
     let mut seq = SeedSequence::new(config.seed);
@@ -118,7 +120,7 @@ pub fn run_trials_traced(
             let timer = SpanTimer::start(traced);
             let run = method.select(
                 dataset.space(),
-                dataset.configs(),
+                &pool,
                 &|c| dataset.evaluate(c),
                 budget,
                 seed,

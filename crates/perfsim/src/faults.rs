@@ -23,7 +23,7 @@
 //!   crashes, timeouts are a property of the configuration: retrying is
 //!   futile, and a failure-aware tuner should learn to steer away.
 
-use hiperbot_stats::rng::{mix_words, u64_to_unit_open};
+use hiperbot_stats::rng::{u64_to_unit_open, WordMixer};
 
 /// Domain-separation tag for the per-configuration hazard factor.
 const REGION_TAG: u64 = 0xFA17_7E61_0000_0001;
@@ -126,12 +126,18 @@ impl FaultModel {
         if self.fail_prob == 0.0 {
             return 0.0;
         }
-        let mut words = Vec::with_capacity(config_words.len() + 2);
-        words.push(self.seed);
-        words.push(REGION_TAG);
-        words.extend_from_slice(config_words);
-        let hazard = 2.0 * u64_to_unit_open(mix_words(&words));
+        let hazard = 2.0 * u64_to_unit_open(self.draw(REGION_TAG, config_words).finish());
         (self.fail_prob * hazard).clamp(0.0, 1.0)
+    }
+
+    /// The mixer over `[seed, tag, config_words...]`, the prefix every
+    /// draw of this model hashes.
+    fn draw(&self, tag: u64, config_words: &[u64]) -> WordMixer {
+        let mut mixer = WordMixer::new();
+        mixer.push(self.seed);
+        mixer.push(tag);
+        mixer.extend(config_words);
+        mixer
     }
 
     /// The outcome of evaluation attempt `attempt` (0-based) on the
@@ -150,12 +156,9 @@ impl FaultModel {
         }
         let p = self.crash_probability(config_words);
         if p > 0.0 {
-            let mut words = Vec::with_capacity(config_words.len() + 3);
-            words.push(self.seed);
-            words.push(ATTEMPT_TAG);
-            words.extend_from_slice(config_words);
-            words.push(attempt as u64);
-            if u64_to_unit_open(mix_words(&words)) < p {
+            let mut draw = self.draw(ATTEMPT_TAG, config_words);
+            draw.push(attempt as u64);
+            if u64_to_unit_open(draw.finish()) < p {
                 return SimOutcome::Crashed;
             }
         }
@@ -252,6 +255,25 @@ mod tests {
             .filter(|&i| a.attempt_outcome(&[i], 0, 1.0) != b.attempt_outcome(&[i], 0, 1.0))
             .count();
         assert!(diff > 100, "only {diff}/500 outcomes differ across seeds");
+    }
+
+    #[test]
+    fn draws_hash_the_concatenated_words() {
+        use hiperbot_stats::rng::mix_words;
+        let m = FaultModel::new(13, 0.4);
+        for cfg in [vec![], vec![5], vec![2, 9, 31]] {
+            let region = [&[13, REGION_TAG][..], &cfg].concat();
+            let p = (0.4 * 2.0 * u64_to_unit_open(mix_words(&region))).clamp(0.0, 1.0);
+            assert_eq!(m.crash_probability(&cfg), p);
+            for attempt in 0..4u32 {
+                let words = [&[13, ATTEMPT_TAG][..], &cfg, &[attempt as u64]].concat();
+                let crashed = u64_to_unit_open(mix_words(&words)) < p;
+                assert_eq!(
+                    m.attempt_outcome(&cfg, attempt, 1.0) == SimOutcome::Crashed,
+                    crashed
+                );
+            }
+        }
     }
 
     #[test]

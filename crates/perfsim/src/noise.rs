@@ -7,19 +7,21 @@
 //! reproducible value. Each configuration therefore gets a multiplicative
 //! lognormal factor derived by hashing `(dataset seed, configuration id)`.
 
-use hiperbot_stats::rng::{mix_words, u64_to_unit_open};
+use hiperbot_stats::rng::{u64_to_unit_open, WordMixer};
 
 /// Domain-separation tag appended when deriving the second Box–Muller
 /// uniform, so it is independent of the first.
 const SECOND_UNIFORM_TAG: u64 = 0x0B0C_5EED_D00D_F00D;
 
 /// A standard normal variate derived deterministically from `words`
-/// (Box–Muller over two hash-derived uniforms).
+/// (Box–Muller over two hash-derived uniforms: `mix_words(words)` and
+/// `mix_words(words + [tag])`, hashed in one pass without a buffer).
 pub fn deterministic_normal(words: &[u64]) -> f64 {
-    let h1 = mix_words(words);
-    let mut w2 = words.to_vec();
-    w2.push(SECOND_UNIFORM_TAG);
-    let h2 = mix_words(&w2);
+    let mut mixer = WordMixer::new();
+    mixer.extend(words);
+    let h1 = mixer.finish();
+    mixer.push(SECOND_UNIFORM_TAG);
+    let h2 = mixer.finish();
     let u1 = u64_to_unit_open(h1);
     let u2 = u64_to_unit_open(h2);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -55,6 +57,18 @@ mod tests {
         let a = lognormal_factor(&[1, 2, 3], 0.05);
         let b = lognormal_factor(&[1, 2, 4], 0.05);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn uniforms_hash_the_words_and_the_tagged_words() {
+        use hiperbot_stats::rng::mix_words;
+        for words in [vec![], vec![3], vec![42, 17_159]] {
+            let u1 = u64_to_unit_open(mix_words(&words));
+            let tagged = [&words[..], &[SECOND_UNIFORM_TAG]].concat();
+            let u2 = u64_to_unit_open(mix_words(&tagged));
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            assert_eq!(deterministic_normal(&words).to_bits(), z.to_bits());
+        }
     }
 
     #[test]

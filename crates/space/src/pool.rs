@@ -110,6 +110,8 @@ impl PoolEncoding {
     /// returns the rows' codes: row `i` is the `i`-th configuration of
     /// [`enumerate`](ParameterSpace::enumerate), at position `i` of the
     /// codes. Rows are `u16` when every domain has at most 65,536 values.
+    /// The rows and codes are each allocated once and shrunk once,
+    /// whatever the member count.
     ///
     /// # Panics
     /// Panics if the space has continuous parameters.
@@ -175,9 +177,16 @@ impl PoolEncoding {
 }
 
 /// The rows and codes of one walk over `space`'s feasible members, each
-/// index narrowed by `narrow`.
+/// index narrowed by `narrow`. Both buffers are sized once, to the
+/// product's cardinality, which bounds the member count, so neither grows
+/// by copying; capacity that is never written is never resident, and the
+/// caller shrinks both to the member count.
 fn walk_rows<T>(space: &ParameterSpace, codes: &mut Vec<usize>, narrow: fn(usize) -> T) -> Vec<T> {
-    let mut rows = Vec::new();
+    let bound = space
+        .product_cardinality()
+        .expect("enumeration requires a fully discrete space");
+    codes.reserve_exact(bound);
+    let mut rows = Vec::with_capacity(bound * space.n_params());
     let mut walk = space.walk();
     while let Some((code, cfg)) = walk.next_member() {
         codes.push(code);

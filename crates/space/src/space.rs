@@ -214,13 +214,13 @@ impl ParameterSpace {
             .expect("config_at requires a fully discrete space");
         assert!(index < total, "configuration index {index} out of {total}");
         let mut rem = index;
-        let mut indices = vec![0usize; self.params.len()];
-        for (i, p) in self.params.iter().enumerate().rev() {
+        let mut values = vec![ParamValue::Index(0); self.params.len()];
+        for (v, p) in values.iter_mut().zip(&self.params).rev() {
             let card = p.domain().cardinality().expect("discrete");
-            indices[i] = rem % card;
+            *v = ParamValue::Index(rem % card);
             rem /= card;
         }
-        Configuration::from_indices(&indices)
+        Configuration::new(values)
     }
 
     /// The mixed-radix code of `cfg`: the inverse of

@@ -24,18 +24,64 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// Mixes an arbitrary list of 64-bit words into a single seed.
 ///
 /// Used by the application simulators to derive a deterministic noise value
-/// for each `(dataset seed, configuration index)` pair.
+/// for each `(dataset seed, configuration index)` pair. [`WordMixer`] is the
+/// same hash fed one word at a time.
 #[inline]
 pub fn mix_words(words: &[u64]) -> u64 {
-    let mut state = 0x243F_6A88_85A3_08D3; // pi digits: domain separation
-    let mut acc = 0u64;
-    for &w in words {
-        state ^= w;
-        acc ^= splitmix64(&mut state);
+    let mut mixer = WordMixer::new();
+    mixer.extend(words);
+    mixer.finish()
+}
+
+/// The streaming form of [`mix_words`]: pushing words one at a time and
+/// then calling [`finish`](Self::finish) gives exactly `mix_words` of their
+/// concatenation, with no buffer. The mixer is `Copy`, so a prefix can be
+/// finished and then extended — hashing `words` and `words + [tag]` costs
+/// one pass over `words`.
+#[derive(Debug, Clone, Copy)]
+pub struct WordMixer {
+    state: u64,
+    acc: u64,
+}
+
+impl WordMixer {
+    /// An empty mixer: finishing it equals `mix_words(&[])`.
+    #[inline]
+    pub fn new() -> Self {
+        Self {
+            state: 0x243F_6A88_85A3_08D3, // pi digits: domain separation
+            acc: 0,
+        }
     }
-    // One more round so that trailing zero words still change the output.
-    state ^= acc;
-    splitmix64(&mut state)
+
+    /// Appends one word.
+    #[inline]
+    pub fn push(&mut self, word: u64) {
+        self.state ^= word;
+        self.acc ^= splitmix64(&mut self.state);
+    }
+
+    /// Appends every word of `words`, in order.
+    #[inline]
+    pub fn extend(&mut self, words: &[u64]) {
+        for &w in words {
+            self.push(w);
+        }
+    }
+
+    /// The hash of the words pushed so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        // One more round so that trailing zero words still change the output.
+        let mut state = self.state ^ self.acc;
+        splitmix64(&mut state)
+    }
+}
+
+impl Default for WordMixer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Converts a hash to a uniform in the open interval (0, 1).
@@ -112,6 +158,7 @@ impl SeedSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -185,5 +232,37 @@ mod tests {
     fn mix_words_distinguishes_permutations() {
         assert_ne!(mix_words(&[1, 2]), mix_words(&[2, 1]));
         assert_ne!(mix_words(&[0]), mix_words(&[0, 0]));
+    }
+
+    /// `mix_words` as a loop over the slice: the definition the streaming
+    /// mixer must reproduce bit for bit.
+    fn slice_mix(words: &[u64]) -> u64 {
+        let mut state = 0x243F_6A88_85A3_08D3;
+        let mut acc = 0u64;
+        for &w in words {
+            state ^= w;
+            acc ^= splitmix64(&mut state);
+        }
+        state ^= acc;
+        splitmix64(&mut state)
+    }
+
+    proptest! {
+        #[test]
+        fn the_streaming_mixer_equals_mix_words_of_the_concatenation(
+            head in proptest::collection::vec(0..=u64::MAX, 0..8),
+            tail in proptest::collection::vec(0..=u64::MAX, 0..8),
+        ) {
+            let mut mixer = WordMixer::new();
+            mixer.extend(&head);
+            // Finishing a copy leaves the mixer free to continue.
+            prop_assert_eq!(mixer.finish(), mix_words(&head));
+            for &w in &tail {
+                mixer.push(w);
+            }
+            let whole: Vec<u64> = head.iter().chain(&tail).copied().collect();
+            prop_assert_eq!(mixer.finish(), mix_words(&whole));
+            prop_assert_eq!(mix_words(&whole), slice_mix(&whole));
+        }
     }
 }

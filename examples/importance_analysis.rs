@@ -32,7 +32,7 @@ fn main() {
         // Ground truth: every sample.
         let full = parameter_importance(
             dataset.space(),
-            dataset.configs(),
+            &dataset.to_configs(),
             dataset.objectives(),
             0.20,
         );

@@ -28,7 +28,7 @@ fn main() {
     // Prior from the full source study (eqs. 9–10).
     let prior = TransferPrior::from_source(
         source.space(),
-        source.configs(),
+        &source.to_configs(),
         source.objectives(),
         0.20,
         1.0,

@@ -18,14 +18,9 @@ fn every_baseline_produces_a_valid_trace_on_hypre() {
         ("GEIST", &geist),
         ("GP-EI", &gp),
     ];
+    let pool = dataset.to_configs();
     for (name, m) in methods {
-        let run = m.select(
-            dataset.space(),
-            dataset.configs(),
-            &|c| dataset.evaluate(c),
-            40,
-            5,
-        );
+        let run = m.select(dataset.space(), &pool, &|c| dataset.evaluate(c), 40, 5);
         assert_eq!(run.len(), 40, "{name} trace length");
         let set: std::collections::HashSet<_> = run.configs.iter().cloned().collect();
         assert_eq!(set.len(), 40, "{name} duplicates");
@@ -41,7 +36,8 @@ fn encodings_cover_the_whole_hypre_space() {
     let onehot = Encoder::new(dataset.space(), EncodingKind::OneHot);
     let norm = Encoder::new(dataset.space(), EncodingKind::Normalized);
     assert_eq!(norm.width(), dataset.space().n_params());
-    for cfg in dataset.configs().iter().step_by(97) {
+    for i in (0..dataset.len()).step_by(97) {
+        let cfg = &dataset.config(i);
         let v = onehot.encode(cfg);
         assert_eq!(v.len(), onehot.width());
         // one-hot blocks sum to exactly n_params for a fully discrete space
@@ -60,8 +56,8 @@ fn dataset_lookup_agrees_with_model_recomputation() {
     use hiperbot::perfsim::noise::lognormal_factor;
     let dataset = hypre::dataset(Scale::Target);
     let seed = hypre::SEED ^ Scale::Target.nodes() as u64;
-    for (i, cfg) in dataset.configs().iter().enumerate().step_by(411) {
-        let clean = hypre::model(cfg, dataset.space(), Scale::Target);
+    for i in (0..dataset.len()).step_by(411) {
+        let clean = hypre::model(&dataset.config(i), dataset.space(), Scale::Target);
         let noisy = clean * lognormal_factor(&[seed, i as u64], 0.012);
         assert!(
             (noisy - dataset.objective(i)).abs() < 1e-12,
@@ -78,7 +74,7 @@ fn selection_runs_and_eval_metrics_compose() {
     let recall = Recall::new(&dataset, GoodSet::Percentile(0.05));
     let run = RandomSelector.select(
         dataset.space(),
-        dataset.configs(),
+        &dataset.to_configs(),
         &|c| dataset.evaluate(c),
         200,
         1,

@@ -72,7 +72,7 @@ fn importance_pipeline_identifies_lulesh_flag_structure() {
     let dataset = lulesh::dataset(Scale::Target);
     let ranking = parameter_importance(
         dataset.space(),
-        dataset.configs(),
+        &dataset.to_configs(),
         dataset.objectives(),
         0.20,
     );

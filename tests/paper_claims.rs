@@ -41,14 +41,9 @@ fn kripke_finds_the_exhaustive_best_with_a_small_budget() {
     let (_, exhaustive) = dataset.best();
     let hb = HiPerBOtSelector::default();
     let mut found = 0;
+    let pool = dataset.to_configs();
     for seed in 0..5 {
-        let run = hb.select(
-            dataset.space(),
-            dataset.configs(),
-            &|c| dataset.evaluate(c),
-            192,
-            seed,
-        );
+        let run = hb.select(dataset.space(), &pool, &|c| dataset.evaluate(c), 192, seed);
         if (run.best_within(192) - exhaustive).abs() < 1e-12 {
             found += 1;
         }
@@ -64,7 +59,7 @@ fn kripke_energy_beats_the_expert_heuristic() {
     let expert = dataset.evaluate(&kripke::energy_expert_config(dataset.space()));
     let run = HiPerBOtSelector::default().select(
         dataset.space(),
-        dataset.configs(),
+        &dataset.to_configs(),
         &|c| dataset.evaluate(c),
         (dataset.len() as f64 * 0.022) as usize,
         7,
@@ -84,7 +79,7 @@ fn openatom_beats_the_symmetric_expert() {
     let expert = dataset.evaluate(&openatom::expert_config(dataset.space()));
     let run = HiPerBOtSelector::default().select(
         dataset.space(),
-        dataset.configs(),
+        &dataset.to_configs(),
         &|c| dataset.evaluate(c),
         (dataset.len() as f64 * 0.03) as usize,
         11,
@@ -107,7 +102,7 @@ fn transfer_prior_helps_on_kripke_energy() {
     let target = kripke::energy_dataset(Scale::Target);
     let prior = TransferPrior::from_source(
         source.space(),
-        source.configs(),
+        &source.to_configs(),
         source.objectives(),
         0.20,
         1.0,
