@@ -47,4 +47,4 @@ pub use selection::{ProposalPick, ProposalScratch, SelectionStrategy};
 pub use stopping::{StoppingRule, StoppingSet};
 pub use surrogate::{CandidateMatrix, SurrogateMode, TpeSurrogate};
 pub use transfer::TransferPrior;
-pub use tuner::{BestResult, CheckpointPolicy, InitDesign, PipelineStats, Tuner, TunerOptions};
+pub use tuner::{BestResult, CheckpointPolicy, InitDesign, Tuner, TunerOptions};

@@ -298,95 +298,6 @@ impl RankingPool {
     }
 }
 
-/// Commit/discard accounting for the speculative suggest-ahead pipeline
-/// (see [`Tuner::run_batch_pipelined`]). `picks_adopted` counts individual
-/// speculative picks that matched the serial decision — a discarded batch
-/// can still have a matched prefix — while `sweeps_skipped` counts the
-/// subset whose decision inputs replayed bit-identically, letting
-/// validation adopt the pick without re-running the selection sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Speculative batches whose validation ran.
-    pub attempted: u64,
-    /// Batches committed whole (every pick matched the serial choice).
-    pub committed: u64,
-    /// Batches with at least one divergent pick, recomputed serially.
-    pub discarded: u64,
-    /// Individual picks the speculation predicted correctly (the matched
-    /// prefix of each validated batch).
-    pub picks_adopted: u64,
-    /// Picks whose score tables replayed bit-identically, skipping the
-    /// selection sweep entirely (a subset of `picks_adopted`).
-    pub sweeps_skipped: u64,
-    /// Wall time batch drivers spent producing model-driven suggestions
-    /// on the critical path (while no evaluation was in flight). The
-    /// serial driver accumulates every suggestion here; the pipelined one
-    /// only the unavoidable first round plus the validation replays —
-    /// speculation time hidden behind evaluation is *not* included, so
-    /// the gap between the two drivers' values is the pipeline's win.
-    pub critical_path_suggest_ns: u64,
-}
-
-impl PipelineStats {
-    /// Fraction of attempted speculations committed whole, `None` before
-    /// the first attempt.
-    pub fn hit_rate(&self) -> Option<f64> {
-        (self.attempted > 0).then(|| self.committed as f64 / self.attempted as f64)
-    }
-}
-
-/// A pre-computed batch-`k+1` decision under the **Ranking** strategy:
-/// the seen-mask the speculation started from plus, per pick, the score
-/// tables it saw (the exact argmax inputs) and the position it chose.
-/// Validation replays the real post-merge decision inputs and adopts a
-/// pick iff its tables replay bit-identically.
-struct RankingSpec {
-    /// Batch size the speculation planned for.
-    k: usize,
-    /// Pool seen-mask at speculation stage 0: pre-merge seen plus the
-    /// in-flight batch. Must equal the real post-merge starting mask for
-    /// any pick to be adopted.
-    start_seen: PoolMask,
-    stages: Vec<RankingSpecStage>,
-}
-
-struct RankingSpecStage {
-    /// Chosen pool position.
-    pick_pos: u32,
-    /// Per-parameter score columns the argmax ran over, snapshotted.
-    tables: Vec<Vec<f64>>,
-}
-
-/// A pre-computed batch-`k+1` pick list under the **Proposal** strategy,
-/// drawn from a *cloned* RNG cursor. Validation recomputes the batch on
-/// the real RNG (KDE sampling makes cheap input-replay impossible), so
-/// the comparison only feeds the hit-rate accounting — bit-identity is
-/// inherited from the recomputation itself.
-struct ProposalSpec {
-    /// Batch size the speculation planned for.
-    k: usize,
-    picks: Vec<Configuration>,
-}
-
-/// A speculative next batch produced while the current one evaluates.
-enum Speculation {
-    Ranking(RankingSpec),
-    Proposal(ProposalSpec),
-}
-
-/// Bitwise comparison of live engine score tables against a speculation
-/// snapshot. `to_bits` equality is NaN-safe and exactly the "identical
-/// decision inputs" contract: equal bits imply the same argmax.
-fn tables_match(real: &[&[f64]], snapshot: &[Vec<f64>]) -> bool {
-    real.len() == snapshot.len()
-        && real.iter().zip(snapshot).all(|(r, s)| {
-            r.len() == s.len()
-                && r.iter()
-                    .zip(s.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-}
-
 /// The HiPerBOt tuner.
 pub struct Tuner {
     space: ParameterSpace,
@@ -411,9 +322,9 @@ pub struct Tuner {
     /// the suggesting call returns, so between calls the engine mirrors
     /// `history` exactly (or lags it by the entries since the last sync).
     engine: Option<IncrementalSurrogate>,
-    /// Reused point/weight buffers for from-scratch KDE fits — the
-    /// `SurrogateMode::Full` paths and the pipeline's Proposal speculation
-    /// — so those fits allocate no staging vectors.
+    /// Reused point/weight buffers for the from-scratch KDE fits of the
+    /// `SurrogateMode::Full` paths, so those fits allocate no staging
+    /// vectors.
     fit_scratch: FitScratch,
     proposal_scratch: ProposalScratch,
     /// Prefix-cloned failure configurations, grown once per new failure
@@ -441,14 +352,6 @@ pub struct Tuner {
     /// Set by the resume constructors ("snapshot" or "trace"); consumed by
     /// the first traced run header to emit one `RunResumed` event.
     resumed_from: Option<String>,
-    /// The constant-liar value of the most recent batch suggestion (the
-    /// pre-batch good-threshold). The speculation task lies at this value
-    /// for the in-flight batch — exactly what the serial path would have
-    /// used — and `None` (before any model-driven batch) disables
-    /// speculation for the round.
-    last_liar: Option<f64>,
-    /// Commit/discard accounting for the pipelined driver.
-    pipeline_stats: PipelineStats,
 }
 
 impl Tuner {
@@ -489,8 +392,6 @@ impl Tuner {
             boot_word_pos: None,
             preserve_stalls_once: false,
             resumed_from: None,
-            last_liar: None,
-            pipeline_stats: PipelineStats::default(),
         }
     }
 
@@ -539,13 +440,6 @@ impl Tuner {
         self.engine.as_ref().map(|e| e.stats())
     }
 
-    /// Speculation commit/discard counters accumulated by
-    /// [`run_batch_pipelined`](Self::run_batch_pipelined). All zeros for
-    /// serial/unpipelined runs.
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline_stats
-    }
-
     /// The run header a trace of this tuner would carry.
     pub fn run_header(&self) -> RunHeader {
         RunHeader::new(&self.space, self.options.seed, self.options.summary())
@@ -587,13 +481,13 @@ impl Tuner {
     /// resume redraws the identical list and skips the evaluated prefix.
     pub fn checkpoint(&self) -> TunerCheckpoint {
         // Snapshots happen only at safe points: the engine must mirror (or
-        // lag) the real history — a speculative fantasy observation leaking
-        // into checkpoint bytes would poison every resumed continuation.
+        // lag) the real history — a constant-liar fantasy leaking into
+        // checkpoint bytes would poison every resumed continuation.
         debug_assert!(
             self.engine
                 .as_ref()
                 .is_none_or(|e| e.len() <= self.history.len()),
-            "checkpoint taken mid-speculation: engine holds fantasy observations"
+            "checkpoint taken mid-batch-suggestion: engine holds fantasy observations"
         );
         let rng_word_pos = if self.bootstrapped {
             self.rng.word_pos()
@@ -620,10 +514,10 @@ impl Tuner {
     /// uninterrupted run: same RNG stream position, same history, same
     /// stall accounting.
     ///
-    /// A run killed *mid-bootstrap* resumes correctly too (the remaining
-    /// bootstrap samples are redrawn and the evaluated prefix skipped),
-    /// provided the resumed run uses the same budget, which determines the
-    /// bootstrap clamp.
+    /// A run killed *mid-bootstrap* resumes correctly too, serially or at
+    /// any batch size (the remaining bootstrap samples are redrawn and the
+    /// evaluated prefix skipped), provided the resumed run uses the same
+    /// budget, which determines the bootstrap clamp.
     pub fn resume_from_checkpoint(
         space: ParameterSpace,
         options: TunerOptions,
@@ -1390,9 +1284,6 @@ impl Tuner {
             }
             picks.push(cfg);
         }
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
         picks
     }
 
@@ -1482,9 +1373,6 @@ impl Tuner {
             picks.push(pick.config);
         }
         self.stalls += stalled;
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
         picks
     }
 
@@ -1620,9 +1508,6 @@ impl Tuner {
         }
         self.publish_churn(span.elapsed_ns());
         self.stalls += stalled;
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
         picks
     }
 
@@ -1691,10 +1576,7 @@ impl Tuner {
             // All trials failed so far: no surrogate, recover by restarts.
             self.recovery_batch(k)
         } else {
-            let ts = std::time::Instant::now();
-            let s = self.suggest_batch(k);
-            self.pipeline_stats.critical_path_suggest_ns += ts.elapsed().as_nanos() as u64;
-            s
+            self.suggest_batch(k)
         };
         if suggestions.is_empty() {
             // Ranking: the pool is exhausted, no further progress possible.
@@ -1755,539 +1637,6 @@ impl Tuner {
         self.finish_run()
     }
 
-    /// Pipelined variant of [`run_batch_fallible`](Self::run_batch_fallible):
-    /// while `evaluate_batch` runs batch *k* on a scoped worker thread, the
-    /// tuner speculatively pre-computes batch *k+1* on this thread using the
-    /// incremental surrogate plus CL-min fantasies for the in-flight
-    /// configurations (lied at the best observed objective, so fantasies
-    /// land in the good partition exactly where model-driven outcomes
-    /// usually do). At merge time a validation step replays the real
-    /// decision inputs: picks whose inputs replay bit-identically are
-    /// adopted without re-running the selection sweep
-    /// (`SpeculationCommitted`); any divergence falls back to the exact
-    /// serial computation for the rest of the batch
-    /// (`SpeculationDiscarded`).
-    ///
-    /// Histories, traces (modulo the `Speculation*` bookkeeping events and
-    /// scrubbed-by-convention `elapsed_ns` fields), reports, and checkpoint
-    /// bytes are **bit-identical** to `run_batch_fallible` with the same
-    /// seed at every worker count and batch size, in both strategies:
-    ///
-    /// - **Ranking** (incremental surrogate): speculation consumes no RNG
-    ///   and touches only the engine (fantasies are popped before the round
-    ///   ends). Validation compares the engine's score tables bitwise per
-    ///   pick — equal tables and an equal seen-mask imply the same argmax,
-    ///   tie-break included, so adoption is exact.
-    /// - **Proposal**: speculation draws from a *cloned* RNG cursor; KDE
-    ///   resampling makes input-replay impractical, so validation recomputes
-    ///   the batch on the real RNG and the comparison feeds only the
-    ///   hit-rate accounting. Bit-identity is inherited from the
-    ///   recomputation; the wall-clock win in this mode comes from overlap
-    ///   being free, not from skipping work.
-    ///
-    /// Speculation never runs past the budget, never leaks fantasies into
-    /// checkpoints (snapshots happen at merge boundaries, after fantasies
-    /// are popped), and is skipped entirely during bootstrap and failure
-    /// recovery.
-    ///
-    /// `evaluate_batch` must be `Fn + Sync` (it is called from a scoped
-    /// thread); executors like `BatchExecutor::evaluate_batch` take `&self`
-    /// and qualify directly.
-    pub fn run_batch_pipelined<F>(
-        &mut self,
-        budget: usize,
-        batch: usize,
-        evaluate_batch: F,
-    ) -> Option<BestResult>
-    where
-        F: Fn(&[Configuration], u64) -> Vec<EvalOutcome> + Sync,
-    {
-        assert!(budget > 0, "budget must be positive");
-        assert!(batch > 0, "batch size must be positive");
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            let init = self.options.init_samples.min(budget);
-            self.bootstrap_batch(
-                &mut |cfgs: &[Configuration], base: u64| evaluate_batch(cfgs, base),
-                init,
-                batch,
-            );
-        }
-        let mut stall_guard = 0usize;
-        // Suggestions pre-computed (suggestion events included) by the
-        // previous round's validation step, waiting to be dispatched.
-        let mut pending: Option<Vec<Configuration>> = None;
-        while self.history.trials() < budget {
-            let k = batch.min(budget - self.history.trials());
-            let suggestions = match pending.take() {
-                Some(s) => s,
-                None => {
-                    // Critical-path suggestion: the first model round, and
-                    // rounds after a recovery, a stall, or a pool-exhaustion
-                    // edge — exactly the serial step sequence.
-                    if self.recorder.enabled() {
-                        self.recorder.record(&Event::IterationStart {
-                            iteration: self.history.trials() as u64,
-                            history_len: self.history.len() as u64,
-                        });
-                    }
-                    if self.history.is_empty() {
-                        // All trials failed so far: no surrogate to
-                        // speculate with; recover serially.
-                        let recovery = self.recovery_batch(k);
-                        if recovery.is_empty() {
-                            break; // space exhausted
-                        }
-                        self.evaluate_and_merge(
-                            &recovery,
-                            &mut |cfgs: &[Configuration], base: u64| evaluate_batch(cfgs, base),
-                            false,
-                        );
-                        stall_guard = 0;
-                        continue;
-                    }
-                    let ts = std::time::Instant::now();
-                    let s = self.suggest_batch(k);
-                    self.pipeline_stats.critical_path_suggest_ns += ts.elapsed().as_nanos() as u64;
-                    if s.is_empty() {
-                        if matches!(self.options.strategy, SelectionStrategy::Proposal { .. }) {
-                            // Whole batch stalled on duplicates; fresh
-                            // draws next iteration can still make progress.
-                            stall_guard += 1;
-                            if stall_guard > 100 * budget {
-                                break;
-                            }
-                            continue;
-                        }
-                        break; // Ranking: pool exhausted
-                    }
-                    s
-                }
-            };
-            // Dispatch the batch to a scoped worker thread and speculate
-            // the next batch here while it evaluates.
-            let traced = self.recorder.enabled();
-            let base = self.history.trials() as u64;
-            let kk = suggestions.len();
-            if traced && kk > 1 {
-                self.recorder.record(&Event::BatchDispatched {
-                    iteration: base,
-                    batch: kk as u64,
-                });
-            }
-            let spec_k = batch.min(budget.saturating_sub(self.history.trials() + kk));
-            let timer = SpanTimer::start(traced);
-            let mut outcomes: Option<Vec<EvalOutcome>> = None;
-            let spec = std::thread::scope(|scope| {
-                let worker = scope.spawn(|| evaluate_batch(&suggestions, base));
-                // The speculation runs concurrently with the evaluation. It
-                // must never touch the recorder, the checkpoint file, or
-                // (under Ranking) the RNG — and it pops every fantasy
-                // before returning, so the merge below sees the engine
-                // mirroring the real history.
-                //
-                // Let the worker (and the evaluation threads it spawns)
-                // reach their blocking points before burning CPU here: on
-                // saturated or single-core hosts the speculation would
-                // otherwise delay the dispatch it is meant to hide behind
-                // by a scheduler tick.
-                std::thread::yield_now();
-                let spec = if spec_k > 0 {
-                    self.speculate(&suggestions, spec_k)
-                } else {
-                    None
-                };
-                outcomes = Some(worker.join().expect("batch evaluation panicked"));
-                spec
-            });
-            let outcomes = outcomes.expect("joined above");
-            self.merge_outcomes(&suggestions, outcomes, timer.elapsed_ns(), false);
-            stall_guard = 0;
-            if self.history.trials() >= budget {
-                debug_assert!(spec.is_none(), "no speculation is planned past the budget");
-                break;
-            }
-            debug_assert!(
-                !self.history.is_empty(),
-                "dispatch requires observations, and merging only adds"
-            );
-            // Validation: replay the next round's decision inputs against
-            // the speculation, emitting its suggestion events exactly where
-            // the serial trace would.
-            let nk = batch.min(budget - self.history.trials());
-            if self.recorder.enabled() {
-                self.recorder.record(&Event::IterationStart {
-                    iteration: self.history.trials() as u64,
-                    history_len: self.history.len() as u64,
-                });
-            }
-            let tv = std::time::Instant::now();
-            let next = self.validated_suggest_batch(nk, spec);
-            self.pipeline_stats.critical_path_suggest_ns += tv.elapsed().as_nanos() as u64;
-            if next.is_empty() {
-                if matches!(self.options.strategy, SelectionStrategy::Proposal { .. }) {
-                    stall_guard += 1;
-                    if stall_guard > 100 * budget {
-                        break;
-                    }
-                    continue;
-                }
-                break; // Ranking: pool exhausted
-            }
-            pending = Some(next);
-        }
-        self.final_checkpoint();
-        self.finish_run()
-    }
-
-    /// Pre-computes the next batch while `pending` is being evaluated.
-    /// Returns `None` when speculation is not applicable this round: no
-    /// prior model-driven batch, an all-failures history, or a Ranking
-    /// tuner running the from-scratch surrogate.
-    ///
-    /// The in-flight outcomes are fantasized at the *best observed
-    /// objective* (the CL-min lie), not at the batch's own liar threshold:
-    /// the TPE decision state depends on the objective values only through
-    /// good/bad partition membership, and model-driven picks usually land
-    /// in the good partition — where the best-so-far value provably sits.
-    /// When the real outcomes do too, the replayed partition (and with it
-    /// every score table and threshold) is bit-identical to the
-    /// speculation's, so whole batches commit. A lie at the partition
-    /// *boundary* instead puts fantasies on the wrong side almost every
-    /// round, and near-zero speculation survives validation.
-    fn speculate(&mut self, pending: &[Configuration], k: usize) -> Option<Speculation> {
-        if self.history.is_empty() || self.last_liar.is_none() {
-            return None;
-        }
-        // All-failure histories have no finite objective to lie with.
-        let lie = self
-            .history
-            .objectives()
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        if !lie.is_finite() {
-            return None;
-        }
-        match self.options.strategy {
-            SelectionStrategy::Proposal { candidates } => self
-                .speculate_proposal(pending, k, candidates, lie)
-                .map(Speculation::Proposal),
-            SelectionStrategy::Ranking if self.use_incremental() => self
-                .speculate_ranking(pending, k, lie)
-                .map(Speculation::Ranking),
-            _ => None,
-        }
-    }
-
-    /// Ranking-mode speculation: pushes CL-min fantasies for the in-flight
-    /// batch, then runs the incremental constant-liar batch selection for
-    /// the next `k` picks, snapshotting per pick the score tables the
-    /// argmax saw. Every fantasy is popped before returning; no events, no
-    /// RNG.
-    fn speculate_ranking(
-        &mut self,
-        pending: &[Configuration],
-        k: usize,
-        lie: f64,
-    ) -> Option<RankingSpec> {
-        self.sync_engine();
-        self.pool();
-        let pool = self.pool.as_ref().expect("just built");
-        let engine = self.engine.as_mut().expect("just synced");
-        let mut seen = pool.seen.clone();
-        let mut fantasies = 0usize;
-        for cfg in pending {
-            engine.observe(cfg, lie);
-            fantasies += 1;
-            if let Some(i) = pool.codes.position(&self.space, cfg) {
-                seen.set(i);
-            }
-        }
-        let start_seen = seen.clone();
-        let mut spec_liar = 0.0;
-        let mut stages: Vec<RankingSpecStage> = Vec::with_capacity(k);
-        for i in 0..k {
-            if i == 0 {
-                // The liar the *next* round will use: its own pre-batch
-                // good-threshold, fantasies included.
-                spec_liar = engine.threshold();
-            } else {
-                let prev = stages.last().expect("picked last stage").pick_pos as usize;
-                let prev_cfg = pool.encoding.config(prev);
-                engine.observe(&prev_cfg, spec_liar);
-                fantasies += 1;
-            }
-            let tables = engine
-                .tables()
-                .expect("Ranking requires a fully discrete space");
-            let snapshot = tables.iter().map(|t| t.to_vec()).collect();
-            let Some(pos) = pool.best_unseen(&tables, &seen) else {
-                break; // pool exhausted mid-batch
-            };
-            seen.set(pos);
-            stages.push(RankingSpecStage {
-                pick_pos: pos as u32,
-                tables: snapshot,
-            });
-        }
-        // Evict every fantasy: between rounds the engine mirrors history.
-        for _ in 0..fantasies {
-            engine.pop_observation();
-        }
-        (!stages.is_empty()).then_some(RankingSpec {
-            k,
-            start_seen,
-            stages,
-        })
-    }
-
-    /// Proposal-mode speculation: same fantasy layout as the Ranking arm,
-    /// but the batch is drawn from a *clone* of the RNG cursor, with the
-    /// in-flight configurations pre-seeded into the duplicate check (the
-    /// real post-merge history will contain them as observations or
-    /// quarantined failures — both count as seen). No events, no stall
-    /// accounting; the real RNG is untouched.
-    fn speculate_proposal(
-        &mut self,
-        pending: &[Configuration],
-        k: usize,
-        candidates: usize,
-        lie: f64,
-    ) -> Option<ProposalSpec> {
-        self.sync_failed_cache();
-        let opts = self.surrogate_options();
-        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut batch_seen: FxHashSet<Configuration> = pending.iter().cloned().collect();
-        configs.extend(pending.iter().cloned());
-        objectives.extend(std::iter::repeat_n(lie, pending.len()));
-        let mut rng = self.rng.clone();
-        let mut spec_liar = 0.0;
-        let mut picks = Vec::with_capacity(k);
-        for i in 0..k {
-            let surrogate = TpeSurrogate::fit_with_failures_scratch(
-                &self.space,
-                &configs,
-                &objectives,
-                &self.failed_cache,
-                &opts,
-                prior,
-                &mut self.fit_scratch,
-            );
-            if i == 0 {
-                spec_liar = surrogate.threshold();
-            }
-            let pick = select_by_proposal_vectorized(
-                &surrogate,
-                &self.space,
-                &self.history,
-                Some(&batch_seen),
-                candidates,
-                PROPOSAL_REDRAW_ROUNDS,
-                &mut rng,
-                &mut self.proposal_scratch,
-            );
-            if pick.duplicate {
-                continue;
-            }
-            if i + 1 < k {
-                configs.push(pick.config.clone());
-                objectives.push(spec_liar);
-            }
-            batch_seen.insert(pick.config.clone());
-            picks.push(pick.config);
-        }
-        Some(ProposalSpec { k, picks })
-    }
-
-    /// The post-merge validation step: produces the next batch exactly as
-    /// the serial algorithm would (same picks, same events, same RNG
-    /// consumption), adopting speculative work where the replayed decision
-    /// inputs prove it identical, and records the commit/discard outcome.
-    fn validated_suggest_batch(
-        &mut self,
-        k: usize,
-        spec: Option<Speculation>,
-    ) -> Vec<Configuration> {
-        match spec {
-            None => self.suggest_batch(k),
-            Some(Speculation::Ranking(spec)) => self.suggest_batch_ranking_validated(k, spec),
-            Some(Speculation::Proposal(spec)) => {
-                let iteration = self.history.trials() as u64;
-                let picks = self.suggest_batch(k);
-                let matched = spec
-                    .picks
-                    .iter()
-                    .zip(&picks)
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                let committed = spec.k == k && spec.picks == picks;
-                self.note_speculation(iteration, k, committed, matched);
-                picks
-            }
-        }
-    }
-
-    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental) with
-    /// speculative-pick adoption. Per pick, two independent questions:
-    ///
-    /// * **Was the prediction right?** The real pick (however computed)
-    ///   equals the speculative one. The matched prefix length drives the
-    ///   commit/discard accounting; the first wrong prediction invalidates
-    ///   the rest of the batch (the seen-mask evolutions diverge).
-    /// * **Can the sweep be skipped?** Only when the replayed score tables
-    ///   are bitwise identical to what the speculation saw (and the prefix
-    ///   is still intact, so the seen-masks agree): the pre-computed argmax
-    ///   then *is* the serial argmax — same tie-break — with no sweep.
-    ///
-    /// Real merged outcomes usually perturb the good/bad partition counts
-    /// slightly, so at large histories tables rarely replay bit-identical
-    /// even when the resulting argmax is unchanged — hence the split.
-    /// Emits exactly the serial event sequence.
-    fn suggest_batch_ranking_validated(
-        &mut self,
-        k: usize,
-        spec: RankingSpec,
-    ) -> Vec<Configuration> {
-        let traced = self.recorder.enabled();
-        let base_iteration = self.history.trials() as u64;
-        let span = SpanTimer::start(self.metrics.is_some());
-        self.pool();
-        let seen0 = self.pool.as_ref().expect("just built").seen.clone();
-        // The speculative seen-mask tracks the real one only while every
-        // prediction so far was right (same start, same picks).
-        let mut prefix = spec.k == k && spec.start_seen == seen0;
-        let mut seen = seen0;
-        #[cfg(debug_assertions)]
-        let mut dbg_configs: Vec<Configuration> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut dbg_objectives: Vec<f64> = Vec::new();
-        let mut fantasies = 0usize;
-        let mut liar = 0.0;
-        let mut matched = 0usize;
-        let mut picks: Vec<Configuration> = Vec::with_capacity(k);
-        for i in 0..k {
-            let fit_timer = SpanTimer::start(traced);
-            if i == 0 {
-                self.sync_engine();
-                liar = self.engine.as_ref().expect("just synced").threshold();
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs = self.history.configs().to_vec();
-                    dbg_objectives = self.history.objectives().to_vec();
-                }
-            } else {
-                let prev = picks.last().expect("picked last iteration").clone();
-                let engine = self.engine.as_mut().expect("synced on first pick");
-                engine.observe(&prev, liar);
-                fantasies += 1;
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs.push(prev);
-                    dbg_objectives.push(liar);
-                    self.assert_engine_parity(&dbg_configs, &dbg_objectives);
-                }
-            }
-            let engine = self.engine.as_ref().expect("synced on first pick");
-            if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-                self.recorder.record(&Event::SurrogateFit {
-                    iteration: base_iteration + i as u64,
-                    n_good: engine.n_good() as u64,
-                    n_bad: engine.n_bad() as u64,
-                    threshold: engine.threshold(),
-                    elapsed_ns,
-                });
-            }
-            let select_timer = SpanTimer::start(traced);
-            let pool = self.pool.as_ref().expect("just built");
-            let engine = self.engine.as_ref().expect("synced on first pick");
-            let tables = engine
-                .tables()
-                .expect("Ranking requires a fully discrete space");
-            let stage = if prefix { spec.stages.get(i) } else { None };
-            let pos = match stage {
-                Some(st) if tables_match(&tables, &st.tables) => {
-                    self.pipeline_stats.sweeps_skipped += 1;
-                    st.pick_pos as usize
-                }
-                _ => {
-                    let Some(pos) = pool.best_unseen(&tables, &seen) else {
-                        break; // pool exhausted mid-batch
-                    };
-                    pos
-                }
-            };
-            match stage {
-                Some(st) if st.pick_pos as usize == pos => matched += 1,
-                _ => prefix = false,
-            }
-            debug_assert!(!seen.get(pos), "adopted a speculative pick already seen");
-            let cfg = pool.encoding.config(pos);
-            if let Some(elapsed_ns) = select_timer.elapsed_ns() {
-                self.recorder.record(&Event::SelectionScored {
-                    iteration: base_iteration + i as u64,
-                    candidates: pool.len() as u64,
-                    best_ei: engine.score(&cfg),
-                    elapsed_ns,
-                });
-            }
-            seen.set(pos);
-            picks.push(cfg);
-        }
-        // Evict the fantasies: the engine must mirror the real history
-        // before outcomes are merged back.
-        let engine = self.engine.as_mut().expect("synced on first pick");
-        for _ in 0..fantasies {
-            engine.pop_observation();
-        }
-        #[cfg(debug_assertions)]
-        {
-            dbg_configs.truncate(self.history.len());
-            dbg_objectives.truncate(self.history.len());
-            self.assert_engine_parity(&dbg_configs, &dbg_objectives);
-        }
-        self.publish_churn(span.elapsed_ns());
-        if k > 0 {
-            self.last_liar = Some(liar);
-        }
-        let committed = prefix && matched == k && picks.len() == k;
-        self.note_speculation(base_iteration, k, committed, matched);
-        picks
-    }
-
-    /// Folds one speculation outcome into the stats and, when traced,
-    /// emits the corresponding bookkeeping event. These events carry no
-    /// decision state: bit-identity comparisons against unpipelined traces
-    /// filter them out.
-    fn note_speculation(&mut self, iteration: u64, batch: usize, committed: bool, matched: usize) {
-        self.pipeline_stats.attempted += 1;
-        if committed {
-            self.pipeline_stats.committed += 1;
-        } else {
-            self.pipeline_stats.discarded += 1;
-        }
-        self.pipeline_stats.picks_adopted += matched as u64;
-        if self.recorder.enabled() {
-            let event = if committed {
-                Event::SpeculationCommitted {
-                    iteration,
-                    batch: batch as u64,
-                }
-            } else {
-                Event::SpeculationDiscarded {
-                    iteration,
-                    batch: batch as u64,
-                    matched: matched as u64,
-                }
-            };
-            self.recorder.record(&event);
-        }
-    }
-
     /// Runs the bootstrap phase in chunks of `k` through the batch
     /// evaluator. Sample selection is identical to the serial
     /// [`bootstrap`](Self::bootstrap) (same RNG draws); only the
@@ -2303,11 +1652,11 @@ impl Tuner {
         }
         let n = self.bootstrap_count(init_samples);
         // Mirror the serial bootstrap's resume support: redraw from the
-        // pre-draw RNG position and skip the already-evaluated prefix.
-        // Skipping whole chunks keeps the batch boundaries — and therefore
-        // the constant-liar layout of every later batch — aligned with the
-        // uninterrupted run (checkpoints are only taken at merge points,
-        // so the evaluated prefix is always chunk-aligned).
+        // pre-draw RNG position and skip the already-evaluated prefix. The
+        // prefix need not be a whole number of chunks: a serial run or one
+        // at another batch size may have written it, and neither the
+        // samples nor the first model-driven batch depend on how the
+        // bootstrap was chunked.
         let done = self.history.trials();
         let k = k.max(1);
         self.boot_word_pos = Some(self.rng.word_pos());
@@ -2316,10 +1665,6 @@ impl Tuner {
             InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
         };
         let start = done.min(samples.len());
-        assert!(
-            start % k == 0 || start == samples.len(),
-            "mid-bootstrap resume requires the batch size of the interrupted run"
-        );
         // As in the serial bootstrap, a corrupt snapshot's redraw may repeat
         // its evaluated prefix; those samples are not evaluated again.
         let pending: Vec<Configuration> = samples
@@ -2361,10 +1706,11 @@ impl Tuner {
         out
     }
 
-    /// Evaluates `suggestions` through one `evaluate_batch` call and
-    /// merges the outcomes back in suggestion order. `BatchDispatched` /
-    /// `BatchMerged` events frame batches of more than one configuration
-    /// (single-config batches keep the serial trace shape).
+    /// Evaluates `suggestions` through one `evaluate_batch` call, merges
+    /// the outcomes back into the history in suggestion order and takes
+    /// the merge-boundary checkpoint. `BatchDispatched` / `BatchMerged`
+    /// events frame batches of more than one configuration (single-config
+    /// batches keep the serial trace shape).
     fn evaluate_and_merge(
         &mut self,
         suggestions: &[Configuration],
@@ -2382,22 +1728,7 @@ impl Tuner {
         }
         let timer = SpanTimer::start(traced);
         let outcomes = evaluate_batch(suggestions, base);
-        self.merge_outcomes(suggestions, outcomes, timer.elapsed_ns(), bootstrap);
-    }
-
-    /// Merges batch outcomes back into the history in suggestion order and
-    /// takes the merge-boundary checkpoint. Shared by the serial batch path
-    /// (which evaluates inline) and the pipelined driver (which evaluates
-    /// on a scoped thread while speculating).
-    fn merge_outcomes(
-        &mut self,
-        suggestions: &[Configuration],
-        outcomes: Vec<EvalOutcome>,
-        elapsed: Option<u64>,
-        bootstrap: bool,
-    ) {
-        let base = self.history.trials() as u64;
-        let k = suggestions.len();
+        let elapsed = timer.elapsed_ns();
         assert_eq!(
             outcomes.len(),
             k,
@@ -3100,210 +2431,5 @@ mod tests {
             }
         }
         assert!(wins >= 7, "prior helped only {wins}/10 runs");
-    }
-
-    /// A bigger discrete space (three 12-level params) so pipelined batch
-    /// runs have room for several model-driven rounds.
-    fn big_space() -> ParameterSpace {
-        let vals: Vec<i64> = (0..12).collect();
-        ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("y", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("z", Domain::discrete_ints(&vals)))
-            .build()
-            .unwrap()
-    }
-
-    fn big_objective(cfg: &Configuration) -> f64 {
-        let x = cfg.value(0).index() as f64;
-        let y = cfg.value(1).index() as f64;
-        let z = cfg.value(2).index() as f64;
-        (x - 7.0).powi(2) + (y - 3.0).powi(2) + (z - 9.0).powi(2) + 1.0
-    }
-
-    fn history_fingerprint(t: &Tuner) -> (Vec<String>, Vec<u64>, Vec<String>, usize) {
-        (
-            t.history()
-                .configs()
-                .iter()
-                .map(|c| format!("{c:?}"))
-                .collect(),
-            t.history()
-                .objectives()
-                .iter()
-                .map(|o| o.to_bits())
-                .collect(),
-            t.history()
-                .failures()
-                .iter()
-                .map(|f| format!("{:?}:{}", f.config, f.reason))
-                .collect(),
-            t.history().trials(),
-        )
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_to_serial_batch_ranking() {
-        for batch in [1usize, 3, 4] {
-            let opts = TunerOptions::default().with_seed(11).with_init_samples(8);
-            let mut serial = Tuner::new(big_space(), opts.clone());
-            serial.run_batch_fallible(48, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(big_objective(c)))
-                    .collect()
-            });
-            let mut piped = Tuner::new(big_space(), opts);
-            piped.run_batch_pipelined(48, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(big_objective(c)))
-                    .collect()
-            });
-            assert_eq!(
-                history_fingerprint(&serial),
-                history_fingerprint(&piped),
-                "pipelined != serial at batch {batch}"
-            );
-            if batch > 1 {
-                let stats = piped.pipeline_stats();
-                assert!(stats.attempted > 0, "no speculation attempted");
-            }
-        }
-    }
-
-    /// In the exploitation regime — a warm history whose model-driven
-    /// picks land in the good partition — the CL-min fantasies match the
-    /// real partition exactly, so speculation must commit whole batches
-    /// and adopt picks without re-running the pool sweep.
-    #[test]
-    fn speculation_commits_in_exploitation_regime() {
-        let s = big_space();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBEEF);
-        let mut history = ObservationHistory::new();
-        for cfg in hiperbot_space::sampling::sample_distinct(&s, 400, &mut rng) {
-            let y = big_objective(&cfg);
-            history.push(cfg, y);
-        }
-        let budget = history.trials() + 32;
-        let opts = TunerOptions::default().with_seed(7);
-        let mut serial = Tuner::resume(big_space(), opts.clone(), history.clone());
-        serial.run_batch_fallible(budget, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        let mut piped = Tuner::resume(big_space(), opts, history);
-        piped.run_batch_pipelined(budget, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        assert_eq!(
-            history_fingerprint(&serial),
-            history_fingerprint(&piped),
-            "pipelined != serial"
-        );
-        let stats = piped.pipeline_stats();
-        assert!(stats.attempted > 0, "no speculation attempted");
-        assert!(
-            stats.committed > 0,
-            "CL-min speculation never committed: {stats:?}"
-        );
-        assert!(
-            stats.sweeps_skipped > 0,
-            "no pick adopted off the critical path: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_to_serial_batch_proposal() {
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::continuous(0.0, 5.0)))
-            .param(ParamDef::new("y", Domain::continuous(-2.0, 2.0)))
-            .build()
-            .unwrap();
-        let objective = |c: &Configuration| {
-            let x = c.value(0).as_f64();
-            let y = c.value(1).as_f64();
-            (x - 3.2).powi(2) + (y - 0.5).powi(2) + 0.5
-        };
-        for batch in [1usize, 4] {
-            let opts = TunerOptions::default()
-                .with_seed(13)
-                .with_init_samples(8)
-                .with_strategy(SelectionStrategy::Proposal { candidates: 24 });
-            let mut serial = Tuner::new(s.clone(), opts.clone());
-            serial.run_batch_fallible(40, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(objective(c)))
-                    .collect()
-            });
-            let mut piped = Tuner::new(s.clone(), opts);
-            piped.run_batch_pipelined(40, batch, |cfgs, _| {
-                cfgs.iter()
-                    .map(|c| EvalOutcome::from_value(objective(c)))
-                    .collect()
-            });
-            assert_eq!(
-                history_fingerprint(&serial),
-                history_fingerprint(&piped),
-                "pipelined != serial at batch {batch}"
-            );
-            if batch > 1 {
-                assert!(
-                    piped.pipeline_stats().attempted > 0,
-                    "no speculation attempted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_run_is_bit_identical_under_failures() {
-        // Every 5th trial fails: speculation rounds straddle quarantined
-        // failures and must still replay (or discard) exactly.
-        let eval = |cfgs: &[Configuration], base: u64| {
-            cfgs.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if (base + i as u64) % 5 == 4 {
-                        EvalOutcome::Failed {
-                            reason: "transient".into(),
-                        }
-                    } else {
-                        EvalOutcome::from_value(big_objective(c))
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let opts = TunerOptions::default().with_seed(17).with_init_samples(8);
-        let mut serial = Tuner::new(big_space(), opts.clone());
-        serial.run_batch_fallible(48, 4, eval);
-        let mut piped = Tuner::new(big_space(), opts);
-        piped.run_batch_pipelined(48, 4, eval);
-        assert_eq!(history_fingerprint(&serial), history_fingerprint(&piped));
-    }
-
-    #[test]
-    fn pipelined_run_matches_under_full_refit_mode() {
-        // Full surrogate mode has no incremental engine: speculation is
-        // skipped but the pipelined driver must still be bit-identical.
-        let opts = TunerOptions::default()
-            .with_seed(19)
-            .with_init_samples(8)
-            .with_surrogate_mode(SurrogateMode::Full);
-        let mut serial = Tuner::new(big_space(), opts.clone());
-        serial.run_batch_fallible(32, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        let mut piped = Tuner::new(big_space(), opts);
-        piped.run_batch_pipelined(32, 4, |cfgs, _| {
-            cfgs.iter()
-                .map(|c| EvalOutcome::from_value(big_objective(c)))
-                .collect()
-        });
-        assert_eq!(history_fingerprint(&serial), history_fingerprint(&piped));
-        assert_eq!(piped.pipeline_stats().attempted, 0);
     }
 }

@@ -788,3 +788,123 @@ fn hostile_trace_configurations_are_typed_errors() {
         }
     }
 }
+
+/// Proposal-space fault injection keyed on the configuration alone.
+fn proposal_faulty(cfg: &Configuration) -> EvalOutcome {
+    if cfg.value(1).index() == 1 {
+        EvalOutcome::Failed {
+            reason: "injected".into(),
+        }
+    } else {
+        proposal_ok(cfg)
+    }
+}
+
+/// Kills a batch run after exactly `k` evaluations and returns the
+/// snapshot its per-trial cadence left at the last merge.
+fn kill_batch_at(
+    space: ParameterSpace,
+    opts: TunerOptions,
+    budget: usize,
+    batch: usize,
+    eval: fn(&Configuration) -> EvalOutcome,
+    k: usize,
+    tag: &str,
+) -> TunerCheckpoint {
+    let path = temp_path(&format!("{tag}-b{batch}-k{k}.json"));
+    let calls = AtomicUsize::new(0);
+    let mut killed = Tuner::new(space, opts).with_checkpointing(CheckpointPolicy::new(&path, 1));
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        killed.run_batch_fallible(budget, batch, |cfgs, _base| {
+            cfgs.iter()
+                .map(|c| {
+                    if calls.fetch_add(1, Ordering::SeqCst) >= k {
+                        panic!("simulated crash at trial {k}");
+                    }
+                    eval(c)
+                })
+                .collect()
+        })
+    }));
+    assert!(crashed.is_err(), "run should have crashed at trial {k}");
+    TunerCheckpoint::load(&path).unwrap()
+}
+
+/// A run killed mid-bootstrap resumes at any batch size: in batches after
+/// a serial run, and serially or at another batch size after a batch run.
+/// The bootstrap samples do not depend on how they are chunked, so the
+/// resumed history and final snapshot equal those of an uninterrupted run
+/// at the new batch size.
+#[test]
+fn mid_bootstrap_resume_accepts_a_different_batch_size() {
+    let budget = 16;
+    let init = 8;
+    let ranking = TunerOptions::default()
+        .with_seed(17)
+        .with_init_samples(init);
+    let proposal = ranking
+        .clone()
+        .with_strategy(hiperbot_core::SelectionStrategy::Proposal { candidates: 16 });
+    let ranking_eval: fn(&Configuration) -> EvalOutcome = faulty;
+    let cases = [
+        ("xbatch-ranking", space(), ranking, ranking_eval),
+        (
+            "xbatch-proposal",
+            proposal_space(),
+            proposal,
+            proposal_faulty,
+        ),
+    ];
+    let resume_batches = [1usize, 2, 3, 5];
+    for (tag, space, opts, eval) in cases {
+        let run_to_end = |tuner: Tuner, path: &PathBuf, batch: usize| {
+            let mut tuner = tuner.with_checkpointing(CheckpointPolicy::new(path, 1));
+            tuner
+                .run_batch_fallible(budget, batch, |cfgs, _base| cfgs.iter().map(eval).collect())
+                .unwrap();
+            let history = serde_json::to_string(tuner.history()).unwrap();
+            (history, std::fs::read(path).unwrap())
+        };
+        let references: Vec<(String, Vec<u8>)> = resume_batches
+            .iter()
+            .map(|&batch| {
+                let path = temp_path(&format!("{tag}-ref-b{batch}.json"));
+                run_to_end(Tuner::new(space.clone(), opts.clone()), &path, batch)
+            })
+            .collect();
+
+        // Serial kills at every bootstrap trial, plus a batch-4 kill whose
+        // snapshot holds the first merged chunk.
+        let mut snapshots: Vec<(String, TunerCheckpoint)> = (1..init)
+            .map(|k| {
+                let snap = kill_serial_at(space.clone(), opts.clone(), budget, eval, k, tag);
+                (format!("serial kill at {k}"), snap)
+            })
+            .collect();
+        let snap = kill_batch_at(space.clone(), opts.clone(), budget, 4, eval, 6, tag);
+        assert_eq!(snap.history.configs.len() + snap.history.failures.len(), 4);
+        snapshots.push(("batch-4 kill at 6".into(), snap));
+
+        for (from, snap) in &snapshots {
+            assert!(
+                !snap.bootstrapped,
+                "{tag} {from}: snapshot is mid-bootstrap"
+            );
+            for (&batch, reference) in resume_batches.iter().zip(&references) {
+                let path = temp_path(&format!("{tag}-resumed-b{batch}.json"));
+                let resumed =
+                    Tuner::resume_from_checkpoint(space.clone(), opts.clone(), snap).unwrap();
+                let (history, bytes) = run_to_end(resumed, &path, batch);
+                assert_eq!(
+                    history, reference.0,
+                    "{tag} {from}: history diverged when resumed at batch {batch}"
+                );
+                assert_eq!(
+                    bytes, reference.1,
+                    "{tag} {from}: final snapshot diverged when resumed at batch {batch}"
+                );
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+}

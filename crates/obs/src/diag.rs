@@ -138,34 +138,6 @@ pub struct SurrogateStats {
     pub fit_time_trend: Option<f64>,
 }
 
-/// Pipelined-mode speculation accounting: how often batches pre-computed
-/// during the previous batch's evaluation survived validation. All zero
-/// on unpipelined runs (the events never fire there).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpeculationStats {
-    /// Speculative batches validated and adopted wholesale.
-    pub committed: u64,
-    /// Speculative batches that diverged and were (partially) recomputed.
-    pub discarded: u64,
-    /// Individual picks adopted from speculation, partial commits
-    /// included.
-    pub picks_adopted: u64,
-}
-
-impl SpeculationStats {
-    /// Speculative batches that reached validation.
-    pub fn attempted(&self) -> u64 {
-        self.committed + self.discarded
-    }
-
-    /// Fraction of validated speculative batches committed wholesale
-    /// (`None` before any speculation ran).
-    pub fn hit_rate(&self) -> Option<f64> {
-        let attempted = self.attempted();
-        (attempted > 0).then(|| self.committed as f64 / attempted as f64)
-    }
-}
-
 /// Everything the diagnostics layer knows about a run. Derives only from
 /// event fields, so an offline replay of the trace reproduces it exactly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -180,10 +152,6 @@ pub struct DiagnosticsSummary {
     pub stalls: u64,
     /// Constant-liar batches dispatched.
     pub batches: u64,
-    /// Pipelined speculation accounting (absent on traces written before
-    /// the pipeline existed; all-zero on unpipelined runs).
-    #[serde(default)]
-    pub speculation: SpeculationStats,
     /// Watchdog findings, in firing order (at most one per code).
     pub alerts: Vec<HealthAlert>,
 }
@@ -256,16 +224,6 @@ impl DiagnosticsSummary {
             out.push_str(&format!(
                 "faults: {} failures, {} retries; stalls {}; batches {}\n",
                 c.failures, c.retries, self.stalls, self.batches
-            ));
-        }
-        let sp = &self.speculation;
-        if sp.attempted() > 0 {
-            out.push_str(&format!(
-                "speculation: {}/{} batches committed ({:.1}% hit rate, {} picks adopted)\n",
-                sp.committed,
-                sp.attempted(),
-                100.0 * sp.hit_rate().unwrap_or(0.0),
-                sp.picks_adopted
             ));
         }
         if self.alerts.is_empty() {
@@ -423,18 +381,6 @@ impl DiagState {
             Event::BatchDispatched { iteration, .. } => {
                 self.last_iteration = *iteration;
                 s.batches += 1;
-            }
-            Event::SpeculationCommitted { iteration, batch } => {
-                self.last_iteration = *iteration;
-                s.speculation.committed += 1;
-                s.speculation.picks_adopted += *batch;
-            }
-            Event::SpeculationDiscarded {
-                iteration, matched, ..
-            } => {
-                self.last_iteration = *iteration;
-                s.speculation.discarded += 1;
-                s.speculation.picks_adopted += *matched;
             }
             _ => {}
         }

@@ -274,33 +274,6 @@ pub enum Event {
         /// Quarantined failures captured.
         failures: u64,
     },
-    /// A speculative batch — suggestions pre-computed on constant-liar
-    /// fantasies while the previous batch was still evaluating — survived
-    /// validation against the real merged outcomes and was adopted
-    /// wholesale. Pure pipeline bookkeeping: committed picks are
-    /// bit-identical to what the serial algorithm would have chosen, so
-    /// consumers comparing pipelined and unpipelined traces filter this
-    /// variant (and its `Discarded` sibling) out, exactly as they scrub
-    /// wall-clock fields.
-    SpeculationCommitted {
-        /// Trial index of the round the speculative batch serves.
-        iteration: u64,
-        /// Number of speculative picks adopted (the whole batch).
-        batch: u64,
-    },
-    /// A speculative batch diverged from the real decision inputs at
-    /// validation time and was (at least partially) recomputed on the
-    /// serial path. The run stays bit-identical to an unpipelined one —
-    /// a discard only costs the wasted speculative work.
-    SpeculationDiscarded {
-        /// Trial index of the round the speculative batch served.
-        iteration: u64,
-        /// Number of picks the speculation had pre-computed.
-        batch: u64,
-        /// Leading picks whose decision inputs still matched and were
-        /// adopted before the divergence (the rest were recomputed).
-        matched: u64,
-    },
     /// A run was restored from persisted state instead of starting fresh.
     /// Emitted once, right after the [`RunHeader`] of the resumed run.
     RunResumed {
@@ -509,16 +482,6 @@ impl Event {
             } => format!(
                 "checkpoint written at trial {trials} ({observations} observations, {failures} failures)"
             ),
-            Event::SpeculationCommitted { iteration, batch } => {
-                format!("iter {iteration} speculative batch of {batch} committed")
-            }
-            Event::SpeculationDiscarded {
-                iteration,
-                batch,
-                matched,
-            } => format!(
-                "iter {iteration} speculative batch of {batch} discarded ({matched} picks matched)"
-            ),
             Event::RunResumed {
                 trials,
                 observations,
@@ -697,15 +660,6 @@ mod tests {
                 trials: 25,
                 observations: 22,
                 failures: 3,
-            },
-            Event::SpeculationCommitted {
-                iteration: 28,
-                batch: 4,
-            },
-            Event::SpeculationDiscarded {
-                iteration: 32,
-                batch: 4,
-                matched: 2,
             },
             Event::RunResumed {
                 trials: 25,

@@ -46,7 +46,7 @@ pub mod replay;
 
 pub use diag::{
     diagnose_events, ConvergenceStats, DiagnosticsRecorder, DiagnosticsSummary, SelectionStats,
-    SpeculationStats, SurrogateStats, WatchdogConfig,
+    SurrogateStats, WatchdogConfig,
 };
 pub use event::{space_fingerprint, Event, HealthAlert, Level, RunHeader};
 pub use export::{validate_prometheus, PromStats};

@@ -385,12 +385,6 @@ impl Recorder for MetricsRecorder {
             }
             Event::TrialRetried { .. } => self.registry.incr("tuner.retries"),
             Event::BatchDispatched { .. } => self.registry.incr("tuner.batches"),
-            Event::SpeculationCommitted { .. } => {
-                self.registry.incr("tuner.speculation.committed");
-            }
-            Event::SpeculationDiscarded { .. } => {
-                self.registry.incr("tuner.speculation.discarded");
-            }
             Event::ProposalStalled { stalls, .. } => self.registry.add("tuner.stalls", *stalls),
             Event::HealthAlert(_) => self.registry.incr("health.alerts"),
             Event::PropagationRound { .. } => self.registry.incr("geist.rounds"),

@@ -207,11 +207,6 @@ pub struct CliOptions {
     pub checkpoint_every: usize,
     /// Snapshot (or JSONL trace) to resume an interrupted run from.
     pub resume_from: Option<String>,
-    /// Speculative suggest-ahead pipelining: overlap surrogate
-    /// fitting/selection of batch k+1 with the in-flight evaluation of
-    /// batch k. Bit-identical results either way; `off` is the reference
-    /// path.
-    pub pipeline: bool,
     /// Pin the global rayon pool to this many threads (`None` = ambient
     /// core count). Makes vectorized-sweep timings reproducible across
     /// machines and CI runners.
@@ -246,7 +241,6 @@ impl Default for CliOptions {
             checkpoint_out: None,
             checkpoint_every: 10,
             resume_from: None,
-            pipeline: false,
             threads: None,
         }
     }
@@ -256,8 +250,7 @@ impl Default for CliOptions {
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let usage = "usage: hiperbot --space <spec.json> --command <template> \
                  [--budget N=50] [--seed N=0] [--init N=20] [--measure stdout|time] \
-                 [--max-retries N=0] [--workers N=1] [--batch K=1] \
-                 [--pipeline on|off=off] [--threads N] \
+                 [--max-retries N=0] [--workers N=1] [--batch K=1] [--threads N] \
                  [--surrogate incremental|full=incremental] \
                  [--trace-out <trace.jsonl>] [--log-level off|info|debug] [--metrics-summary] \
                  [--metrics-out <file.prom>] [--diag] [--strict-health] \
@@ -285,7 +278,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut profile_out = None;
     let mut workers = 1usize;
     let mut batch = 1usize;
-    let mut pipeline = false;
     let mut threads = None;
     let mut surrogate = SurrogateMode::Incremental;
     let mut checkpoint_out = None;
@@ -350,17 +342,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 batch = take("--batch")?
                     .parse()
                     .map_err(|_| format!("--batch must be a positive integer\n{usage}"))?
-            }
-            "--pipeline" => {
-                pipeline = match take("--pipeline")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(format!(
-                            "--pipeline must be on or off, got '{other}'\n{usage}"
-                        ))
-                    }
-                }
             }
             "--threads" => {
                 let n: usize = take("--threads")?
@@ -455,7 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         checkpoint_out,
         checkpoint_every,
         resume_from,
-        pipeline,
         threads,
     })
 }
@@ -677,10 +657,7 @@ fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAl
 
     // Continuous spaces batch through the vectorized Proposal engine;
     // discrete spaces through Ranking — both with constant-liar fantasies.
-    // `--pipeline on` always takes the batch path: the pipelined driver
-    // needs a batch evaluator to overlap with, and batch=1 stays
-    // bit-identical to the serial algorithm.
-    let parallel = options.workers > 1 || options.batch > 1 || options.pipeline;
+    let parallel = options.workers > 1 || options.batch > 1;
     let strategy = if spec.has_continuous() {
         SelectionStrategy::Proposal { candidates: 32 }
     } else {
@@ -734,15 +711,9 @@ fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAl
         if options.metrics_summary {
             exec = exec.with_registry(obs.registry.clone());
         }
-        if options.pipeline {
-            tuner.run_batch_pipelined(options.budget, options.batch, |cfgs, base| {
-                exec.evaluate_batch(cfgs, base)
-            })
-        } else {
-            tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
-                exec.evaluate_batch(cfgs, base)
-            })
-        }
+        tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
+            exec.evaluate_batch(cfgs, base)
+        })
     } else {
         let mut retrying =
             RetryingObjective::new(|cfg: &Configuration, _attempt: u32| evaluate(cfg), policy)
@@ -811,7 +782,7 @@ fn run_app_mode(
         .with_seed(options.seed);
     // Simulated evaluations: backoffs are recorded, not slept (the
     // default NoopSleeper, in both the serial and parallel paths).
-    let best = if options.workers > 1 || options.batch > 1 || options.pipeline {
+    let best = if options.workers > 1 || options.batch > 1 {
         let mut exec = BatchExecutor::new(
             |cfg: &Configuration, _trial: u64, attempt: u32| {
                 outcome_from_sim(dataset.evaluate_outcome(cfg, &model, attempt))
@@ -825,15 +796,9 @@ fn run_app_mode(
         if options.metrics_summary {
             exec = exec.with_registry(obs.registry.clone());
         }
-        if options.pipeline {
-            tuner.run_batch_pipelined(options.budget, options.batch, |cfgs, base| {
-                exec.evaluate_batch(cfgs, base)
-            })
-        } else {
-            tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
-                exec.evaluate_batch(cfgs, base)
-            })
-        }
+        tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
+            exec.evaluate_batch(cfgs, base)
+        })
     } else {
         let mut retrying = RetryingObjective::new(
             |cfg: &Configuration, attempt: u32| {
@@ -1156,60 +1121,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_threads_flags_parse_and_validate() {
-        let o = parse_args(&to_args(&[
-            "--app",
-            "kripke",
-            "--pipeline",
-            "on",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert!(o.pipeline);
+    fn threads_flag_parses_and_validates() {
+        let o = parse_args(&to_args(&["--app", "kripke", "--threads", "4"])).unwrap();
         assert_eq!(o.threads, Some(4));
-        let o = parse_args(&to_args(&["--app", "kripke", "--pipeline", "off"])).unwrap();
-        assert!(!o.pipeline);
-        // defaults: pipeline off, ambient threads
+        // default: ambient threads
         let o = parse_args(&to_args(&["--app", "kripke"])).unwrap();
-        assert!(!o.pipeline && o.threads.is_none());
-        assert!(parse_args(&to_args(&["--app", "kripke", "--pipeline", "yes"])).is_err());
+        assert!(o.threads.is_none());
         assert!(parse_args(&to_args(&["--app", "kripke", "--threads", "0"])).is_err());
         assert!(parse_args(&to_args(&["--app", "kripke", "--threads", "many"])).is_err());
-    }
-
-    #[test]
-    fn pipelined_app_run_matches_unpipelined() {
-        // The tentpole contract at the CLI layer: --pipeline on changes
-        // wall-clock, never results — across worker counts, with and
-        // without fault injection.
-        let run = |pipeline: bool, workers: usize, fail_prob: f64| {
-            crate::cli::run(&CliOptions {
-                app: Some("kripke".into()),
-                budget: 40,
-                seed: 11,
-                init_samples: 16,
-                batch: 4,
-                workers,
-                fail_prob,
-                max_retries: if fail_prob > 0.0 { 1 } else { 0 },
-                pipeline,
-                ..CliOptions::default()
-            })
-            .unwrap()
-        };
-        for workers in [1usize, 4] {
-            assert_eq!(
-                run(true, workers, 0.0),
-                run(false, workers, 0.0),
-                "pipelined != unpipelined at {workers} workers"
-            );
-            assert_eq!(
-                run(true, workers, 0.3),
-                run(false, workers, 0.3),
-                "pipelined != unpipelined under faults at {workers} workers"
-            );
-        }
     }
 
     #[test]
