@@ -8,12 +8,13 @@
 //! on the history prefix (the tables the tuner saw), marks the prefix
 //! seen, and times both paths on those tables. Both must return the
 //! tuner's own next pick. It reports p50 and p90 ns per pick for each path,
-//! the index build time and the pool size. Run with
+//! the index build time, the index's suffix shapes per level and the pool
+//! size. Run with
 //! `HIPERBOT_THREADS=1 cargo run --release -p hiperbot-bench --bin bench_selection`.
 
 use hiperbot_apps::{hypre, kripke, lulesh, openatom, Dataset, Scale};
 use hiperbot_bench::{host_meta, pin_threads, write_bench_json, HostMeta};
-use hiperbot_core::selection::{rank_encoded, rank_indexed, RunIndex};
+use hiperbot_core::selection::{rank_encoded, rank_indexed, RunIndex, SearchScratch};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::{Tuner, TunerOptions};
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
@@ -23,6 +24,9 @@ const SEED: u64 = 1;
 const BUDGET: usize = 300;
 /// Timed calls per pick and path; a pick's time is their mean.
 const REPS: usize = 5;
+/// Timed batches of `REPS` index builds; the build time is the fastest
+/// batch's mean, which a busy host disturbs least.
+const BUILD_BATCHES: usize = 40;
 
 #[derive(Debug, serde::Serialize)]
 struct PoolResult {
@@ -30,6 +34,11 @@ struct PoolResult {
     pool_size: usize,
     picks: usize,
     index_build_ns: u64,
+    /// Distinct suffix shapes of the runs sharing their first k values,
+    /// for k = 1, 2, …
+    shapes_per_level: Vec<usize>,
+    /// How many of those shapes are free (full products).
+    free_shapes_per_level: Vec<usize>,
     sweep_ns_p50: u64,
     sweep_ns_p90: u64,
     index_ns_p50: u64,
@@ -71,11 +80,13 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
 
     let pool = dataset.to_configs();
     let encoding = PoolEncoding::encode(&pool).expect("discrete pool");
-    let index_build_ns = (0..REPS)
+    let index_build_ns = (0..BUILD_BATCHES)
         .map(|_| time_ns(|| drop(std::hint::black_box(RunIndex::build(&encoding)))))
         .min()
-        .expect("REPS > 0");
+        .expect("BUILD_BATCHES > 0");
     let runs = RunIndex::build(&encoding);
+    let (shapes_per_level, free_shapes_per_level) = runs.shape_counts().into_iter().unzip();
+    let mut scratch = SearchScratch::default();
     let surrogate_options = SurrogateOptions {
         alpha: options.alpha,
         pseudo_count: options.pseudo_count,
@@ -96,7 +107,7 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
             let table = surrogate.score_table();
             let tables = table.discrete_tables().expect("discrete space");
             let swept = rank_encoded(&tables, &encoding, &seen);
-            let searched = rank_indexed(&tables, &encoding, &runs, &seen);
+            let searched = rank_indexed(&tables, &encoding, &runs, &seen, &mut scratch);
             assert_eq!(swept, searched, "{name}: paths disagree at pick {h}");
             assert_eq!(
                 swept.map(|i| &pool[i]),
@@ -107,7 +118,7 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
                 std::hint::black_box(rank_encoded(&tables, &encoding, &seen));
             }));
             index.push(time_ns(|| {
-                std::hint::black_box(rank_indexed(&tables, &encoding, &runs, &seen));
+                std::hint::black_box(rank_indexed(&tables, &encoding, &runs, &seen, &mut scratch));
             }));
         }
         seen.set(dataset.position(cfg).expect("history holds pool members"));
@@ -119,6 +130,8 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
         pool_size: pool.len(),
         picks: sweep.len(),
         index_build_ns,
+        shapes_per_level,
+        free_shapes_per_level,
         sweep_ns_p50,
         sweep_ns_p90: quantile(&mut sweep, 0.9),
         index_ns_p50,
@@ -126,9 +139,9 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
         speedup_p50: sweep_ns_p50 as f64 / index_ns_p50 as f64,
     };
     println!(
-        "{:>15} | pool {:>6} | sweep p50 {:>8} p90 {:>8} ns | index p50 {:>7} p90 {:>7} ns | {:>6.1}x | build {:>8} ns",
+        "{:>15} | pool {:>6} | sweep p50 {:>8} p90 {:>8} ns | index p50 {:>7} p90 {:>7} ns | {:>6.1}x | build {:>8} ns | shapes {:?} free {:?}",
         r.dataset, r.pool_size, r.sweep_ns_p50, r.sweep_ns_p90, r.index_ns_p50, r.index_ns_p90,
-        r.speedup_p50, r.index_build_ns
+        r.speedup_p50, r.index_build_ns, r.shapes_per_level, r.free_shapes_per_level
     );
     r
 }

@@ -35,13 +35,29 @@
 //!
 //! The split maintenance and density updates are genuinely O(log n + churn).
 //! The discrete good pmfs and score *columns* are refreshed in full —
-//! O(Σ|domain_i|) divisions and `ln` calls — on every update, because
+//! O(Σ|domain_i|) divisions and `ln` calls — once per read, because
 //! Laplace smoothing couples every bin of a column through the shared
 //! denominator `total + n·pseudo`: one changed observation changes the
 //! class totals and therefore every bin's smoothed pmf, so a single-bin
 //! delta is impossible (see DESIGN §11). Domain sizes are tiny (tens of
 //! values) relative to histories (thousands), so this term is noise next
 //! to the eliminated O(n log n) sort and O(n·P) re-observe.
+//!
+//! ## Deferred refresh
+//!
+//! [`observe`](IncrementalSurrogate::observe),
+//! [`pop_observation`](IncrementalSurrogate::pop_observation) and
+//! [`observe_failure`](IncrementalSurrogate::observe_failure) refresh the
+//! columns before returning, so every state they leave is readable. The
+//! tuner, which applies several updates before its next read, uses the
+//! crate's `_deferred` variants, which only mark the columns stale, and
+//! refreshes once before reading: after syncing a merged batch, and not
+//! after the fantasy pops that end a constant-liar batch, whose next read
+//! follows the next sync. The readers
+//! ([`tables`](IncrementalSurrogate::tables),
+//! [`score`](IncrementalSurrogate::score) and
+//! [`views`](IncrementalSurrogate::views)) assert in debug builds that the
+//! columns are fresh.
 
 use crate::surrogate::{
     ParamDensity, ParamView, ProposalModel, SurrogateOptions, TpeSurrogate, ViewTables,
@@ -65,7 +81,8 @@ pub struct ChurnStats {
     pub failures: u64,
     /// Existing observations whose good/bad class flipped on an update.
     pub churned: u64,
-    /// Discrete score columns recomputed.
+    /// Discrete score columns recomputed: one per discrete parameter per
+    /// refresh that ran.
     pub columns_rescored: u64,
 }
 
@@ -273,6 +290,9 @@ pub struct IncrementalSurrogate {
     n_failed: usize,
     stats: ChurnStats,
     churn_scratch: Vec<u32>,
+    /// Set by a deferred update: the class densities moved, the good pmfs
+    /// and score columns have not followed yet.
+    stale: bool,
 }
 
 impl IncrementalSurrogate {
@@ -352,6 +372,7 @@ impl IncrementalSurrogate {
             n_failed: 0,
             stats: ChurnStats::default(),
             churn_scratch: Vec::new(),
+            stale: false,
         }
     }
 
@@ -511,11 +532,15 @@ impl IncrementalSurrogate {
         }
     }
 
-    /// Recomputes every discrete score column. Laplace smoothing couples a
+    /// Recomputes every discrete good pmf and score column if an update
+    /// left them stale; a no-op otherwise. Laplace smoothing couples a
     /// column's bins through the shared class totals, so any observation
     /// change dirties every column; each is O(|domain|), tiny next to the
     /// eliminated full refit (see module docs).
-    fn refresh_columns(&mut self) {
+    pub(crate) fn refresh(&mut self) {
+        if !self.stale {
+            return;
+        }
         let pseudo = self.options.pseudo_count;
         for st in &mut self.params {
             if let ParamState::Discrete(d) = st {
@@ -523,6 +548,15 @@ impl IncrementalSurrogate {
                 self.stats.columns_rescored += 1;
             }
         }
+        self.stale = false;
+    }
+
+    /// Debug-build guard of every column reader.
+    fn assert_fresh(&self) {
+        debug_assert!(
+            !self.stale,
+            "score columns read while stale: call refresh() after a deferred update"
+        );
     }
 
     /// Absorbs one observation: O(log n) split insertion, density deltas for
@@ -534,6 +568,16 @@ impl IncrementalSurrogate {
     /// Panics if `y` is not finite (the observation history enforces the
     /// same invariant) or the configuration arity mismatches the space.
     pub fn observe(&mut self, cfg: &Configuration, y: f64) {
+        self.observe_deferred(cfg, y);
+        self.refresh();
+    }
+
+    /// [`observe`](Self::observe) without the column refresh: the columns
+    /// stay stale until [`refresh`](Self::refresh).
+    ///
+    /// # Panics
+    /// As [`observe`](Self::observe).
+    pub(crate) fn observe_deferred(&mut self, cfg: &Configuration, y: f64) {
         assert!(y.is_finite(), "objective must be finite");
         assert_eq!(cfg.len(), self.params.len(), "arity mismatch");
         assert!(self.values.len() < u32::MAX as usize, "history too large");
@@ -562,7 +606,7 @@ impl IncrementalSurrogate {
         self.add_to_densities(idx, good);
         self.threshold = t_new;
         self.promoted = promoted_new;
-        self.refresh_columns();
+        self.stale = true;
         self.stats.inserts += 1;
     }
 
@@ -575,6 +619,16 @@ impl IncrementalSurrogate {
     /// # Panics
     /// Panics if no observations are held.
     pub fn pop_observation(&mut self) {
+        self.pop_deferred();
+        self.refresh();
+    }
+
+    /// [`pop_observation`](Self::pop_observation) without the column
+    /// refresh: the columns stay stale until [`refresh`](Self::refresh).
+    ///
+    /// # Panics
+    /// Panics if no observations are held.
+    pub(crate) fn pop_deferred(&mut self) {
         assert!(!self.values.is_empty(), "no observation to pop");
         let idx = (self.values.len() - 1) as u32;
         let y = self.values[idx as usize];
@@ -608,7 +662,7 @@ impl IncrementalSurrogate {
             self.threshold = t_new;
             self.promoted = promoted_new;
         }
-        self.refresh_columns();
+        self.stale = true;
         self.stats.removes += 1;
     }
 
@@ -616,6 +670,13 @@ impl IncrementalSurrogate {
     /// (quarantined from the quantile split, exactly as
     /// [`TpeSurrogate::fit_with_failures`] treats failures).
     pub fn observe_failure(&mut self, cfg: &Configuration) {
+        self.observe_failure_deferred(cfg);
+        self.refresh();
+    }
+
+    /// [`observe_failure`](Self::observe_failure) without the column
+    /// refresh: the columns stay stale until [`refresh`](Self::refresh).
+    pub(crate) fn observe_failure_deferred(&mut self, cfg: &Configuration) {
         assert_eq!(cfg.len(), self.params.len(), "arity mismatch");
         for (p, st) in self.params.iter_mut().enumerate() {
             match st {
@@ -624,7 +685,7 @@ impl IncrementalSurrogate {
             }
         }
         self.n_failed += 1;
-        self.refresh_columns();
+        self.stale = true;
         self.stats.failures += 1;
     }
 
@@ -633,6 +694,7 @@ impl IncrementalSurrogate {
     /// if any parameter is continuous. Bit-identical to
     /// `ScoreTable::discrete_tables()` of a from-scratch fit.
     pub fn tables(&self) -> Option<Vec<&[f64]>> {
+        self.assert_fresh();
         self.params
             .iter()
             .map(|st| match st {
@@ -645,6 +707,7 @@ impl IncrementalSurrogate {
     /// The candidate's EI score, bit-identical to [`TpeSurrogate::log_ei`]
     /// on a from-scratch fit of the same data.
     pub fn score(&self, cfg: &Configuration) -> f64 {
+        self.assert_fresh();
         assert_eq!(cfg.len(), self.params.len(), "arity mismatch");
         self.params
             .iter()
@@ -677,6 +740,7 @@ impl IncrementalSurrogate {
     /// Panics if a continuous parameter has no good KDE (no observations
     /// and no prior points).
     pub fn views(&self) -> Vec<ParamView<'_>> {
+        self.assert_fresh();
         self.params
             .iter()
             .map(|st| match st {
@@ -741,6 +805,8 @@ impl IncrementalSurrogate {
     /// [`TpeSurrogate::fit_with_failures`] over the given data — the
     /// parity mode of the bit-identity contract. The tuner calls this on
     /// every step in debug builds; the property suite calls it directly.
+    /// Stale columns are checked as the next refresh will leave them, on a
+    /// refreshed copy.
     ///
     /// # Panics
     /// Panics (with a diagnostic) on any bit divergence.
@@ -752,6 +818,11 @@ impl IncrementalSurrogate {
         failed: &[Configuration],
         prior: Option<(&TransferPrior, f64)>,
     ) {
+        if self.stale {
+            let mut fresh = self.clone();
+            fresh.refresh();
+            return fresh.assert_parity(space, configs, objectives, failed, prior);
+        }
         assert_eq!(self.len(), configs.len(), "observation count mismatch");
         assert_eq!(self.n_failed, failed.len(), "failure count mismatch");
         if configs.is_empty() {
@@ -1006,6 +1077,108 @@ mod tests {
         assert_eq!(eng.threshold().to_bits(), t_before);
         eng.assert_parity(&s, &configs, &objs, &[], None);
         assert_eq!(eng.stats().removes, 3);
+    }
+
+    /// Every discrete parameter's good pmf and column, as bits.
+    fn column_bits(eng: &IncrementalSurrogate) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for st in &eng.params {
+            if let ParamState::Discrete(d) = st {
+                bits.extend(d.good_pmf.iter().chain(&d.column).map(|x| x.to_bits()));
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn deferred_pops_and_one_refresh_restore_the_pre_batch_columns() {
+        let s = space();
+        let mut eng = IncrementalSurrogate::new(&s, &SurrogateOptions::default(), None);
+        for i in 0..12usize {
+            eng.observe_deferred(&cfg2(i % 4, (i * 5) % 3), (i as f64 * 2.3) % 7.0);
+        }
+        eng.refresh();
+        let before = column_bits(&eng);
+        let liar = eng.threshold();
+        for k in 1..=5usize {
+            // As the tuner does: each fantasy push refreshes for its read,
+            // the pops defer, and one refresh precedes the next read.
+            for a in 0..k {
+                eng.observe(&cfg2(a % 4, (a + 1) % 3), liar);
+            }
+            for _ in 0..k {
+                eng.pop_deferred();
+            }
+            assert!(eng.stale);
+            eng.refresh();
+            assert_eq!(column_bits(&eng), before, "after {k} pushes and pops");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn readers_refuse_stale_columns() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let s = space();
+        let mut eng = IncrementalSurrogate::new(&s, &SurrogateOptions::default(), None);
+        eng.observe(&cfg2(0, 0), 1.0);
+        eng.observe_failure_deferred(&cfg2(1, 1));
+        let probe = cfg2(2, 2);
+        let readers: [&dyn Fn(&IncrementalSurrogate); 3] = [
+            &|e| {
+                e.tables();
+            },
+            &|e| {
+                e.score(&probe);
+            },
+            &|e| {
+                e.views();
+            },
+        ];
+        for read in readers {
+            let stale = catch_unwind(AssertUnwindSafe(|| read(&eng)));
+            assert!(stale.is_err(), "a reader saw stale columns");
+        }
+        eng.refresh();
+        for read in readers {
+            read(&eng);
+        }
+    }
+
+    #[test]
+    fn columns_rescored_counts_only_the_refreshes_that_ran() {
+        // Two discrete parameters and a continuous one, which has no column.
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("x", Domain::continuous(0.0, 5.0)))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1, 2])))
+            .build()
+            .unwrap();
+        let cfg = |i: usize| {
+            Configuration::new(vec![
+                ParamValue::Index(i % 4),
+                ParamValue::Real(i as f64 * 0.6),
+                ParamValue::Index(i % 3),
+            ])
+        };
+        let mut eng = IncrementalSurrogate::new(&s, &SurrogateOptions::default(), None);
+        // A sync of 8 observations: one refresh.
+        for i in 0..8 {
+            eng.observe_deferred(&cfg(i), i as f64);
+        }
+        assert_eq!(eng.stats().columns_rescored, 0);
+        eng.refresh();
+        assert_eq!(eng.stats().columns_rescored, 2);
+        // Nothing changed since: no refresh runs.
+        eng.refresh();
+        assert_eq!(eng.stats().columns_rescored, 2);
+        // The eager updates refresh once each.
+        eng.observe(&cfg(8), 3.5);
+        eng.observe_failure(&cfg(9));
+        eng.pop_observation();
+        assert_eq!(eng.stats().columns_rescored, 8);
+        let stats = eng.stats();
+        assert_eq!((stats.inserts, stats.removes, stats.failures), (9, 1, 1));
     }
 
     #[test]

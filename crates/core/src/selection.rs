@@ -32,7 +32,7 @@ use crate::surrogate::{
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rayon::prelude::*;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -134,9 +134,18 @@ pub fn rank_encoded(tables: &[&[f64]], encoding: &PoolEncoding, seen: &PoolMask)
 /// children are pool positions, whose last value is read from the
 /// [`PoolEncoding`] (the index holds no copy of it).
 ///
+/// Each run also carries its *suffix shape*: the set of value tuples of
+/// the remaining parameters that occur below it. Shapes are hash-consed,
+/// so runs with equal suffix sets share one shape; a constraint on the
+/// trailing parameters gives a handful of shapes per level. A shape is
+/// *free* when it is the full product of the values the pool holds for
+/// those parameters; free shapes are recognized in pools whose rows
+/// ascend lexicographically.
+///
 /// Correctness never depends on the pool's order: an unsorted pool only
-/// yields shorter runs. [`ParameterSpace::enumerate`] is lexicographic, so
-/// shipped pools have long runs at every level.
+/// yields shorter runs, more shapes and no free ones.
+/// [`ParameterSpace::enumerate`] is lexicographic, so shipped pools have
+/// long runs at every level.
 #[derive(Debug, Clone)]
 pub struct RunIndex {
     n_configs: usize,
@@ -144,6 +153,7 @@ pub struct RunIndex {
     /// `levels[d]` holds the runs sharing their first `d + 1` values, for
     /// `d < n_params - 1`.
     levels: Vec<RunLevel>,
+    shapes: Shapes,
 }
 
 /// The runs of one prefix length, in pool order.
@@ -156,15 +166,42 @@ struct RunLevel {
     /// First child run (one level deeper) of each run, then a sentinel.
     /// Empty at the deepest level, whose children are pool positions.
     children: Vec<u32>,
+    /// Suffix shape of each run, an id into the index's [`Shapes`]; empty
+    /// when every run of the level is free, which spares the search a
+    /// lookup per run.
+    shapes: Vec<u32>,
 }
 
+/// The hash-consed suffix shapes of a [`RunIndex`], numbered bottom-up: a
+/// shape's items refer only to shapes with smaller ids. A shape over
+/// parameters `p..n_params` is a sorted list of distinct items, each a
+/// value of `p` and the shape of the rest of the suffix under it
+/// ([`NO_REST`] when `p` is the last parameter), packed by [`item`].
+#[derive(Debug, Clone, Default)]
+struct Shapes {
+    /// First parameter of each shape's suffix.
+    param: Vec<u32>,
+    /// Whether each shape is the full product of the pool's values of its
+    /// suffix's parameters.
+    free: Vec<bool>,
+    /// First item of each shape, then a sentinel.
+    starts: Vec<u32>,
+    /// The items of every shape, in id order.
+    items: Vec<u64>,
+}
+
+/// The rest of an item at the last parameter: nothing follows it.
+const NO_REST: u32 = u32::MAX;
+
 impl RunIndex {
-    /// Builds the index in one pass over `encoding`: the first parameter at
-    /// which a position differs from its predecessor opens a new run at
-    /// that level and at every deeper one.
+    /// Builds the index: one pass over `encoding` lays out the runs (the
+    /// first parameter at which a position differs from its predecessor
+    /// opens a new run at that level and at every deeper one), then one
+    /// pass per level, deepest first, hash-conses each run's suffix shape
+    /// from its children's values and shapes.
     pub fn build(encoding: &PoolEncoding) -> Self {
         let (n_configs, n_params) = (encoding.n_configs(), encoding.n_params());
-        let levels = match encoding.buffer() {
+        let (levels, shapes) = match encoding.buffer() {
             IndexBuffer::U16(b) => build_levels(b, n_configs, n_params),
             IndexBuffer::U32(b) => build_levels(b, n_configs, n_params),
         };
@@ -172,23 +209,56 @@ impl RunIndex {
             n_configs,
             n_params,
             levels,
+            shapes,
         }
+    }
+
+    /// For each prefix length `k = 1..n_params`, the number of distinct
+    /// suffix shapes among its runs and how many of them are free.
+    pub fn shape_counts(&self) -> Vec<(usize, usize)> {
+        self.levels
+            .iter()
+            .map(|level| {
+                if level.shapes.is_empty() {
+                    let runs = usize::from(!level.values.is_empty());
+                    return (runs, runs);
+                }
+                let mut ids: Vec<u32> = level.shapes.clone();
+                ids.sort_unstable();
+                ids.dedup();
+                let free = ids
+                    .iter()
+                    .filter(|&&s| self.shapes.free[s as usize])
+                    .count();
+                (ids.len(), free)
+            })
+            .collect()
     }
 }
 
-fn build_levels<T: PoolIndex>(buf: &[T], n_configs: usize, n_params: usize) -> Vec<RunLevel> {
+fn build_levels<T: PoolIndex>(
+    buf: &[T],
+    n_configs: usize,
+    n_params: usize,
+) -> (Vec<RunLevel>, Shapes) {
     let depth = n_params.saturating_sub(1);
     let mut levels = vec![RunLevel::default(); depth];
+    // Whether every row is greater than its predecessor, lexicographically.
+    let mut increasing = true;
     for c in 0..n_configs {
         let row = &buf[c * n_params..(c + 1) * n_params];
         let first = match c.checked_sub(1) {
             None => 0,
             Some(prev) => {
                 let prev = &buf[prev * n_params..c * n_params];
-                row.iter()
+                let first = row
+                    .iter()
                     .zip(prev)
                     .position(|(a, b)| a.as_usize() != b.as_usize())
-                    .unwrap_or(n_params)
+                    .unwrap_or(n_params);
+                let at = |row: &[T]| row.get(first).map(|v| v.as_usize());
+                increasing &= at(row) > at(prev);
+                first
             }
         };
         for d in first..depth {
@@ -207,16 +277,287 @@ fn build_levels<T: PoolIndex>(buf: &[T], n_configs: usize, n_params: usize) -> V
             levels[d].children.push(child);
         }
     }
-    levels
+    let shapes = build_shapes(buf, n_params, &mut levels, increasing);
+    (levels, shapes)
 }
 
-/// Per-parameter column maxima, or `None` when the branch-and-bound search
-/// must leave the table to [`rank_encoded`]: an entry is NaN or ±inf, or
-/// a sum of entries could overflow. Otherwise every score and bound is
-/// finite — `|score|` is at most the fold of the column maxima of `|entry|`.
-fn finite_column_maxima(tables: &[&[f64]]) -> Option<Vec<f64>> {
+/// Assigns every run its suffix shape, deepest level first. A run's items
+/// are its children's `(value, shape)` pairs (at the deepest level, its
+/// positions' last values), sorted and deduplicated, and equal item lists
+/// share one shape.
+///
+/// In an `increasing` pool the positions are distinct, so a run holding as
+/// many positions as the product of the pool's value counts of the
+/// remaining parameters holds all of that product: it gets the level's
+/// free shape without looking at its children. Other runs are interned,
+/// trying first the shape last given to a run of the same value, which in
+/// a lexicographic pool is mostly theirs. An unsorted pool gets no free
+/// shapes, which only loosens its bounds.
+fn build_shapes<T: PoolIndex>(
+    buf: &[T],
+    n_params: usize,
+    levels: &mut [RunLevel],
+    increasing: bool,
+) -> Shapes {
+    let mut shapes = Shapes::default();
+    shapes.starts.push(0);
+    let Some(last) = levels.len().checked_sub(1) else {
+        return shapes;
+    };
+    // The values the pool gives the parameter after the current level,
+    // and those of the current level's own parameter, gathered on the way.
+    let (mut below, mut here) = (Values::default(), Values::default());
+    let n_configs = buf.len() / n_params;
+    below.extend((0..n_configs).map(|c| buf[c * n_params + n_params - 1].as_usize()));
+    let mut interner = Interner::default();
+    let (mut full, mut free_below) = (1usize, None);
+    for d in (0..=last).rev() {
+        full = full.saturating_mul(below.count());
+        let (upper, lower) = levels.split_at_mut(d + 1);
+        let level = &mut upper[d];
+        let param = (d + 1) as u32;
+        here.clear();
+        here.extend(level.values.iter().map(|&v| v as usize));
+        let n_runs = level.values.len();
+        let mut free = None;
+        let mut free_shape = |shapes: &mut Shapes| {
+            *free.get_or_insert_with(|| {
+                let rest = if d == last {
+                    NO_REST
+                } else {
+                    free_below.expect("a full run's children are full")
+                };
+                let items: Vec<u64> = below.iter().map(|v| item(v, rest)).collect();
+                shapes.push(param, &items, true)
+            })
+        };
+        if increasing && n_runs.checked_mul(full) == Some(n_configs) {
+            // Every run is full: the level keeps no per-run ids.
+            free_below = Some(free_shape(&mut shapes));
+            std::mem::swap(&mut below, &mut here);
+            continue;
+        }
+        interner.start_level(shapes.param.len());
+        level.shapes.reserve_exact(n_runs);
+        // The rest of each child run: its shape, or the free shape of a
+        // level that keeps no ids.
+        let child = lower.first();
+        let rest_of = |k: usize| match child.and_then(|c| c.shapes.get(k)) {
+            Some(&rest) => rest,
+            None => free_below.expect("a level without ids is free"),
+        };
+        for r in 0..n_runs {
+            let value = level.values[r] as usize;
+            let (start, end) = (level.starts[r] as usize, level.starts[r + 1] as usize);
+            if increasing && end - start == full {
+                level.shapes.push(free_shape(&mut shapes));
+                continue;
+            }
+            let hint = interner.hint(value);
+            let id = if d == last {
+                let at = |c: usize| item(buf[c * n_params + param as usize].as_usize(), NO_REST);
+                let lasts = (start..end).map(at);
+                match hint.filter(|&id| same_items(shapes.items(id), lasts.clone())) {
+                    Some(id) => id,
+                    None => interner.intern(&mut shapes, param, value, lasts),
+                }
+            } else {
+                let (first, end) = (level.children[r] as usize, level.children[r + 1] as usize);
+                let values = &child.expect("an upper level has children").values;
+                let run = (first..end).map(|k| item(values[k] as usize, rest_of(k)));
+                match hint.filter(|&id| same_items(shapes.items(id), run.clone())) {
+                    Some(id) => id,
+                    None => interner.intern(&mut shapes, param, value, run),
+                }
+            };
+            level.shapes.push(id);
+        }
+        free_below = free;
+        std::mem::swap(&mut below, &mut here);
+    }
+    shapes
+}
+
+/// A set of domain indices: a bitmask below 64, presence flags above.
+#[derive(Default)]
+struct Values {
+    low: u64,
+    high: Vec<bool>,
+}
+
+impl Values {
+    fn extend(&mut self, values: impl Iterator<Item = usize>) {
+        // A local mask keeps the loop free of a dependency through memory.
+        let mut low = self.low;
+        for v in values {
+            if v < 64 {
+                low |= 1 << v;
+            } else {
+                if v - 64 >= self.high.len() {
+                    self.high.resize(v - 63, false);
+                }
+                self.high[v - 64] = true;
+            }
+        }
+        self.low = low;
+    }
+
+    fn clear(&mut self) {
+        self.low = 0;
+        self.high.clear();
+    }
+
+    fn count(&self) -> usize {
+        self.low.count_ones() as usize + self.high.iter().filter(|&&p| p).count()
+    }
+
+    /// The values, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let low = (0..64).filter(|&v| self.low >> v & 1 == 1);
+        let high = self.high.iter().enumerate().filter(|&(_, &p)| p);
+        low.chain(high.map(|(v, _)| v + 64))
+    }
+}
+
+/// The hash-consing state of [`build_shapes`] for one level: the shape
+/// last given to a run of each value, the id of its first shape, its
+/// shapes past the first [`SCAN_SHAPES`] by item list, and a buffer to sort
+/// a run's items in.
+#[derive(Default)]
+struct Interner {
+    ids: FxHashMap<Vec<u64>, u32>,
+    by_value: Vec<Option<u32>>,
+    first_of_level: usize,
+    items: Vec<u64>,
+}
+
+/// A level's first shapes, found by comparison; a constraint gives a level
+/// a few shapes, and only an unsorted pool more.
+const SCAN_SHAPES: usize = 8;
+
+impl Interner {
+    /// Starts a level whose first shape will get id `first`.
+    fn start_level(&mut self, first: usize) {
+        self.ids.clear();
+        self.by_value.clear();
+        self.first_of_level = first;
+    }
+
+    /// The shape last given to a run of `value` at this level.
+    fn hint(&self, value: usize) -> Option<u32> {
+        self.by_value.get(value).copied().flatten()
+    }
+
+    /// The level's constrained shape with the items `run` yields (in any
+    /// order, with repeats), made if new; it becomes the hint for `value`.
+    fn intern(
+        &mut self,
+        shapes: &mut Shapes,
+        param: u32,
+        value: usize,
+        run: impl Iterator<Item = u64>,
+    ) -> u32 {
+        let id = self.lookup(shapes, param, run);
+        if value >= self.by_value.len() {
+            self.by_value.resize(value + 1, None);
+        }
+        self.by_value[value] = Some(id);
+        id
+    }
+
+    fn lookup(&mut self, shapes: &mut Shapes, param: u32, run: impl Iterator<Item = u64>) -> u32 {
+        self.items.clear();
+        self.items.extend(run);
+        self.items.sort_unstable();
+        self.items.dedup();
+        let scanned =
+            self.first_of_level..shapes.param.len().min(self.first_of_level + SCAN_SHAPES);
+        let mut scanned = scanned.map(|id| id as u32);
+        if let Some(id) = scanned.find(|&id| shapes.items(id) == self.items) {
+            return id;
+        }
+        if let Some(&id) = self.ids.get(self.items.as_slice()) {
+            return id;
+        }
+        let id = shapes.push(param, &self.items, false);
+        if id as usize >= self.first_of_level + SCAN_SHAPES {
+            self.ids.insert(self.items.clone(), id);
+        }
+        id
+    }
+}
+
+/// Whether `run` yields exactly `items`, in order.
+fn same_items(items: &[u64], mut run: impl Iterator<Item = u64>) -> bool {
+    items.iter().all(|&it| run.next() == Some(it)) && run.next().is_none()
+}
+
+/// One shape item, packed so that sorting orders items by value, then
+/// rest.
+fn item(value: usize, rest: u32) -> u64 {
+    ((value as u64) << 32) | rest as u64
+}
+
+/// The value and rest of a packed [`item`].
+fn unpack(item: u64) -> (usize, u32) {
+    ((item >> 32) as usize, item as u32)
+}
+
+impl Shapes {
+    /// The items of shape `id`.
+    fn items(&self, id: u32) -> &[u64] {
+        let id = id as usize;
+        &self.items[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+
+    /// Appends a shape over parameters `param..` with the sorted, distinct
+    /// `items` and returns its id.
+    fn push(&mut self, param: u32, items: &[u64], free: bool) -> u32 {
+        let id = self.param.len() as u32;
+        self.items.extend_from_slice(items);
+        self.param.push(param);
+        self.free.push(free);
+        self.starts.push(self.items.len() as u32);
+        id
+    }
+
+    /// The best suffix sum of every shape under `tables`, in id order,
+    /// into `out`: the maximum over its items of the value's entry plus the
+    /// rest's best suffix sum. By induction and the monotonicity of
+    /// rounded addition, a shape's best is at least the sum of every
+    /// suffix it holds, added right to left.
+    fn best_suffix_sums(&self, tables: &[&[f64]], out: &mut Vec<f64>) {
+        out.clear();
+        if !self.free.contains(&false) {
+            return; // no run bound reads them
+        }
+        for s in 0..self.param.len() {
+            let table = tables[self.param[s] as usize];
+            let mut best = f64::NEG_INFINITY;
+            for &it in self.items(s as u32) {
+                let (value, rest) = unpack(it);
+                let sum = match rest {
+                    NO_REST => table[value],
+                    rest => table[value] + out[rest as usize],
+                };
+                if sum > best {
+                    best = sum;
+                }
+            }
+            out.push(best);
+        }
+    }
+}
+
+/// Writes the per-parameter column maxima into `maxima` and returns the
+/// sum of the columns' largest magnitudes, or returns `None` when the
+/// branch-and-bound search must leave the table to [`rank_encoded`]: an
+/// entry is NaN or ±inf, or a sum of entries could overflow. Otherwise
+/// every score and bound is finite — `|score|` is at most the returned
+/// magnitude bound, up to rounding.
+fn finite_column_maxima(tables: &[&[f64]], maxima: &mut Vec<f64>) -> Option<f64> {
     let mut abs_bound = 0.0f64;
-    let mut maxima = Vec::with_capacity(tables.len());
+    maxima.clear();
     for table in tables {
         let (mut max, mut max_abs) = (f64::NEG_INFINITY, 0.0f64);
         for &x in table.iter() {
@@ -229,19 +570,38 @@ fn finite_column_maxima(tables: &[&[f64]]) -> Option<Vec<f64>> {
         abs_bound += max_abs;
         maxima.push(max);
     }
-    abs_bound.is_finite().then_some(maxima)
+    abs_bound.is_finite().then_some(abs_bound)
+}
+
+/// The per-search buffers of [`rank_indexed`]: the column maxima and each
+/// suffix shape's best sum under the current tables. Reusing one across
+/// searches keeps a search free of allocations once the buffers have
+/// grown to the index's arity and shape count.
+#[derive(Debug, Clone, Default)]
+pub struct SearchScratch {
+    col_max: Vec<f64>,
+    shape_max: Vec<f64>,
 }
 
 /// The exact branch-and-bound argmax over a [`RunIndex`]: returns the same
 /// pool position as [`rank_encoded`], bit for bit, or `None` when every
-/// position is seen.
+/// position is seen. `scratch` holds the per-search buffers.
 ///
 /// - **Same additions.** A score is the left-to-right `f64` sum from `0.0`
 ///   of the configuration's table entries, as in the sweep; a run's prefix
 ///   sum is computed once and extended by each child.
-/// - **Bound.** A run's bound is its prefix sum folded left to right with
-///   the column maxima of the remaining parameters. Round-to-nearest
-///   addition is monotone, so no score under the run exceeds it.
+/// - **Bound of a free run** (its suffix shape is the full product of the
+///   remaining parameters' pool values): its prefix sum folded left to
+///   right with the column maxima of the remaining parameters.
+///   Round-to-nearest addition is monotone, so no score under the run
+///   exceeds it.
+/// - **Bound of a constrained run**: its prefix sum plus its shape's best
+///   suffix sum (computed once per search, summed right to left), plus a
+///   slack of `2·n·ε·A`, where `n` is the arity, `ε` the machine epsilon
+///   and `A` the sum of the columns' largest magnitudes. The score and
+///   the bound add the same entries in different orders; each order errs
+///   by at most `n·u·A` (`u = ε/2`), so twice their sum covers both and
+///   the rounding of the bound itself.
 /// - **Order and ties.** Runs and positions are visited in pool order; the
 ///   incumbent changes only on a strictly greater score and a run is
 ///   skipped when `bound <= incumbent`, so the lowest pool index among tied
@@ -260,6 +620,7 @@ pub fn rank_indexed(
     encoding: &PoolEncoding,
     runs: &RunIndex,
     seen: &PoolMask,
+    scratch: &mut SearchScratch,
 ) -> Option<usize> {
     let n = encoding.n_configs();
     assert_eq!(seen.len(), n, "mask/pool length mismatch");
@@ -271,16 +632,18 @@ pub fn rank_indexed(
         return None;
     }
     assert_eq!(tables.len(), encoding.n_params(), "arity mismatch");
-    let Some(col_max) = finite_column_maxima(tables) else {
+    let Some(abs_bound) = finite_column_maxima(tables, &mut scratch.col_max) else {
         return rank_encoded(tables, encoding, seen);
     };
     if tables.is_empty() {
         // Every score is 0.0: the first unseen position wins.
         return (0..n).find(|&c| !seen.get(c));
     }
+    runs.shapes.best_suffix_sums(tables, &mut scratch.shape_max);
+    let slack = 2.0 * tables.len() as f64 * f64::EPSILON * abs_bound;
     match encoding.buffer() {
-        IndexBuffer::U16(b) => BranchAndBound::search(b, tables, &col_max, runs, seen),
-        IndexBuffer::U32(b) => BranchAndBound::search(b, tables, &col_max, runs, seen),
+        IndexBuffer::U16(b) => BranchAndBound::search(b, tables, scratch, slack, runs, seen),
+        IndexBuffer::U32(b) => BranchAndBound::search(b, tables, scratch, slack, runs, seen),
     }
 }
 
@@ -291,6 +654,9 @@ struct BranchAndBound<'a, T> {
     buf: &'a [T],
     tables: &'a [&'a [f64]],
     col_max: &'a [f64],
+    shape_max: &'a [f64],
+    shape_free: &'a [bool],
+    slack: f64,
     levels: &'a [RunLevel],
     seen: &'a PoolMask,
     best: f64,
@@ -301,14 +667,18 @@ impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
     fn search(
         buf: &'a [T],
         tables: &'a [&'a [f64]],
-        col_max: &'a [f64],
+        scratch: &'a SearchScratch,
+        slack: f64,
         runs: &'a RunIndex,
         seen: &'a PoolMask,
     ) -> Option<usize> {
         let mut s = Self {
             buf,
             tables,
-            col_max,
+            col_max: &scratch.col_max,
+            shape_max: &scratch.shape_max,
+            shape_free: &runs.shapes.free,
+            slack,
             levels: &runs.levels,
             seen,
             best: f64::NEG_INFINITY,
@@ -322,14 +692,42 @@ impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
     }
 
     /// Visits runs `runs` of level `d`, whose parent's prefix sum is
-    /// `prefix`.
+    /// `prefix`. A level whose runs are all free is visited by a loop that
+    /// reads no shape.
     fn runs(&mut self, d: usize, runs: Range<usize>, prefix: f64) {
+        let level = &self.levels[d];
+        let col_max = &self.col_max[d + 1..];
+        let fold = move |sum: f64| col_max.iter().fold(sum, |b, &m| b + m);
+        if level.shapes.is_empty() {
+            self.visit(d, runs, prefix, |_, sum| fold(sum));
+        } else {
+            let (free, shape_max, slack) = (self.shape_free, self.shape_max, self.slack);
+            self.visit(d, runs, prefix, |r, sum| {
+                let s = level.shapes[r] as usize;
+                if free[s] {
+                    fold(sum)
+                } else {
+                    sum + shape_max[s] + slack
+                }
+            });
+        }
+    }
+
+    /// Visits runs `runs` of level `d` under `bound(run, prefix sum)`:
+    /// skips a run whose bound cannot beat the incumbent and descends into
+    /// the others.
+    fn visit(
+        &mut self,
+        d: usize,
+        runs: Range<usize>,
+        prefix: f64,
+        bound: impl Fn(usize, f64) -> f64,
+    ) {
         let levels = self.levels;
         let (level, table) = (&levels[d], self.tables[d]);
         for r in runs {
             let sum = prefix + table[level.values[r] as usize];
-            let bound = self.col_max[d + 1..].iter().fold(sum, |b, &m| b + m);
-            if bound <= self.best {
+            if bound(r, sum) <= self.best {
                 continue;
             }
             if d + 1 == levels.len() {
@@ -384,7 +782,9 @@ pub fn select_by_ranking(
             }
         }
         let runs = RunIndex::build(&encoding);
-        return rank_indexed(&tables, &encoding, &runs, &seen).map(|i| pool[i].clone());
+        let mut scratch = SearchScratch::default();
+        return rank_indexed(&tables, &encoding, &runs, &seen, &mut scratch)
+            .map(|i| pool[i].clone());
     }
     // Exact fallback for pools the engine cannot flatten (continuous
     // values); same scores, same lowest-index tie-breaking.
@@ -701,7 +1101,8 @@ mod tests {
 
     fn indexed(tables: &[&[f64]], pool: &[Configuration], seen: &PoolMask) -> Option<usize> {
         let enc = PoolEncoding::encode(pool).unwrap();
-        rank_indexed(tables, &enc, &RunIndex::build(&enc), seen)
+        let mut scratch = SearchScratch::default();
+        rank_indexed(tables, &enc, &RunIndex::build(&enc), seen, &mut scratch)
     }
 
     #[test]
@@ -721,6 +1122,75 @@ mod tests {
         assert_eq!(runs.levels[1].values, vec![0, 1, 1, 1]);
         assert_eq!(runs.levels[1].starts, vec![0, 2, 3, 4, 5]);
         assert!(runs.levels[1].children.is_empty());
+    }
+
+    #[test]
+    fn run_index_hash_conses_suffix_shapes() {
+        // (a, b, c) with b + c <= 2 wherever a = 0: under a = 1 the suffix
+        // is the full product, so run (1) and its (b) runs are free.
+        let mut rows = Vec::new();
+        for a in 0..2 {
+            for b in 0..3 {
+                for c in 0..3 {
+                    if a == 1 || b + c <= 2 {
+                        rows.push(Configuration::from_indices(&[a, b, c]));
+                    }
+                }
+            }
+        }
+        let runs = RunIndex::build(&PoolEncoding::encode(&rows).unwrap());
+        // Prefix (a): a constrained shape and a free one. Prefix (a, b): c
+        // in {0,1,2} (free), {0,1} or {0}.
+        assert_eq!(runs.shape_counts(), vec![(2, 1), (3, 1)]);
+        assert_eq!(runs.levels[1].shapes, vec![0, 1, 2, 0, 0, 0]);
+        assert_eq!(runs.levels[0].shapes, vec![3, 4]);
+    }
+
+    #[test]
+    fn full_product_pools_have_only_free_shapes() {
+        let space = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1])))
+            .param(ParamDef::new("c", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("d", Domain::discrete_ints(&[0, 1, 2])))
+            .build()
+            .unwrap();
+        let (encoding, _) = PoolEncoding::enumerate(&space);
+        let runs = RunIndex::build(&encoding);
+        assert_eq!(runs.shape_counts(), vec![(1, 1); 3]);
+    }
+
+    #[test]
+    fn shipped_constrained_pools_have_a_few_shapes_per_level() {
+        // `4 <= ranks*omp <= 36` on HYPRE's last two parameters: six OMP
+        // sets, one per Ranks value, and one constrained shape above.
+        let (encoding, _) = PoolEncoding::enumerate(&hiperbot_apps::hypre::space());
+        let counts = RunIndex::build(&encoding).shape_counts();
+        assert_eq!(counts, vec![(1, 0), (1, 0), (1, 0), (1, 0), (6, 0)]);
+        // Kripke energy: `4 <= gset*dset <= 128` gives four Dset sets
+        // under Gset, `9 <= ranks*omp <= 36` six OMP sets under Ranks, and
+        // the trailing power cap is free.
+        let (encoding, _) = PoolEncoding::enumerate(&hiperbot_apps::kripke::energy_space());
+        let counts = RunIndex::build(&encoding).shape_counts();
+        assert_eq!(counts, vec![(1, 0), (4, 0), (1, 0), (6, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn the_slack_covers_summation_order() {
+        // (1, 1, 1) scores (3 + 2^53) + (2 - 2^53) = 6 left to right (the
+        // first sum rounds up to 2^53 + 4), while its prefix plus its
+        // suffix summed on its own is 3 + 2 = 5. Without the slack its run
+        // would be skipped behind (0, 0, 0)'s 5.5.
+        let big = 2f64.powi(53);
+        let pool: Vec<Configuration> = [[0, 0, 0], [1, 1, 1]]
+            .iter()
+            .map(|c| Configuration::from_indices(c))
+            .collect();
+        let tables: [&[f64]; 3] = [&[5.5, 3.0], &[0.0, big], &[0.0, 2.0 - big]];
+        let seen = PoolMask::new(2);
+        let enc = PoolEncoding::encode(&pool).unwrap();
+        assert_eq!(rank_encoded(&tables, &enc, &seen), Some(1));
+        assert_eq!(indexed(&tables, &pool, &seen), Some(1));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use crate::history::ObservationHistory;
 use crate::incremental::{ChurnStats, IncrementalSurrogate};
 use crate::outcome::EvalOutcome;
 use crate::selection::{
-    rank_indexed, select_by_proposal_vectorized, ProposalScratch, RunIndex, SelectionStrategy,
-    PROPOSAL_REDRAW_ROUNDS,
+    rank_indexed, select_by_proposal_vectorized, ProposalScratch, RunIndex, SearchScratch,
+    SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
 };
 use crate::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
 use crate::transfer::TransferPrior;
@@ -213,9 +213,11 @@ struct RankingPool {
     /// Contiguous config-major index buffer the argmax reads; row `i` is
     /// pool position `i`.
     encoding: PoolEncoding,
-    /// Prefix runs of `encoding`, searched by the exact branch-and-bound
-    /// argmax.
+    /// Prefix runs of `encoding` and their suffix shapes, searched by the
+    /// exact branch-and-bound argmax.
     runs: RunIndex,
+    /// The search's per-pick buffers, reused so a pick allocates nothing.
+    scratch: SearchScratch,
     /// Mixed-radix code of each pool position: the position lookup.
     codes: PoolCodes,
     /// Seen bitset over pool positions, maintained incrementally: each
@@ -238,6 +240,7 @@ impl RankingPool {
         Self {
             encoding,
             runs,
+            scratch: SearchScratch::default(),
             codes,
             seen,
             synced_ok: 0,
@@ -266,11 +269,13 @@ impl RankingPool {
             .map(|i| self.encoding.config(i))
     }
 
-    /// The best position not set in `seen` under the per-parameter score
-    /// `tables`, or `None` when every position is seen: the run-index
-    /// search, which debug builds cross-check against the pool sweep.
-    fn best_unseen(&self, tables: &[&[f64]], seen: &PoolMask) -> Option<usize> {
-        let pick = rank_indexed(tables, &self.encoding, &self.runs, seen);
+    /// The best position not set in `batch_seen` (the pool's own seen
+    /// mask when `None`) under the per-parameter score `tables`, or `None`
+    /// when every position is seen: the run-index search, which debug
+    /// builds cross-check against the pool sweep.
+    fn best_unseen(&mut self, tables: &[&[f64]], batch_seen: Option<&PoolMask>) -> Option<usize> {
+        let seen = batch_seen.unwrap_or(&self.seen);
+        let pick = rank_indexed(tables, &self.encoding, &self.runs, seen, &mut self.scratch);
         #[cfg(debug_assertions)]
         assert_eq!(
             pick,
@@ -678,7 +683,7 @@ impl Tuner {
 
     /// Builds (once) and returns the Ranking pool state, with the seen
     /// bitset synced to the current history.
-    fn pool(&mut self) -> &RankingPool {
+    fn pool(&mut self) -> &mut RankingPool {
         if self.pool.is_none() {
             self.pool = Some(RankingPool::build(&self.space));
         }
@@ -734,7 +739,8 @@ impl Tuner {
     /// Brings the incremental engine up to date with the history: builds it
     /// on first use, then absorbs only the observations and failures
     /// appended since the previous sync — O(churn) per new entry instead of
-    /// a from-scratch refit. In debug builds every sync re-verifies the
+    /// a from-scratch refit — and refreshes its score columns once, for
+    /// the read that follows. In debug builds every sync re-verifies the
     /// bit-identity contract against a full fit.
     fn sync_engine(&mut self) {
         let span = SpanTimer::start(self.metrics.is_some());
@@ -752,12 +758,13 @@ impl Tuner {
             .iter()
             .zip(&self.history.objectives()[from..])
         {
-            engine.observe(cfg, y);
+            engine.observe_deferred(cfg, y);
         }
         let from_failed = engine.n_failed();
         for f in &self.history.failures()[from_failed..] {
-            engine.observe_failure(&f.config);
+            engine.observe_failure_deferred(&f.config);
         }
+        engine.refresh();
         self.publish_churn(span.elapsed_ns());
         #[cfg(debug_assertions)]
         {
@@ -1026,7 +1033,7 @@ impl Tuner {
                     .expect("Ranking requires a fully discrete space");
                 let pool = self.pool();
                 let picked = pool
-                    .best_unseen(&tables, &pool.seen)
+                    .best_unseen(&tables, None)
                     .map(|i| pool.encoding.config(i));
                 (picked, pool.len() as u64, None)
             }
@@ -1082,13 +1089,13 @@ impl Tuner {
         let (picked, candidates, best_ei) = match self.options.strategy {
             SelectionStrategy::Ranking => {
                 self.pool();
-                let pool = self.pool.as_ref().expect("just built");
+                let pool = self.pool.as_mut().expect("just built");
                 let engine = self.engine.as_ref().expect("synced above");
                 let tables = engine
                     .tables()
                     .expect("Ranking requires a fully discrete space");
                 let picked = pool
-                    .best_unseen(&tables, &pool.seen)
+                    .best_unseen(&tables, None)
                     .map(|i| pool.encoding.config(i));
                 // Scored only for the trace: the argmax returns no score.
                 let best_ei = picked
@@ -1224,11 +1231,11 @@ impl Tuner {
             return self.suggest_batch_proposal(k, candidates);
         }
         self.sync_failed_cache();
-        self.pool(); // build + sync once; the loop borrows it immutably
-        let pool = self.pool.as_ref().expect("just built");
+        let opts = self.surrogate_options();
+        self.pool(); // build + sync once; the loop borrows it
+        let pool = self.pool.as_mut().expect("just built");
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
-        let opts = self.surrogate_options();
         let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
         // Scratch tables: real history plus constant-liar fantasies.
         let mut configs: Vec<Configuration> = self.history.configs().to_vec();
@@ -1265,7 +1272,7 @@ impl Tuner {
             let tables = table
                 .discrete_tables()
                 .expect("Ranking requires a fully discrete space");
-            let Some(pos) = pool.best_unseen(&tables, &seen) else {
+            let Some(pos) = pool.best_unseen(&tables, Some(&seen)) else {
                 break; // pool exhausted mid-batch
             };
             let cfg = pool.encoding.config(pos);
@@ -1386,7 +1393,10 @@ impl Tuner {
     /// pick that still duplicates after the redraw rounds and counts a
     /// stall — no fantasy is pushed for it. All fantasies are popped (LIFO,
     /// exactly invertible) before returning, so the engine again mirrors
-    /// the real history. Event sequence, picks, RNG draws, stalls and liar
+    /// the real history. The engine refreshes its score columns once per
+    /// read: the sync refreshes for the first pick, each fantasy push for
+    /// the pick after it, and the pops leave the columns stale for the next
+    /// sync to refresh. Event sequence, picks, RNG draws, stalls and liar
     /// value are bit-identical to the full-refit paths by the parity
     /// contract; in debug builds that is re-verified against a full fit
     /// after every fantasy push and after the pops.
@@ -1448,11 +1458,11 @@ impl Tuner {
             let (picked, candidates, best_ei) = match self.options.strategy {
                 SelectionStrategy::Ranking => {
                     let seen = seen.as_mut().expect("Ranking builds its mask");
-                    let pool = self.pool.as_ref().expect("just built");
+                    let pool = self.pool.as_mut().expect("just built");
                     let tables = engine
                         .tables()
                         .expect("Ranking requires a fully discrete space");
-                    let Some(pos) = pool.best_unseen(&tables, seen) else {
+                    let Some(pos) = pool.best_unseen(&tables, Some(seen)) else {
                         break; // pool exhausted mid-batch
                     };
                     seen.set(pos);
@@ -1495,10 +1505,11 @@ impl Tuner {
             }
         }
         // Evict the fantasies: the engine must mirror the real history
-        // before outcomes are merged back.
+        // before outcomes are merged back. Nothing reads it before the next
+        // sync, which refreshes the columns.
         let engine = self.engine.as_mut().expect("synced on first pick");
         for _ in 0..fantasies {
-            engine.pop_observation();
+            engine.pop_deferred();
         }
         #[cfg(debug_assertions)]
         {
@@ -2218,6 +2229,28 @@ mod tests {
         assert_eq!(set.len(), 5);
         for c in &batch {
             assert!(!tuner.history().contains(c), "suggested a seen config");
+        }
+    }
+
+    #[test]
+    fn a_batch_step_refreshes_the_columns_once_per_pick() {
+        // Each batch of 8 reads the columns 8 times: after the sync that
+        // merges the previous batch, and after each of 7 fantasy pushes.
+        // The 8 merged observations and the 7 pops add no refresh.
+        let mut tuner = Tuner::new(space(), TunerOptions::default().with_seed(3));
+        let eval = |batch: &[Configuration], _: u64| {
+            batch
+                .iter()
+                .map(|c| EvalOutcome::Ok(objective(c)))
+                .collect()
+        };
+        assert!(tuner.step_batch_fallible(8, eval)); // bootstrap
+        for _ in 0..3 {
+            let before = tuner.churn_stats().map_or(0, |c| c.columns_rescored);
+            assert!(tuner.step_batch_fallible(8, eval));
+            let after = tuner.churn_stats().expect("engine built").columns_rescored;
+            // Two discrete parameters.
+            assert_eq!(after - before, 8 * 2);
         }
     }
 

@@ -4,7 +4,9 @@
 //! every thread count, and the run-index search must return the sweep's
 //! pick on any pool, mask and table.
 
-use hiperbot_core::selection::{rank_encoded, rank_indexed, select_by_ranking_serial, RunIndex};
+use hiperbot_core::selection::{
+    rank_encoded, rank_indexed, select_by_ranking_serial, RunIndex, SearchScratch,
+};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::ObservationHistory;
 use hiperbot_space::pool::{PoolEncoding, PoolMask};
@@ -165,12 +167,30 @@ proptest! {
 /// exactly and often, holding both signed zeros.
 const TIE_VALUES: [f64; 6] = [-1.5, -0.5, -0.0, 0.0, 0.5, 1.5];
 
+/// Large table entries a few ulps apart (the ulp of 1e15 is 0.125) and
+/// small ones that are multiples of half an ulp: a score adds a small
+/// prefix to a large entry, so it rounds, and cancels against the next
+/// entry, so the rounding shows; summed in another order it would not.
+const LARGE_VALUES: [f64; 8] = [
+    1e15,
+    1e15 + 0.125,
+    -1e15,
+    -1e15 + 0.125,
+    -1e15 + 0.25,
+    0.0625,
+    0.1875,
+    0.3125,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
     /// The branch-and-bound search over the prefix-run index returns the
-    /// sweep's pool position on constrained (non-product) pools, shuffled
-    /// pools, one-parameter spaces, tie-heavy tables with `±0.0`, random
+    /// sweep's pool position on full products, random subsets, pools whose
+    /// constraint couples the two trailing parameters (as on HYPRE and
+    /// Kripke) or two non-adjacent ones, shuffled pools, one-parameter
+    /// spaces, tie-heavy tables with `±0.0`, tables of large entries a few
+    /// ulps apart (which the bound's rounding slack must cover), random
     /// seen masks (all-seen gives `None`) and tables holding NaN or ±inf
     /// (the fallback path).
     #[test]
@@ -185,17 +205,36 @@ proptest! {
             b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
         }
         let mut pool = b.build().expect("valid").enumerate();
-        if rng.gen_bool(0.5) {
-            // A constrained pool: drop a random subset of the product.
-            let keep = rng.gen_range(0.2..1.0);
-            pool.retain(|_| rng.gen_bool(keep));
+        let n = cards.len();
+        match rng.gen_range(0..6) {
+            // A random subset of the product.
+            0 | 1 => {
+                let keep = rng.gen_range(0.2..1.0);
+                pool.retain(|_| rng.gen_bool(keep));
+            }
+            // `lo <= (x + 1) * (y + 1) <= hi` on the last two parameters.
+            2 if n >= 2 => {
+                let lo = rng.gen_range(1..=9);
+                let hi = lo + rng.gen_range(0..=16);
+                pool.retain(|c| {
+                    let cores = (c.value(n - 2).index() + 1) * (c.value(n - 1).index() + 1);
+                    (lo..=hi).contains(&cores)
+                });
+            }
+            // `x + z <= k` on the first and third parameters.
+            3 if n >= 3 => {
+                let k = rng.gen_range(0..=6);
+                pool.retain(|c| c.value(0).index() + c.value(2).index() <= k);
+            }
+            _ => {}
         }
         if rng.gen_bool(0.3) {
             pool.shuffle(&mut rng);
         }
+        let values: &[f64] = if rng.gen_bool(0.25) { &LARGE_VALUES } else { &TIE_VALUES };
         let mut tables: Vec<Vec<f64>> = cards
             .iter()
-            .map(|&c| (0..c).map(|_| TIE_VALUES[rng.gen_range(0..TIE_VALUES.len())]).collect())
+            .map(|&c| (0..c).map(|_| values[rng.gen_range(0..values.len())]).collect())
             .collect();
         if rng.gen_bool(0.2) {
             let p = rng.gen_range(0..tables.len());
@@ -212,7 +251,7 @@ proptest! {
         }
         let encoding = PoolEncoding::encode(&pool).expect("encodable");
         let runs = RunIndex::build(&encoding);
-        let pick = rank_indexed(&tables, &encoding, &runs, &seen);
+        let pick = rank_indexed(&tables, &encoding, &runs, &seen, &mut SearchScratch::default());
         prop_assert_eq!(pick, rank_encoded(&tables, &encoding, &seen));
         if seen.count() == pool.len() {
             prop_assert_eq!(pick, None);
