@@ -188,6 +188,34 @@ impl ObservationHistory {
     }
 }
 
+/// How far into an [`ObservationHistory`] a seen set has read: the
+/// observation and failure prefixes it has folded in, so each entry is
+/// visited once however often the set syncs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct HistoryCursor {
+    ok: usize,
+    failed: usize,
+}
+
+impl HistoryCursor {
+    /// Calls `f` on each observation, then each quarantined failure,
+    /// appended to `history` since the last call.
+    pub(crate) fn advance(
+        &mut self,
+        history: &ObservationHistory,
+        mut f: impl FnMut(&Configuration),
+    ) {
+        for cfg in &history.configs[self.ok..] {
+            f(cfg);
+        }
+        self.ok = history.len();
+        for record in &history.failures[self.failed..] {
+            f(&record.config);
+        }
+        self.failed = history.n_failures();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -87,8 +87,9 @@ pub struct ChurnStats {
 }
 
 /// State of one discrete parameter: raw (target-domain) class histograms,
-/// an optional transfer prior, the per-observation value index, the
-/// maintained good pmf `p_g(v)` and the score column `ln p_g(v) − ln p_b(v)`.
+/// an optional transfer prior, the per-observation value index and the
+/// maintained good pmf `p_g(v)`. Its score column lives in the engine's
+/// [`columns`](IncrementalSurrogate::tables).
 #[derive(Debug, Clone)]
 struct DiscreteState {
     good: SmoothedHistogram,
@@ -96,23 +97,22 @@ struct DiscreteState {
     prior: Option<(SmoothedHistogram, SmoothedHistogram, f64)>,
     vals: Vec<usize>,
     good_pmf: Vec<f64>,
-    column: Vec<f64>,
 }
 
 impl DiscreteState {
-    /// Recomputes the good pmf and the score column from the current class
-    /// histograms.
+    /// Recomputes the good pmf and the score column
+    /// `ln p_g(v) − ln p_b(v)` from the current class histograms.
     ///
     /// The expressions mirror `SmoothedHistogram::pmf` (and `with_prior`
     /// composition) term for term, so `good_pmf` is bit-identical to a
     /// from-scratch fit's `p_g` — a Proposal draw walking it takes the
     /// same bin from the same RNG word — and the column to `ScoreTable`'s
     /// entries.
-    fn refresh_column(&mut self, pseudo: f64) {
+    fn refresh_column(&mut self, pseudo: f64, column: &mut Vec<f64>) {
         let n = self.good.n_categories();
         let nf = n as f64;
         self.good_pmf.clear();
-        self.column.clear();
+        column.clear();
         match &self.prior {
             Some((pg, pb, w)) => {
                 let gden = (self.good.total_weight() + w * pg.total_weight()) + nf * pseudo;
@@ -122,7 +122,7 @@ impl DiscreteState {
                     let bnum = (self.bad.count(v) + w * pb.count(v)) + pseudo;
                     let g = gnum / gden;
                     self.good_pmf.push(g);
-                    self.column.push(g.ln() - (bnum / bden).ln());
+                    column.push(g.ln() - (bnum / bden).ln());
                 }
             }
             None => {
@@ -131,8 +131,7 @@ impl DiscreteState {
                 for v in 0..n {
                     let g = (self.good.count(v) + pseudo) / gden;
                     self.good_pmf.push(g);
-                    self.column
-                        .push(g.ln() - ((self.bad.count(v) + pseudo) / bden).ln());
+                    column.push(g.ln() - ((self.bad.count(v) + pseudo) / bden).ln());
                 }
             }
         }
@@ -281,6 +280,10 @@ enum ParamState {
 pub struct IncrementalSurrogate {
     options: SurrogateOptions,
     params: Vec<ParamState>,
+    /// The score column of each discrete parameter, indexed by parameter
+    /// (empty for a continuous one): kept together so the Ranking search
+    /// borrows them as one slice.
+    columns: Vec<Vec<f64>>,
     split: OrderStatMultiset,
     values: Vec<f64>,
     class_good: Vec<bool>,
@@ -304,14 +307,14 @@ impl IncrementalSurrogate {
         options: &SurrogateOptions,
         prior: Option<(&TransferPrior, f64)>,
     ) -> Self {
-        let params = space
+        let mut params: Vec<ParamState> = space
             .params()
             .iter()
             .enumerate()
             .map(|(p, def)| match def.domain() {
                 Domain::Discrete(values) => {
                     let n = values.len();
-                    let mut st = DiscreteState {
+                    ParamState::Discrete(DiscreteState {
                         good: SmoothedHistogram::new(n, options.pseudo_count),
                         bad: SmoothedHistogram::new(n, options.pseudo_count),
                         prior: prior.map(|(pr, w)| {
@@ -320,10 +323,7 @@ impl IncrementalSurrogate {
                         }),
                         vals: Vec::new(),
                         good_pmf: Vec::with_capacity(n),
-                        column: Vec::with_capacity(n),
-                    };
-                    st.refresh_column(options.pseudo_count);
-                    ParamState::Discrete(st)
+                    })
                 }
                 Domain::Continuous { lo, hi } => {
                     let (prior_good, prior_bad, prior_w) = match prior {
@@ -360,9 +360,16 @@ impl IncrementalSurrogate {
                 }
             })
             .collect();
+        let mut columns = vec![Vec::new(); params.len()];
+        for (st, column) in params.iter_mut().zip(&mut columns) {
+            if let ParamState::Discrete(d) = st {
+                d.refresh_column(options.pseudo_count, column);
+            }
+        }
         Self {
             options: *options,
             params,
+            columns,
             split: OrderStatMultiset::new(),
             values: Vec::new(),
             class_good: Vec::new(),
@@ -542,9 +549,9 @@ impl IncrementalSurrogate {
             return;
         }
         let pseudo = self.options.pseudo_count;
-        for st in &mut self.params {
+        for (st, column) in self.params.iter_mut().zip(&mut self.columns) {
             if let ParamState::Discrete(d) = st {
-                d.refresh_column(pseudo);
+                d.refresh_column(pseudo, column);
                 self.stats.columns_rescored += 1;
             }
         }
@@ -692,16 +699,14 @@ impl IncrementalSurrogate {
     /// The per-parameter score columns (`tables[p][v] = ln p_g(v) − ln
     /// p_b(v)`) in the layout the Ranking argmax reads, or `None`
     /// if any parameter is continuous. Bit-identical to
-    /// `ScoreTable::discrete_tables()` of a from-scratch fit.
-    pub fn tables(&self) -> Option<Vec<&[f64]>> {
+    /// `ScoreTable::discrete_tables()` of a from-scratch fit. Borrowed as
+    /// the engine holds them: a search builds no per-call list.
+    pub fn tables(&self) -> Option<&[Vec<f64>]> {
         self.assert_fresh();
         self.params
             .iter()
-            .map(|st| match st {
-                ParamState::Discrete(d) => Some(d.column.as_slice()),
-                ParamState::Continuous(_) => None,
-            })
-            .collect()
+            .all(|st| matches!(st, ParamState::Discrete(_)))
+            .then_some(self.columns.as_slice())
     }
 
     /// The candidate's EI score, bit-identical to [`TpeSurrogate::log_ei`]
@@ -713,7 +718,7 @@ impl IncrementalSurrogate {
             .iter()
             .enumerate()
             .map(|(p, st)| match st {
-                ParamState::Discrete(d) => d.column[cfg.value(p).index()],
+                ParamState::Discrete(_) => self.columns[p][cfg.value(p).index()],
                 ParamState::Continuous(c) => {
                     let x = cfg.value(p).as_f64();
                     let g = c
@@ -743,10 +748,11 @@ impl IncrementalSurrogate {
         self.assert_fresh();
         self.params
             .iter()
-            .map(|st| match st {
+            .zip(&self.columns)
+            .map(|(st, column)| match st {
                 ParamState::Discrete(d) => ParamView::Discrete {
                     good_pmf: &d.good_pmf,
-                    column: &d.column,
+                    column,
                 },
                 ParamState::Continuous(c) => ParamView::Continuous {
                     good: c
@@ -897,10 +903,10 @@ impl IncrementalSurrogate {
                     );
                     let expected = good.pmf(v).ln() - bad.pmf(v).ln();
                     assert_eq!(
-                        ds.column[v].to_bits(),
+                        self.columns[p][v].to_bits(),
                         expected.to_bits(),
                         "param {p} column[{v}] diverged: incremental {} vs full {}",
-                        ds.column[v],
+                        self.columns[p][v],
                         expected
                     );
                 }
@@ -1082,9 +1088,9 @@ mod tests {
     /// Every discrete parameter's good pmf and column, as bits.
     fn column_bits(eng: &IncrementalSurrogate) -> Vec<u64> {
         let mut bits = Vec::new();
-        for st in &eng.params {
+        for (st, column) in eng.params.iter().zip(&eng.columns) {
             if let ParamState::Discrete(d) = st {
-                bits.extend(d.good_pmf.iter().chain(&d.column).map(|x| x.to_bits()));
+                bits.extend(d.good_pmf.iter().chain(column).map(|x| x.to_bits()));
             }
         }
         bits

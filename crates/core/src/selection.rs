@@ -25,9 +25,10 @@
 //! for bit — and stays as the fallback for non-finite tables and as the
 //! test oracle.
 
-use crate::history::ObservationHistory;
+use crate::history::{HistoryCursor, ObservationHistory};
 use crate::surrogate::{
-    sample_views, score_views, CandidateMatrix, ProposalModel, ScoreTable, TpeSurrogate, ViewTables,
+    sample_views, score_views_in, CandidateMatrix, ProposalModel, ScoreTable, TpeSurrogate,
+    ViewTables,
 };
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
@@ -58,10 +59,10 @@ pub const RANK_CHUNK: usize = 4096;
 /// Argmax of one chunk of the encoded pool. Scans positions in ascending
 /// order keeping the first strict maximum, so within a chunk the lowest
 /// pool index wins ties.
-fn best_in_chunk<T: PoolIndex>(
+fn best_in_chunk<T: PoolIndex, C: AsRef<[f64]>>(
     buf: &[T],
     n_params: usize,
-    tables: &[&[f64]],
+    tables: &[C],
     seen: &PoolMask,
     start: usize,
     end: usize,
@@ -74,7 +75,7 @@ fn best_in_chunk<T: PoolIndex>(
         let row = &buf[c * n_params..(c + 1) * n_params];
         let mut score = 0.0;
         for (p, v) in row.iter().enumerate() {
-            score += tables[p][v.as_usize()];
+            score += tables[p].as_ref()[v.as_usize()];
         }
         match best {
             Some((s, _)) if s >= score => {}
@@ -94,10 +95,18 @@ fn best_in_chunk<T: PoolIndex>(
 /// of [`RANK_CHUNK`] only, and chunk winners are reduced in chunk order
 /// with a strict `>` (an earlier chunk's equal score survives).
 ///
+/// `tables[p]` is parameter `p`'s score column: `&[f64]` slices, or the
+/// `Vec<f64>` columns the incremental engine lends without a per-search
+/// copy.
+///
 /// # Panics
 /// Panics if `tables`' arity differs from the encoding's, or if the mask
 /// length differs from the pool length.
-pub fn rank_encoded(tables: &[&[f64]], encoding: &PoolEncoding, seen: &PoolMask) -> Option<usize> {
+pub fn rank_encoded<C: AsRef<[f64]> + Sync>(
+    tables: &[C],
+    encoding: &PoolEncoding,
+    seen: &PoolMask,
+) -> Option<usize> {
     let n = encoding.n_configs();
     assert_eq!(seen.len(), n, "mask/pool length mismatch");
     if n == 0 {
@@ -526,13 +535,13 @@ impl Shapes {
     /// rest's best suffix sum. By induction and the monotonicity of
     /// rounded addition, a shape's best is at least the sum of every
     /// suffix it holds, added right to left.
-    fn best_suffix_sums(&self, tables: &[&[f64]], out: &mut Vec<f64>) {
+    fn best_suffix_sums<C: AsRef<[f64]>>(&self, tables: &[C], out: &mut Vec<f64>) {
         out.clear();
         if !self.free.contains(&false) {
             return; // no run bound reads them
         }
         for s in 0..self.param.len() {
-            let table = tables[self.param[s] as usize];
+            let table = tables[self.param[s] as usize].as_ref();
             let mut best = f64::NEG_INFINITY;
             for &it in self.items(s as u32) {
                 let (value, rest) = unpack(it);
@@ -555,12 +564,12 @@ impl Shapes {
 /// entry is NaN or ±inf, or a sum of entries could overflow. Otherwise
 /// every score and bound is finite — `|score|` is at most the returned
 /// magnitude bound, up to rounding.
-fn finite_column_maxima(tables: &[&[f64]], maxima: &mut Vec<f64>) -> Option<f64> {
+fn finite_column_maxima<C: AsRef<[f64]>>(tables: &[C], maxima: &mut Vec<f64>) -> Option<f64> {
     let mut abs_bound = 0.0f64;
     maxima.clear();
     for table in tables {
         let (mut max, mut max_abs) = (f64::NEG_INFINITY, 0.0f64);
-        for &x in table.iter() {
+        for &x in table.as_ref() {
             if !x.is_finite() {
                 return None;
             }
@@ -615,8 +624,8 @@ pub struct SearchScratch {
 /// Panics if `runs` was built from a different pool shape, if `tables`'
 /// arity differs from the encoding's, or if the mask length differs from
 /// the pool length.
-pub fn rank_indexed(
-    tables: &[&[f64]],
+pub fn rank_indexed<C: AsRef<[f64]> + Sync>(
+    tables: &[C],
     encoding: &PoolEncoding,
     runs: &RunIndex,
     seen: &PoolMask,
@@ -650,9 +659,9 @@ pub fn rank_indexed(
 /// The state of one [`rank_indexed`] search: the inputs plus the
 /// incumbent. The incumbent score starts at `-inf`, which every finite
 /// score beats and no finite bound is `<=` to.
-struct BranchAndBound<'a, T> {
+struct BranchAndBound<'a, T, C> {
     buf: &'a [T],
-    tables: &'a [&'a [f64]],
+    tables: &'a [C],
     col_max: &'a [f64],
     shape_max: &'a [f64],
     shape_free: &'a [bool],
@@ -663,10 +672,10 @@ struct BranchAndBound<'a, T> {
     pick: Option<usize>,
 }
 
-impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
+impl<'a, T: PoolIndex, C: AsRef<[f64]>> BranchAndBound<'a, T, C> {
     fn search(
         buf: &'a [T],
-        tables: &'a [&'a [f64]],
+        tables: &'a [C],
         scratch: &'a SearchScratch,
         slack: f64,
         runs: &'a RunIndex,
@@ -724,7 +733,7 @@ impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
         bound: impl Fn(usize, f64) -> f64,
     ) {
         let levels = self.levels;
-        let (level, table) = (&levels[d], self.tables[d]);
+        let (level, table) = (&levels[d], self.tables[d].as_ref());
         for r in runs {
             let sum = prefix + table[level.values[r] as usize];
             if bound(r, sum) <= self.best {
@@ -744,7 +753,7 @@ impl<'a, T: PoolIndex> BranchAndBound<'a, T> {
     /// and whose shared prefix sum is `prefix`.
     fn positions(&mut self, prefix: f64, range: Range<usize>) {
         let n_params = self.tables.len();
-        let table = self.tables[n_params - 1];
+        let table = self.tables[n_params - 1].as_ref();
         for c in range {
             let score = prefix + table[self.buf[c * n_params + n_params - 1].as_usize()];
             if score > self.best && !self.seen.get(c) {
@@ -851,17 +860,146 @@ pub fn select_by_proposal<R: rand::Rng + ?Sized>(
 /// reproduces the scalar [`select_by_proposal`] behavior exactly.
 pub const PROPOSAL_REDRAW_ROUNDS: usize = 3;
 
-/// Reusable buffers for the vectorized Proposal selector: the tables a
-/// from-scratch fit builds its views into, the SoA candidate matrix, the
-/// score vector, and the probe [`Configuration`] that carries rows through
-/// feasibility and seen checks. One instance lives on the tuner and is
-/// recycled every iteration.
+/// Reusable buffers for the vectorized Proposal selector, recycled every
+/// pick, so that on a fully discrete space a pick allocates only its list
+/// of [`ParamView`](crate::surrogate::ParamView)s and the winning
+/// [`Configuration`] (plus a copy of the best duplicate after each round
+/// whose draws were all seen): the tables a from-scratch fit builds its
+/// views into, the SoA candidate matrix the draws are written into, the
+/// score vector, the density buffers of the serial scoring loop (used by
+/// continuous columns), the candidates' mixed-radix codes for a
+/// [`Seen::Codes`] test, and the probe [`Configuration`] that carries rows
+/// through feasibility checks and a [`Seen::Configs`] test. One instance
+/// lives on the tuner.
 #[derive(Debug, Default)]
 pub struct ProposalScratch {
     tables: ViewTables,
     matrix: CandidateMatrix,
     scores: Vec<f64>,
+    lg: Vec<f64>,
+    lb: Vec<f64>,
+    codes: Vec<usize>,
     probe: Option<Configuration>,
+}
+
+/// The mixed-radix codes ([`ParameterSpace::index_of`]) of the
+/// configurations a Proposal pick must pass over, on a fully discrete
+/// space whose product fits in `usize`: the payload of [`Seen::Codes`],
+/// kept by [`ProposalSeen`]. A candidate's code is computed from its
+/// matrix columns, so testing it costs one hash of one word instead of a
+/// [`Configuration`] copy and hash.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeenCodes {
+    /// Domain size per parameter, first parameter most significant.
+    radices: Vec<usize>,
+    codes: FxHashSet<usize>,
+    /// History prefix already folded into `codes`.
+    synced: HistoryCursor,
+}
+
+/// The seen state a tuner keeps for its Proposal picks: on a fully
+/// discrete space whose product fits in `usize`, the codes of the
+/// history's configurations and of a batch's in-flight picks; on any
+/// other space, the in-flight picks alone, the history being tested by
+/// configuration. [`as_seen`](Self::as_seen) hands either to
+/// [`select_by_proposal_vectorized`], and both give the same picks.
+///
+/// [`sync`](Self::sync) folds a history's observations and quarantined
+/// failures in, each once, as the Ranking pool's seen mask does; a
+/// constant-liar batch [`hold`](Self::hold)s its picks and
+/// [`release`](Self::release)s them before it returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProposalSeen {
+    /// Fully discrete space: the tested codes.
+    Codes(SeenCodes),
+    /// Space with a continuous parameter: a batch's in-flight picks.
+    Configs(FxHashSet<Configuration>),
+}
+
+impl ProposalSeen {
+    /// An empty seen state for `space`.
+    pub fn new(space: &ParameterSpace) -> Self {
+        if space.product_cardinality().is_none() {
+            return Self::Configs(FxHashSet::default());
+        }
+        let radices = space
+            .params()
+            .iter()
+            .map(|p| p.domain().cardinality().expect("fully discrete"))
+            .collect();
+        Self::Codes(SeenCodes {
+            radices,
+            codes: FxHashSet::default(),
+            synced: HistoryCursor::default(),
+        })
+    }
+
+    /// Folds the observations and failures appended to `history` since
+    /// the last sync (nothing to fold when the history is tested by
+    /// configuration).
+    pub fn sync(&mut self, space: &ParameterSpace, history: &ObservationHistory) {
+        if let Self::Codes(set) = self {
+            let codes = &mut set.codes;
+            set.synced.advance(history, |cfg| {
+                // A configuration that is not a member of `space` has no
+                // code, and no draw can equal it.
+                if let Some(code) = space.index_of(cfg) {
+                    codes.insert(code);
+                }
+            });
+        }
+    }
+
+    /// Marks a batch's pick seen for the rest of the batch.
+    pub fn hold(&mut self, space: &ParameterSpace, pick: &Configuration) {
+        match self {
+            Self::Codes(set) => {
+                if let Some(code) = space.index_of(pick) {
+                    set.codes.insert(code);
+                }
+            }
+            Self::Configs(in_flight) => {
+                in_flight.insert(pick.clone());
+            }
+        }
+    }
+
+    /// Drops a finished batch's `picks`: none is in the history yet, and
+    /// each is folded in by the sync that follows its merge.
+    pub fn release(&mut self, space: &ParameterSpace, picks: &[Configuration]) {
+        match self {
+            Self::Codes(set) => {
+                for code in picks.iter().filter_map(|pick| space.index_of(pick)) {
+                    set.codes.remove(&code);
+                }
+            }
+            Self::Configs(in_flight) => in_flight.clear(),
+        }
+    }
+
+    /// The seen test of a pick over `history` and the held picks.
+    pub fn as_seen<'a>(&'a self, history: &'a ObservationHistory) -> Seen<'a> {
+        match self {
+            Self::Codes(set) => Seen::Codes(set),
+            Self::Configs(in_flight) => Seen::Configs(history, Some(in_flight)),
+        }
+    }
+}
+
+/// The seen argument of [`select_by_proposal_vectorized`]: which drawn
+/// candidates the pick passes over. Both variants give the same picks
+/// over the same seen configurations.
+#[derive(Debug, Clone, Copy)]
+pub enum Seen<'a> {
+    /// A candidate is seen when the history holds it (evaluated or
+    /// quarantined) or it is in the extra set — the in-flight picks of a
+    /// constant-liar batch, so one batch never proposes a configuration
+    /// twice. Each candidate row is copied into the probe configuration
+    /// and hashed. Works on every space.
+    Configs(&'a ObservationHistory, Option<&'a FxHashSet<Configuration>>),
+    /// A candidate is seen when its mixed-radix code is in the set
+    /// (built by [`ProposalSeen`]). Fully discrete spaces only.
+    Codes(&'a SeenCodes),
 }
 
 /// The outcome of one vectorized Proposal selection.
@@ -873,12 +1011,36 @@ pub struct ProposalPick {
     /// callers never re-score the pick (`SelectionScored.best_ei` reuses
     /// this value).
     pub score: f64,
-    /// `true` when every draw in every round duplicated history (or
-    /// `extra_seen`): the pick is the best already-seen draw and callers
-    /// should count a stall instead of evaluating it again.
+    /// `true` when every draw in every round was seen (see [`Seen`]): the
+    /// pick is the best already-seen draw and callers should count a
+    /// stall instead of evaluating it again.
     pub duplicate: bool,
     /// Total candidates sampled and scored across all rounds.
     pub scored: u64,
+}
+
+/// A candidate's score and its index in the round's draws.
+type Scored = (f64, usize);
+
+/// The first strict maximum of `scores` among the unseen candidates and
+/// among the seen ones: the draw-order scan the selector keeps its picks
+/// by.
+fn round_best(
+    scores: &[f64],
+    mut seen: impl FnMut(usize) -> bool,
+) -> (Option<Scored>, Option<Scored>) {
+    let (mut unseen_best, mut seen_best) = (None, None);
+    for (c, &score) in scores.iter().enumerate() {
+        let best: &mut Option<Scored> = if seen(c) {
+            &mut seen_best
+        } else {
+            &mut unseen_best
+        };
+        if best.is_none_or(|(s, _)| score > s) {
+            *best = Some((score, c));
+        }
+    }
+    (unseen_best, seen_best)
 }
 
 /// The vectorized Proposal selector: samples `candidates` draws from `p_g`
@@ -890,8 +1052,15 @@ pub struct ProposalPick {
 /// `model` is either a from-scratch [`TpeSurrogate`], whose views are built
 /// once per call into `scratch`, or the tuner's incremental engine, which
 /// lends the tables it maintains. Both run the same
-/// [`sample_views`]/[`score_views`] kernels, so equal fits give equal picks
-/// and equal RNG consumption.
+/// [`sample_views`]/[`score_views`](crate::surrogate::score_views)
+/// kernels, so equal fits give equal picks and equal RNG consumption.
+///
+/// `seen` decides which draws are duplicates: [`Seen::Configs`] tests
+/// each row as a configuration against a history and an optional extra
+/// set, [`Seen::Codes`] tests each row's mixed-radix code against a
+/// [`SeenCodes`] set (fully discrete spaces). Over the same seen
+/// configurations both give the same pick; the tuner's [`ProposalSeen`]
+/// uses codes wherever the space has them.
 ///
 /// When a round contains no unseen candidate, up to `redraw_rounds`
 /// additional sample+score rounds run before the selector concedes and
@@ -899,56 +1068,58 @@ pub struct ProposalPick {
 /// `redraw_rounds = 0` the function consumes exactly the RNG draws of the
 /// scalar path and returns its exact pick.
 ///
-/// `extra_seen` extends the duplicate check beyond evaluated history —
-/// the constant-liar batch path passes its in-flight picks so one batch
-/// never proposes the same configuration twice.
-#[allow(clippy::too_many_arguments)]
+/// # Panics
+/// Panics if `candidates` is zero, or if `seen` is [`Seen::Codes`] and a
+/// parameter is continuous.
 pub fn select_by_proposal_vectorized<M: ProposalModel + ?Sized, R: rand::Rng + ?Sized>(
     model: &M,
     space: &ParameterSpace,
-    history: &ObservationHistory,
-    extra_seen: Option<&FxHashSet<Configuration>>,
+    seen: Seen<'_>,
     candidates: usize,
     redraw_rounds: usize,
     rng: &mut R,
     scratch: &mut ProposalScratch,
 ) -> ProposalPick {
     assert!(candidates > 0, "need at least one candidate");
-    let views = model.param_views(&mut scratch.tables);
+    let ProposalScratch {
+        tables,
+        matrix,
+        scores,
+        lg,
+        lb,
+        codes,
+        probe,
+    } = scratch;
+    let views = model.param_views(tables);
     let mut best_dup: Option<(f64, Configuration)> = None;
     let mut scored = 0u64;
     for _ in 0..=redraw_rounds {
-        sample_views(
-            &views,
-            space,
-            candidates,
-            rng,
-            &mut scratch.matrix,
-            &mut scratch.probe,
-        );
-        score_views(&views, &scratch.matrix, &mut scratch.scores);
+        sample_views(&views, space, candidates, rng, matrix, probe);
+        score_views_in(&views, matrix, scores, lg, lb);
         scored += candidates as u64;
-        let probe = scratch.probe.as_mut().expect("sampled at least one row");
-        let mut best_unseen: Option<(f64, usize)> = None;
-        for (c, &score) in scratch.scores.iter().enumerate() {
-            scratch.matrix.write_row(c, probe);
-            let seen = history.contains(probe) || extra_seen.is_some_and(|s| s.contains(probe));
-            if seen {
-                if best_dup.as_ref().is_none_or(|(s, _)| score > *s) {
-                    best_dup = Some((score, probe.clone()));
-                }
-            } else if best_unseen.is_none_or(|(s, _)| score > s) {
-                best_unseen = Some((score, c));
+        let probe = probe.as_mut().expect("sampled a row");
+        let (unseen, dup) = match seen {
+            Seen::Codes(set) => {
+                matrix.codes_into(&set.radices, codes);
+                round_best(scores, |c| set.codes.contains(&codes[c]))
             }
-        }
-        if let Some((score, c)) = best_unseen {
-            scratch.matrix.write_row(c, probe);
+            Seen::Configs(history, extra) => round_best(scores, |c| {
+                matrix.write_row(c, probe);
+                history.contains(probe) || extra.is_some_and(|e| e.contains(probe))
+            }),
+        };
+        if let Some((score, c)) = unseen {
+            matrix.write_row(c, probe);
             return ProposalPick {
                 config: probe.clone(),
                 score,
                 duplicate: false,
                 scored,
             };
+        }
+        if let Some((score, c)) = dup.filter(|&(d, _)| best_dup.as_ref().is_none_or(|b| d > b.0)) {
+            matrix.write_row(c, probe);
+            best_dup = Some((score, probe.clone()));
         }
     }
     let (score, config) = best_dup.expect("candidates > 0 guarantees a draw");
@@ -964,7 +1135,7 @@ pub fn select_by_proposal_vectorized<M: ProposalModel + ?Sized, R: rand::Rng + ?
 mod tests {
     use super::*;
     use crate::surrogate::SurrogateOptions;
-    use hiperbot_space::{Domain, ParamDef};
+    use hiperbot_space::{Domain, ParamDef, ParamValue};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1089,7 +1260,7 @@ mod tests {
     #[test]
     fn rank_encoded_handles_empty_and_exhausted_pools() {
         let enc = PoolEncoding::encode(&[]).unwrap();
-        assert_eq!(rank_encoded(&[], &enc, &PoolMask::new(0)), None);
+        assert_eq!(rank_encoded::<&[f64]>(&[], &enc, &PoolMask::new(0)), None);
 
         let pool = vec![Configuration::from_indices(&[0])];
         let enc = PoolEncoding::encode(&pool).unwrap();
@@ -1302,5 +1473,125 @@ mod tests {
             })
             .count();
         assert!(hits > 90, "picked a=0 only {hits}/100 times");
+    }
+
+    /// A 3×4×2 space constrained to `a + b <= 3` (18 members), a fit over
+    /// `n_obs` of them (one more quarantined), and the code set synced
+    /// from that history.
+    fn constrained_fit(n_obs: usize) -> (ParameterSpace, TpeSurrogate, ObservationHistory) {
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("c", Domain::discrete_ints(&[0, 1])))
+            .constraint("a + b <= 3", |c, _| {
+                c.value(0).index() + c.value(1).index() <= 3
+            })
+            .build()
+            .unwrap();
+        let members = s.enumerate();
+        let mut history = ObservationHistory::new();
+        for (i, cfg) in members.iter().take(n_obs).enumerate() {
+            history.push(cfg.clone(), ((i * 7) % 5) as f64);
+        }
+        history.push_failure(members[n_obs].clone(), "crash");
+        let failed = [members[n_obs].clone()];
+        let opts = SurrogateOptions::default();
+        let sur = TpeSurrogate::fit_with_failures(
+            &s,
+            history.configs(),
+            history.objectives(),
+            &failed,
+            &opts,
+            None,
+        );
+        (s, sur, history)
+    }
+
+    #[test]
+    fn proposal_seen_follows_the_history_and_held_picks() {
+        let (s, _, history) = constrained_fit(10);
+        let mut seen = ProposalSeen::new(&s);
+        seen.sync(&s, &history);
+        let members = s.enumerate();
+        let ProposalSeen::Codes(set) = &seen else {
+            panic!("a fully discrete space has codes");
+        };
+        for (i, cfg) in members.iter().enumerate() {
+            let code = s.index_of(cfg).unwrap();
+            assert_eq!(set.codes.contains(&code), i <= 10, "member {i}");
+        }
+        let before = seen.clone();
+        seen.hold(&s, &members[14]);
+        assert!(matches!(&seen, ProposalSeen::Codes(set)
+            if set.codes.contains(&s.index_of(&members[14]).unwrap())));
+        seen.release(&s, &members[14..15]);
+        assert_eq!(seen, before);
+        seen.sync(&s, &history); // nothing new
+        assert_eq!(seen, before);
+
+        let mixed = ParameterSpace::builder()
+            .param(ParamDef::new("x", Domain::continuous(0.0, 1.0)))
+            .build()
+            .unwrap();
+        let mut seen = ProposalSeen::new(&mixed);
+        let pick = Configuration::new(vec![ParamValue::Real(0.5)]);
+        seen.hold(&mixed, &pick);
+        assert!(
+            matches!(seen.as_seen(&history), Seen::Configs(_, Some(held))
+            if held.contains(&pick))
+        );
+        seen.release(&mixed, std::slice::from_ref(&pick));
+        assert_eq!(seen, ProposalSeen::new(&mixed));
+    }
+
+    #[test]
+    fn code_and_configuration_seen_tests_pick_alike() {
+        // Nearly exhausted, so many draws are seen and some selections
+        // concede a duplicate.
+        for n_obs in [6, 12, 16] {
+            let (s, sur, history) = constrained_fit(n_obs);
+            let members = s.enumerate();
+            let mut seen = ProposalSeen::new(&s);
+            seen.sync(&s, &history);
+            let extra: FxHashSet<Configuration> =
+                members[n_obs + 1..n_obs + 2].iter().cloned().collect();
+            for cfg in &extra {
+                seen.hold(&s, cfg);
+            }
+            assert!(matches!(seen.as_seen(&history), Seen::Codes(_)));
+            let (mut a, mut b) = (ProposalScratch::default(), ProposalScratch::default());
+            let mut duplicates = 0;
+            for seed in 0..60u64 {
+                let mut rng_a = ChaCha8Rng::seed_from_u64(seed);
+                let mut rng_b = rng_a.clone();
+                let by_config = select_by_proposal_vectorized(
+                    &sur,
+                    &s,
+                    Seen::Configs(&history, Some(&extra)),
+                    3,
+                    PROPOSAL_REDRAW_ROUNDS,
+                    &mut rng_a,
+                    &mut a,
+                );
+                let by_code = select_by_proposal_vectorized(
+                    &sur,
+                    &s,
+                    seen.as_seen(&history),
+                    3,
+                    PROPOSAL_REDRAW_ROUNDS,
+                    &mut rng_b,
+                    &mut b,
+                );
+                assert_eq!(by_config.config, by_code.config, "{n_obs} obs, seed {seed}");
+                assert_eq!(by_config.score.to_bits(), by_code.score.to_bits());
+                assert_eq!(by_config.duplicate, by_code.duplicate);
+                assert_eq!(by_config.scored, by_code.scored);
+                assert_eq!(rng_a.word_pos(), rng_b.word_pos());
+                duplicates += by_code.duplicate as usize;
+            }
+            if n_obs == 16 {
+                assert!(duplicates > 0, "no selection conceded a duplicate");
+            }
+        }
     }
 }

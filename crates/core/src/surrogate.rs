@@ -12,11 +12,10 @@ use hiperbot_space::{Configuration, Domain, ParamValue, ParameterSpace};
 use hiperbot_stats::histogram::{sample_masses, SmoothedHistogram};
 use hiperbot_stats::kde::{Bandwidth, GaussianKde};
 use hiperbot_stats::quantile::split_by_quantile;
-use rayon::prelude::*;
 
-/// Candidate-count chunk the batched scorer hands each rayon task. Fixed
-/// (never derived from thread count) so chunk boundaries — and therefore
-/// the exact per-candidate arithmetic — are identical on every machine.
+/// Candidate-count chunk of the serial scoring loop in [`score_views`]:
+/// the continuous columns' density buffers hold one chunk. Fixed, so chunk
+/// boundaries are the same on every machine.
 pub const SCORE_CHUNK: usize = 256;
 
 /// Hyperparameters of the surrogate fit.
@@ -354,7 +353,8 @@ impl TpeSurrogate {
     /// exactly where the scalar sample/score interleaving would.
     ///
     /// `probe` is a reusable scratch [`Configuration`] (created on first
-    /// use) that carries each draw through the feasibility check.
+    /// use) that carries each row through the feasibility check on a
+    /// space with constraints (see [`sample_views`]).
     ///
     /// # Panics
     /// Panics if any draw fails to find a feasible configuration in
@@ -490,16 +490,38 @@ impl CandidateMatrix {
         self.n = 0;
     }
 
-    /// Appends one candidate row from `cfg`'s values.
-    fn push_row(&mut self, cfg: &Configuration) {
-        for (col, &v) in self.cols.iter_mut().zip(cfg.values()) {
-            match (col, v) {
-                (CandidateColumn::Real(xs), ParamValue::Real(x)) => xs.push(x),
-                (CandidateColumn::Index(is), ParamValue::Index(i)) => is.push(i),
-                _ => panic!("configuration value kind does not match column kind"),
+    /// Appends one candidate row drawn from the good densities of `views`
+    /// (whose shape [`reset`](Self::reset) gave the columns): one draw per
+    /// dimension in parameter order, written straight into its column.
+    fn draw_row<R: rand::Rng + ?Sized>(&mut self, views: &[ParamView<'_>], rng: &mut R) {
+        for (col, v) in self.cols.iter_mut().zip(views) {
+            match (col, *v) {
+                (CandidateColumn::Index(is), ParamView::Discrete { good_pmf, .. }) => {
+                    is.push(sample_masses(good_pmf.iter().copied(), rng));
+                }
+                // clamp KDE tails back into the domain
+                (CandidateColumn::Real(xs), ParamView::Continuous { good, lo, hi, .. }) => {
+                    xs.push(good.sample(rng).clamp(lo, hi));
+                }
+                _ => unreachable!("reset shapes the columns after the views"),
             }
         }
         self.n += 1;
+    }
+
+    /// Removes the last candidate row.
+    fn pop_row(&mut self) {
+        for col in &mut self.cols {
+            match col {
+                CandidateColumn::Real(xs) => {
+                    xs.pop();
+                }
+                CandidateColumn::Index(is) => {
+                    is.pop();
+                }
+            }
+        }
+        self.n -= 1;
     }
 
     /// Writes candidate `c`'s values into `cfg` (which must have matching
@@ -512,6 +534,27 @@ impl CandidateMatrix {
                 CandidateColumn::Index(is) => ParamValue::Index(is[c]),
             };
             cfg.set_value(p, v);
+        }
+    }
+
+    /// Writes each candidate's mixed-radix code under `radices` (the
+    /// domain sizes, first parameter most significant) into `codes`,
+    /// computed column by column: the code
+    /// [`ParameterSpace::index_of`] gives the candidate's configuration.
+    ///
+    /// # Panics
+    /// Panics if a column is continuous or the arities differ.
+    pub(crate) fn codes_into(&self, radices: &[usize], codes: &mut Vec<usize>) {
+        assert_eq!(radices.len(), self.cols.len(), "arity mismatch");
+        codes.clear();
+        codes.resize(self.n, 0);
+        for (col, &radix) in self.cols.iter().zip(radices) {
+            let CandidateColumn::Index(is) = col else {
+                panic!("a continuous column has no code");
+            };
+            for (code, &i) in codes.iter_mut().zip(is) {
+                *code = *code * radix + i;
+            }
         }
     }
 
@@ -617,8 +660,12 @@ impl ProposalModel for TpeSurrogate {
 /// a fit this consumes the RNG exactly as `n` successive
 /// [`TpeSurrogate::sample_good`] calls on that fit.
 ///
-/// `probe` is a reusable scratch [`Configuration`] (created on first use)
-/// that carries each draw through the feasibility check.
+/// Each draw is written straight into its matrix column. On a space with
+/// constraints the row is then copied into `probe` — a reusable scratch
+/// [`Configuration`], created on first use — for
+/// [`ParameterSpace::is_feasible`], and an infeasible row is popped before
+/// the redraw. A space without constraints accepts every row as drawn and
+/// leaves `probe`'s values untouched.
 ///
 /// # Panics
 /// Panics if `probe` has the wrong arity, or if any draw fails to find a
@@ -644,30 +691,26 @@ pub fn sample_views<R: rand::Rng + ?Sized>(
         )
     });
     assert_eq!(probe.len(), views.len(), "arity mismatch");
+    if !space.is_constrained() {
+        for _ in 0..n {
+            matrix.draw_row(views, rng);
+        }
+        return;
+    }
     for _ in 0..n {
         let mut feasible = false;
         for _ in 0..10_000 {
-            for (i, v) in views.iter().enumerate() {
-                let value = match *v {
-                    ParamView::Discrete { good_pmf, .. } => {
-                        ParamValue::Index(sample_masses(good_pmf.iter().copied(), rng))
-                    }
-                    // clamp KDE tails back into the domain
-                    ParamView::Continuous { good, lo, hi, .. } => {
-                        ParamValue::Real(good.sample(rng).clamp(lo, hi))
-                    }
-                };
-                probe.set_value(i, value);
-            }
+            matrix.draw_row(views, rng);
+            matrix.write_row(matrix.len() - 1, probe);
             if space.is_feasible(probe) {
                 feasible = true;
                 break;
             }
+            matrix.pop_row();
         }
         if !feasible {
             panic!("could not propose a feasible configuration from p_g");
         }
-        matrix.push_row(probe);
     }
 }
 
@@ -683,50 +726,58 @@ pub fn sample_views<R: rand::Rng + ?Sized>(
 /// [`GaussianKde::log_pdf_batch`] kernel and discrete dimensions read from
 /// their `column`.
 ///
-/// Candidates are scored in fixed chunks of [`SCORE_CHUNK`] distributed
-/// over the rayon pool; chunk results are independent (no cross-chunk
-/// reduction), so the output is identical at every thread count.
+/// Candidates are scored by a serial loop over fixed chunks of
+/// [`SCORE_CHUNK`], in chunk order; no candidate's sum depends on another,
+/// so the chunking only bounds the density buffers. This form allocates
+/// those buffers per call, and only when a column is continuous; the
+/// Proposal selector keeps them in its
+/// [`ProposalScratch`](crate::selection::ProposalScratch) instead.
 ///
 /// # Panics
 /// Panics if the matrix's arity or column kinds do not match `views`.
 pub fn score_views(views: &[ParamView<'_>], matrix: &CandidateMatrix, scores: &mut Vec<f64>) {
+    score_views_in(views, matrix, scores, &mut Vec::new(), &mut Vec::new());
+}
+
+/// [`score_views`] with caller-held buffers for the good and bad
+/// densities of one chunk of a continuous column.
+pub(crate) fn score_views_in(
+    views: &[ParamView<'_>],
+    matrix: &CandidateMatrix,
+    scores: &mut Vec<f64>,
+    lg: &mut Vec<f64>,
+    lb: &mut Vec<f64>,
+) {
     assert_eq!(matrix.columns().len(), views.len(), "arity mismatch");
-    let n = matrix.len();
     scores.clear();
-    scores.resize(n, 0.0);
-    if n == 0 {
-        return;
-    }
-    scores
-        .par_chunks_mut(SCORE_CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let start = ci * SCORE_CHUNK;
-            let len = chunk.len();
-            let mut lg = vec![0.0f64; len];
-            let mut lb = vec![0.0f64; len];
-            for (v, col) in views.iter().zip(matrix.columns()) {
-                match (*v, col) {
-                    (ParamView::Continuous { good, bad, lo, hi }, CandidateColumn::Real(xs)) => {
-                        let xs = &xs[start..start + len];
-                        good.log_pdf_batch(xs, &mut lg);
-                        match bad {
-                            Some(kde) => kde.log_pdf_batch(xs, &mut lb),
-                            None => lb.fill((1.0 / (hi - lo)).ln()), // uniform fallback
-                        }
-                        for (s, (&g, &b)) in chunk.iter_mut().zip(lg.iter().zip(&lb)) {
-                            *s += g - b;
-                        }
+    scores.resize(matrix.len(), 0.0);
+    for (ci, chunk) in scores.chunks_mut(SCORE_CHUNK).enumerate() {
+        let start = ci * SCORE_CHUNK;
+        let len = chunk.len();
+        for (v, col) in views.iter().zip(matrix.columns()) {
+            match (*v, col) {
+                (ParamView::Continuous { good, bad, lo, hi }, CandidateColumn::Real(xs)) => {
+                    let xs = &xs[start..start + len];
+                    lg.resize(len, 0.0);
+                    lb.resize(len, 0.0);
+                    good.log_pdf_batch(xs, lg);
+                    match bad {
+                        Some(kde) => kde.log_pdf_batch(xs, lb),
+                        None => lb.fill((1.0 / (hi - lo)).ln()), // uniform fallback
                     }
-                    (ParamView::Discrete { column, .. }, CandidateColumn::Index(is)) => {
-                        for (s, &i) in chunk.iter_mut().zip(&is[start..start + len]) {
-                            *s += column[i];
-                        }
+                    for (s, (&g, &b)) in chunk.iter_mut().zip(lg.iter().zip(lb.iter())) {
+                        *s += g - b;
                     }
-                    _ => panic!("configuration value kind does not match parameter domain"),
                 }
+                (ParamView::Discrete { column, .. }, CandidateColumn::Index(is)) => {
+                    for (s, &i) in chunk.iter_mut().zip(&is[start..start + len]) {
+                        *s += column[i];
+                    }
+                }
+                _ => panic!("configuration value kind does not match parameter domain"),
             }
-        });
+        }
+    }
 }
 
 /// A dense per-value score table precomputed from one surrogate fit — the

@@ -10,12 +10,12 @@
 //!    budget is exhausted (or, for Ranking, the space is).
 
 use crate::checkpoint::{CheckpointError, TraceTrial, TunerCheckpoint, CHECKPOINT_VERSION};
-use crate::history::ObservationHistory;
+use crate::history::{HistoryCursor, ObservationHistory};
 use crate::incremental::{ChurnStats, IncrementalSurrogate};
 use crate::outcome::EvalOutcome;
 use crate::selection::{
-    rank_indexed, select_by_proposal_vectorized, ProposalScratch, RunIndex, SearchScratch,
-    SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
+    rank_indexed, select_by_proposal_vectorized, ProposalScratch, ProposalSeen, RunIndex,
+    SearchScratch, SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
 };
 use crate::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
 use crate::transfer::TransferPrior;
@@ -28,7 +28,6 @@ use hiperbot_space::sampling::{latin_hypercube, sample_distinct, sample_uniform}
 use hiperbot_space::{Configuration, ParameterSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rustc_hash::FxHashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -224,12 +223,13 @@ struct RankingPool {
     /// history entry is looked up into it exactly once, instead of the old
     /// per-candidate `history.contains` hash inside the ranking loop.
     /// Permanently-failed configurations are folded in too, so the argmax
-    /// never re-suggests a config that will only fail again.
+    /// never re-suggests a config that will only fail again. While a batch
+    /// is built, its picks are set here as well (see [`hold`](Self::hold)).
     seen: PoolMask,
-    /// Observation prefix already folded into `seen`.
-    synced_ok: usize,
-    /// Failure prefix already folded into `seen`.
-    synced_failed: usize,
+    /// Positions a batch in progress holds in `seen`.
+    held: Vec<usize>,
+    /// History prefix already folded into `seen`.
+    synced: HistoryCursor,
 }
 
 impl RankingPool {
@@ -243,8 +243,8 @@ impl RankingPool {
             scratch: SearchScratch::default(),
             codes,
             seen,
-            synced_ok: 0,
-            synced_failed: 0,
+            held: Vec::new(),
+            synced: HistoryCursor::default(),
         }
     }
 
@@ -269,37 +269,45 @@ impl RankingPool {
             .map(|i| self.encoding.config(i))
     }
 
-    /// The best position not set in `batch_seen` (the pool's own seen
-    /// mask when `None`) under the per-parameter score `tables`, or `None`
-    /// when every position is seen: the run-index search, which debug
-    /// builds cross-check against the pool sweep.
-    fn best_unseen(&mut self, tables: &[&[f64]], batch_seen: Option<&PoolMask>) -> Option<usize> {
-        let seen = batch_seen.unwrap_or(&self.seen);
-        let pick = rank_indexed(tables, &self.encoding, &self.runs, seen, &mut self.scratch);
+    /// The best position not set in the seen mask under the
+    /// per-parameter score `tables`, or `None` when every position is
+    /// seen: the run-index search, which debug builds cross-check against
+    /// the pool sweep.
+    fn best_unseen<C: AsRef<[f64]> + Sync>(&mut self, tables: &[C]) -> Option<usize> {
+        let (encoding, seen) = (&self.encoding, &self.seen);
+        let pick = rank_indexed(tables, encoding, &self.runs, seen, &mut self.scratch);
         #[cfg(debug_assertions)]
         assert_eq!(
             pick,
-            crate::selection::rank_encoded(tables, &self.encoding, seen),
+            crate::selection::rank_encoded(tables, encoding, seen),
             "run-index search diverged from the pool sweep"
         );
         pick
     }
 
+    /// Marks a batch's pick seen for the rest of the batch.
+    fn hold(&mut self, pos: usize) {
+        self.seen.set(pos);
+        self.held.push(pos);
+    }
+
+    /// Clears the positions the batch just built holds: none is in the
+    /// history yet, and each is set again by the sync after its merge.
+    fn release(&mut self) {
+        for pos in self.held.drain(..) {
+            self.seen.unset(pos);
+        }
+    }
+
     /// Folds unsynced history entries — observations and permanent
     /// failures — into the seen bitset.
     fn sync(&mut self, space: &ParameterSpace, history: &ObservationHistory) {
-        for cfg in &history.configs()[self.synced_ok..] {
-            if let Some(i) = self.codes.position(space, cfg) {
-                self.seen.set(i);
+        let (codes, seen) = (&self.codes, &mut self.seen);
+        self.synced.advance(history, |cfg| {
+            if let Some(i) = codes.position(space, cfg) {
+                seen.set(i);
             }
-        }
-        self.synced_ok = history.len();
-        for f in &history.failures()[self.synced_failed..] {
-            if let Some(i) = self.codes.position(space, &f.config) {
-                self.seen.set(i);
-            }
-        }
-        self.synced_failed = history.n_failures();
+        });
     }
 }
 
@@ -332,6 +340,10 @@ pub struct Tuner {
     /// vectors.
     fit_scratch: FitScratch,
     proposal_scratch: ProposalScratch,
+    /// The seen test of Proposal picks: the codes of the history's
+    /// configurations on a fully discrete space, plus a batch's in-flight
+    /// picks while it is built. Unused under Ranking.
+    proposal_seen: ProposalSeen,
     /// Prefix-cloned failure configurations, grown once per new failure
     /// instead of re-cloning the whole failure list on every fit.
     failed_cache: Vec<Configuration>,
@@ -377,6 +389,7 @@ impl Tuner {
             );
         }
         let rng = ChaCha8Rng::seed_from_u64(options.seed);
+        let proposal_seen = ProposalSeen::new(&space);
         Self {
             space,
             options,
@@ -389,6 +402,7 @@ impl Tuner {
             engine: None,
             fit_scratch: FitScratch::default(),
             proposal_scratch: ProposalScratch::default(),
+            proposal_seen,
             failed_cache: Vec::new(),
             metrics: None,
             last_churn: ChurnStats::default(),
@@ -1032,17 +1046,15 @@ impl Tuner {
                     .discrete_tables()
                     .expect("Ranking requires a fully discrete space");
                 let pool = self.pool();
-                let picked = pool
-                    .best_unseen(&tables, None)
-                    .map(|i| pool.encoding.config(i));
+                let picked = pool.best_unseen(&tables).map(|i| pool.encoding.config(i));
                 (picked, pool.len() as u64, None)
             }
             SelectionStrategy::Proposal { candidates } => {
+                self.proposal_seen.sync(&self.space, &self.history);
                 let pick = select_by_proposal_vectorized(
                     &surrogate,
                     &self.space,
-                    &self.history,
-                    None,
+                    self.proposal_seen.as_seen(&self.history),
                     candidates,
                     PROPOSAL_REDRAW_ROUNDS,
                     &mut self.rng,
@@ -1094,9 +1106,7 @@ impl Tuner {
                 let tables = engine
                     .tables()
                     .expect("Ranking requires a fully discrete space");
-                let picked = pool
-                    .best_unseen(&tables, None)
-                    .map(|i| pool.encoding.config(i));
+                let picked = pool.best_unseen(tables).map(|i| pool.encoding.config(i));
                 // Scored only for the trace: the argmax returns no score.
                 let best_ei = picked
                     .as_ref()
@@ -1105,11 +1115,11 @@ impl Tuner {
                 (picked, pool.len() as u64, best_ei)
             }
             SelectionStrategy::Proposal { candidates } => {
+                self.proposal_seen.sync(&self.space, &self.history);
                 let pick = select_by_proposal_vectorized(
                     self.engine.as_ref().expect("synced above"),
                     &self.space,
-                    &self.history,
-                    None,
+                    self.proposal_seen.as_seen(&self.history),
                     candidates,
                     PROPOSAL_REDRAW_ROUNDS,
                     &mut self.rng,
@@ -1240,7 +1250,6 @@ impl Tuner {
         // Scratch tables: real history plus constant-liar fantasies.
         let mut configs: Vec<Configuration> = self.history.configs().to_vec();
         let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut seen = pool.seen.clone();
         let mut liar = 0.0;
         let mut picks = Vec::with_capacity(k);
         for i in 0..k {
@@ -1272,7 +1281,7 @@ impl Tuner {
             let tables = table
                 .discrete_tables()
                 .expect("Ranking requires a fully discrete space");
-            let Some(pos) = pool.best_unseen(&tables, Some(&seen)) else {
+            let Some(pos) = pool.best_unseen(&tables) else {
                 break; // pool exhausted mid-batch
             };
             let cfg = pool.encoding.config(pos);
@@ -1284,13 +1293,14 @@ impl Tuner {
                     elapsed_ns,
                 });
             }
-            seen.set(pos);
+            pool.hold(pos);
             if i + 1 < k {
                 configs.push(cfg.clone());
                 objectives.push(liar);
             }
             picks.push(cfg);
         }
+        pool.release();
         picks
     }
 
@@ -1312,6 +1322,7 @@ impl Tuner {
     /// extends to Proposal mode.
     fn suggest_batch_proposal(&mut self, k: usize, candidates: usize) -> Vec<Configuration> {
         self.sync_failed_cache();
+        self.proposal_seen.sync(&self.space, &self.history);
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let opts = self.surrogate_options();
@@ -1319,7 +1330,6 @@ impl Tuner {
         // Scratch tables: real history plus constant-liar fantasies.
         let mut configs: Vec<Configuration> = self.history.configs().to_vec();
         let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut batch_seen: FxHashSet<Configuration> = FxHashSet::default();
         let mut liar = 0.0;
         let mut picks = Vec::with_capacity(k);
         let mut stalled = 0usize;
@@ -1351,8 +1361,7 @@ impl Tuner {
             let pick = select_by_proposal_vectorized(
                 &surrogate,
                 &self.space,
-                &self.history,
-                Some(&batch_seen),
+                self.proposal_seen.as_seen(&self.history),
                 candidates,
                 PROPOSAL_REDRAW_ROUNDS,
                 &mut self.rng,
@@ -1376,9 +1385,10 @@ impl Tuner {
                 configs.push(pick.config.clone());
                 objectives.push(liar);
             }
-            batch_seen.insert(pick.config.clone());
+            self.proposal_seen.hold(&self.space, &pick.config);
             picks.push(pick.config);
         }
+        self.proposal_seen.release(&self.space, &picks);
         self.stalls += stalled;
         picks
     }
@@ -1387,8 +1397,10 @@ impl Tuner {
     /// either strategy: the pre-batch sync absorbs only the new history
     /// entries, and each fantasy observation is an O(churn) delta update
     /// instead of a from-scratch refit over history + fantasies. Ranking
-    /// masks its picks in a copy of the pool's seen mask; Proposal folds
-    /// them into the duplicate check and, like
+    /// holds its picks in the pool's seen mask and Proposal in its seen
+    /// test (the code set, or the in-flight configurations on a space with
+    /// a continuous parameter), both released before returning; Proposal
+    /// also, like
     /// [`suggest_batch_proposal`](Self::suggest_batch_proposal), drops a
     /// pick that still duplicates after the redraw rounds and counts a
     /// stall — no fantasy is pushed for it. All fantasies are popped (LIFO,
@@ -1404,14 +1416,14 @@ impl Tuner {
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let span = SpanTimer::start(self.metrics.is_some());
-        let mut seen = match self.options.strategy {
+        match self.options.strategy {
             SelectionStrategy::Ranking => {
-                self.pool(); // build + sync once; the loop borrows it immutably
-                Some(self.pool.as_ref().expect("just built").seen.clone())
+                self.pool(); // build + sync once; the loop borrows it
             }
-            SelectionStrategy::Proposal { .. } => None,
-        };
-        let mut batch_seen: FxHashSet<Configuration> = FxHashSet::default();
+            SelectionStrategy::Proposal { .. } => {
+                self.proposal_seen.sync(&self.space, &self.history);
+            }
+        }
         #[cfg(debug_assertions)]
         let mut dbg_configs: Vec<Configuration> = Vec::new();
         #[cfg(debug_assertions)]
@@ -1457,15 +1469,14 @@ impl Tuner {
             let select_timer = SpanTimer::start(traced);
             let (picked, candidates, best_ei) = match self.options.strategy {
                 SelectionStrategy::Ranking => {
-                    let seen = seen.as_mut().expect("Ranking builds its mask");
                     let pool = self.pool.as_mut().expect("just built");
                     let tables = engine
                         .tables()
                         .expect("Ranking requires a fully discrete space");
-                    let Some(pos) = pool.best_unseen(&tables, Some(seen)) else {
+                    let Some(pos) = pool.best_unseen(tables) else {
                         break; // pool exhausted mid-batch
                     };
-                    seen.set(pos);
+                    pool.hold(pos);
                     let cfg = pool.encoding.config(pos);
                     // Scored only for the trace: the argmax returns no score.
                     let best_ei = if traced { engine.score(&cfg) } else { 0.0 };
@@ -1475,8 +1486,7 @@ impl Tuner {
                     let pick = select_by_proposal_vectorized(
                         engine,
                         &self.space,
-                        &self.history,
-                        Some(&batch_seen),
+                        self.proposal_seen.as_seen(&self.history),
                         candidates,
                         PROPOSAL_REDRAW_ROUNDS,
                         &mut self.rng,
@@ -1485,7 +1495,7 @@ impl Tuner {
                     // A pick that duplicates history or an earlier pick is
                     // dropped (None): a stall, and the batch goes on.
                     let kept = (!pick.duplicate).then(|| {
-                        batch_seen.insert(pick.config.clone());
+                        self.proposal_seen.hold(&self.space, &pick.config);
                         pick.config
                     });
                     (kept, pick.scored, pick.score)
@@ -1510,6 +1520,10 @@ impl Tuner {
         let engine = self.engine.as_mut().expect("synced on first pick");
         for _ in 0..fantasies {
             engine.pop_deferred();
+        }
+        self.proposal_seen.release(&self.space, &picks);
+        if let Some(pool) = &mut self.pool {
+            pool.release();
         }
         #[cfg(debug_assertions)]
         {
@@ -2264,6 +2278,74 @@ mod tests {
         tuner.run(3, |c| c.value(0).index() as f64);
         let batch = tuner.suggest_batch(10);
         assert_eq!(batch.len(), 1); // only one unseen config left
+    }
+
+    /// The pool's seen mask after a batch, against one synced afresh from
+    /// the history: the batch's held picks must all be released.
+    fn assert_pool_mask_is_the_history(tuner: &Tuner) {
+        let pool = tuner.pool.as_ref().expect("Ranking built its pool");
+        let mut fresh = RankingPool::build(&tuner.space);
+        fresh.sync(&tuner.space, &tuner.history);
+        assert_eq!(pool.seen, fresh.seen);
+        assert!(pool.held.is_empty());
+    }
+
+    #[test]
+    fn a_ranking_batch_leaves_the_pool_mask_as_the_history_sets_it() {
+        for mode in [SurrogateMode::Incremental, SurrogateMode::Full] {
+            let opts = TunerOptions::default()
+                .with_seed(3)
+                .with_surrogate_mode(mode);
+            let mut tuner = Tuner::new(space(), opts);
+            tuner.run_fallible(30, |c| {
+                if c.value(0).index() == 9 {
+                    EvalOutcome::Timeout
+                } else {
+                    EvalOutcome::Ok(objective(c))
+                }
+            });
+            for k in [1, 4, 8] {
+                let picks = tuner.suggest_batch(k);
+                assert_eq!(picks.len(), k, "{mode:?}");
+                assert_pool_mask_is_the_history(&tuner);
+            }
+            // The same picks come back: nothing of the batches stayed held.
+            assert_eq!(tuner.suggest_batch(4), tuner.suggest_batch(4), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_batch_that_exhausts_the_pool_releases_its_picks() {
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1])))
+            .build()
+            .unwrap();
+        for mode in [SurrogateMode::Incremental, SurrogateMode::Full] {
+            let opts = TunerOptions::default()
+                .with_seed(5)
+                .with_init_samples(2)
+                .with_surrogate_mode(mode);
+            let mut tuner = Tuner::new(s.clone(), opts);
+            tuner.run(4, |c| (c.value(0).index() + 3 * c.value(1).index()) as f64);
+            let picks = tuner.suggest_batch(5);
+            assert_eq!(picks.len(), 2, "{mode:?}: two of six left");
+            assert_pool_mask_is_the_history(&tuner);
+        }
+    }
+
+    #[test]
+    fn a_proposal_batch_leaves_the_code_set_as_the_history_sets_it() {
+        let opts = TunerOptions::default()
+            .with_seed(8)
+            .with_strategy(SelectionStrategy::Proposal { candidates: 16 });
+        let mut tuner = Tuner::new(space(), opts);
+        tuner.run(40, objective);
+        let picks = tuner.suggest_batch(6);
+        assert!(!picks.is_empty());
+        let mut fresh = ProposalSeen::new(&tuner.space);
+        fresh.sync(&tuner.space, &tuner.history);
+        assert_eq!(tuner.proposal_seen, fresh);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use hiperbot_core::checkpoint::TunerCheckpoint;
 use hiperbot_core::selection::{
-    select_by_proposal_vectorized, ProposalScratch, SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
+    select_by_proposal_vectorized, ProposalScratch, Seen, SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
 };
 use hiperbot_core::surrogate::{
     sample_views, score_views, CandidateColumn, CandidateMatrix, SurrogateMode, SurrogateOptions,
@@ -169,8 +169,7 @@ fn check_engine_against_fit(
     let from_fit = select_by_proposal_vectorized(
         &full,
         space,
-        &history,
-        Some(&extra),
+        Seen::Configs(&history, Some(&extra)),
         n,
         PROPOSAL_REDRAW_ROUNDS,
         &mut fit_rng,
@@ -179,8 +178,7 @@ fn check_engine_against_fit(
     let from_engine = select_by_proposal_vectorized(
         engine,
         space,
-        &history,
-        Some(&extra),
+        Seen::Configs(&history, Some(&extra)),
         n,
         PROPOSAL_REDRAW_ROUNDS,
         &mut eng_rng,

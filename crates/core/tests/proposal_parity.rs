@@ -16,7 +16,7 @@
 //!   single-round path would have succeeded.
 
 use hiperbot_core::selection::{
-    select_by_proposal, select_by_proposal_vectorized, ProposalScratch, SelectionStrategy,
+    select_by_proposal, select_by_proposal_vectorized, ProposalScratch, Seen, SelectionStrategy,
     PROPOSAL_REDRAW_ROUNDS,
 };
 use hiperbot_core::surrogate::{CandidateMatrix, SurrogateOptions, TpeSurrogate};
@@ -81,8 +81,7 @@ fn vectorized_with_zero_rounds_is_bit_identical_to_scalar() {
         let pick = select_by_proposal_vectorized(
             &surrogate,
             &space,
-            &history,
-            None,
+            Seen::Configs(&history, None),
             32,
             0,
             &mut vec_rng,
@@ -175,7 +174,7 @@ proptest! {
         let scalar = select_by_proposal(&surrogate, &space, &history, candidates, &mut scalar_rng);
         let mut scratch = ProposalScratch::default();
         let pick = select_by_proposal_vectorized(
-            &surrogate, &space, &history, None, candidates, 0, &mut vec_rng, &mut scratch,
+            &surrogate, &space, Seen::Configs(&history, None), candidates, 0, &mut vec_rng, &mut scratch,
         );
         prop_assert_eq!(pick.config, scalar);
         prop_assert_eq!(scalar_rng.next_u64(), vec_rng.next_u64());
@@ -254,8 +253,7 @@ fn redraw_rounds_never_stall_where_the_old_path_succeeded() {
         let pick = select_by_proposal_vectorized(
             &surrogate,
             &space,
-            &history,
-            None,
+            Seen::Configs(&history, None),
             4,
             PROPOSAL_REDRAW_ROUNDS,
             &mut new_rng,

@@ -267,6 +267,15 @@ impl PoolMask {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Clears position `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn unset(&mut self, i: usize) {
+        assert!(i < self.len, "mask position {i} out of {}", self.len);
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
     /// Whether position `i` is set.
     ///
     /// # Panics

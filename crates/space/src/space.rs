@@ -186,6 +186,12 @@ impl ParameterSpace {
                 })
     }
 
+    /// Whether the space has any feasibility constraint; without one,
+    /// every member is feasible.
+    pub fn is_constrained(&self) -> bool {
+        !self.constraints.is_empty()
+    }
+
     /// Whether `cfg` satisfies all feasibility constraints.
     pub fn is_feasible(&self, cfg: &Configuration) -> bool {
         self.constraints
