@@ -38,9 +38,16 @@ impl Dataset {
     ///
     /// One serial [`walk`](ParameterSpace::walk) of the space yields each
     /// row's code, and `model` runs on the configuration the walk lends,
-    /// so no configuration is copied. The columns are sized once, to the
-    /// product's cardinality, and shrunk to the member count at the end:
-    /// a build makes the same few allocations whatever its row count.
+    /// so no configuration is copied. The walk skips the product members
+    /// below a prefix that fails a constraint declared on it
+    /// ([`SpaceBuilder::constraint_within`](hiperbot_space::SpaceBuilder::constraint_within)),
+    /// so the build costs the feasible members plus one test per prefix.
+    /// `model` runs once per row, in row (code) order, so it may carry
+    /// work from one row to the next: `kripke::energy_dataset` computes
+    /// what a five-parameter prefix decides once for all its power caps.
+    /// The columns are sized once, to the product's cardinality, and
+    /// shrunk to the member count at the end: a build makes the same few
+    /// allocations whatever its row count.
     ///
     /// # Panics
     /// Panics if the space has continuous parameters or no feasible
@@ -51,7 +58,7 @@ impl Dataset {
         space: ParameterSpace,
         seed: u64,
         noise_sigma: f64,
-        model: impl Fn(&Configuration, &ParameterSpace) -> f64,
+        mut model: impl FnMut(&Configuration, &ParameterSpace) -> f64,
     ) -> Self {
         let bound = space
             .product_cardinality()

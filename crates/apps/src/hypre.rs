@@ -76,8 +76,11 @@ fn base_params() -> Vec<ParamDef> {
     ]
 }
 
+/// The cores constraint, declared on the parameters through `OMP`: in the
+/// transfer space a walk tests it once per such prefix and skips the
+/// Coarsen × Interp members below a failing one.
 fn core_constraint(b: hiperbot_space::SpaceBuilder) -> hiperbot_space::SpaceBuilder {
-    b.constraint("4 <= ranks*omp <= 36", |c, d| {
+    b.constraint_within("4 <= ranks*omp <= 36", param::OMP + 1, |c, d| {
         let cores = c.numeric_value(param::RANKS, &d[param::RANKS])
             * c.numeric_value(param::OMP, &d[param::OMP]);
         (4.0..=36.0).contains(&cores)

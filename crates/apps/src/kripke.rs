@@ -29,7 +29,7 @@ use crate::dataset::Dataset;
 use crate::Scale;
 use hiperbot_perfsim::machine::MachineSpec;
 use hiperbot_perfsim::memory::{layout_efficiency, LayoutDims, Nesting};
-use hiperbot_perfsim::power::time_energy_under_cap;
+use hiperbot_perfsim::power::{freq_scale_at_cap, time_energy_at_scale};
 use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
 
 /// Total energy groups in the problem.
@@ -96,14 +96,22 @@ fn base_params() -> Vec<ParamDef> {
     ]
 }
 
+/// The two feasibility constraints, each declared on the prefix that
+/// decides it (through `Dset`, through `OMP`), so a walk tests it once per
+/// prefix and skips the members below a failing one.
 fn add_constraints(b: hiperbot_space::SpaceBuilder) -> hiperbot_space::SpaceBuilder {
-    b.constraint("9 <= ranks*omp <= 36 (node not undersubscribed)", |c, d| {
-        let cores = c.numeric_value(param::RANKS, &d[param::RANKS])
-            * c.numeric_value(param::OMP, &d[param::OMP]);
-        (9.0..=36.0).contains(&cores)
-    })
-    .constraint(
+    b.constraint_within(
+        "9 <= ranks*omp <= 36 (node not undersubscribed)",
+        param::OMP + 1,
+        |c, d| {
+            let cores = c.numeric_value(param::RANKS, &d[param::RANKS])
+                * c.numeric_value(param::OMP, &d[param::OMP]);
+            (9.0..=36.0).contains(&cores)
+        },
+    )
+    .constraint_within(
         "4 <= gset*dset <= 128 (pipeline depth measurable)",
+        param::DSET + 1,
         |c, d| {
             let stages = c.numeric_value(param::GSET, &d[param::GSET])
                 * c.numeric_value(param::DSET, &d[param::DSET]);
@@ -142,6 +150,11 @@ fn nesting_of(cfg: &Configuration) -> Nesting {
 
 /// Noise-free execution time (seconds) of one configuration at `scale`.
 pub fn exec_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
+    exec_time_and_layout(cfg, space, scale).0
+}
+
+/// [`exec_model`] and the layout efficiency it evaluated on the way.
+fn exec_time_and_layout(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> (f64, f64) {
     let defs = space.params();
     let gset = cfg.numeric_value(param::GSET, &defs[param::GSET]);
     let dset = cfg.numeric_value(param::DSET, &defs[param::DSET]);
@@ -182,36 +195,64 @@ pub fn exec_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> 
     let t_sync = OMP_SYNC_COST * omp.log2().max(0.0) / cores;
     let t_comm = MPI_COMM_COST * ranks_total.log2() / cores.sqrt() / 6.0;
 
-    TIME_SCALE * scale.problem_factor().powf(0.35) * (t_pipelined + t_sync + t_comm)
+    let time = TIME_SCALE * scale.problem_factor().powf(0.35) * (t_pipelined + t_sync + t_comm);
+    (time, layout_eff)
 }
 
-/// Noise-free `(time s, energy J)` of an energy-space configuration.
-pub fn energy_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> (f64, f64) {
+/// The cap-independent terms of the energy model: what the first five
+/// parameters decide, at one layout evaluation. [`energy_at_scale`] applies
+/// a cap's frequency scale to them.
+#[derive(Debug, Clone, Copy)]
+struct EnergyTerms {
+    /// Execution time at nominal frequency, seconds ([`exec_model`]).
+    t_nominal: f64,
+    /// Share of the runtime that scales with the clock.
+    compute_fraction: f64,
+    /// Package utilization (0–1).
+    util: f64,
+}
+
+/// The cap-independent terms of an energy-space configuration's energy.
+/// Reads only the parameters before `PKG_LIMIT`.
+fn energy_terms(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> EnergyTerms {
     let defs = space.params();
-    let cap = cfg.numeric_value(param::PKG_LIMIT, &defs[param::PKG_LIMIT]);
     let ranks = cfg.numeric_value(param::RANKS, &defs[param::RANKS]);
     let omp = cfg.numeric_value(param::OMP, &defs[param::OMP]);
     let cores = ranks * omp;
-
-    let t_nominal = exec_model(cfg, space, scale);
+    let (t_nominal, layout_eff) = exec_time_and_layout(cfg, space, scale);
     // The compute-bound share of runtime decides frequency sensitivity:
     // sweeps over well-laid-out data are flop-dominated, poor layouts stall
     // on memory and barely notice the clock.
-    let gset = cfg.numeric_value(param::GSET, &defs[param::GSET]);
-    let dset = cfg.numeric_value(param::DSET, &defs[param::DSET]);
-    let zones_rank = ((ZONES_PER_NODE as f64 * scale.problem_factor()) / ranks).max(1.0) as usize;
-    let dims = LayoutDims {
-        directions: (DIRECTIONS_TOTAL as f64 / dset) as usize,
-        groups: (GROUPS_TOTAL as f64 / gset) as usize,
-        zones: zones_rank,
-    };
-    let layout_eff = layout_efficiency(nesting_of(cfg), dims, 8);
-    let compute_fraction = (0.55 + 0.30 * layout_eff).clamp(0.15, 0.92);
-    let util = 0.45 + 0.5 * (cores / 36.0);
+    EnergyTerms {
+        t_nominal,
+        compute_fraction: (0.55 + 0.30 * layout_eff).clamp(0.15, 0.92),
+        util: 0.45 + 0.5 * (cores / 36.0),
+    }
+}
 
+/// The DVFS step of the energy model: `(time s, energy J)` of a
+/// configuration with `terms` run at `freq_scale`, the frequency scale of
+/// its power cap ([`freq_scale_at_cap`] on [`MachineSpec::quartz_like`]).
+fn energy_at_scale(terms: EnergyTerms, freq_scale: f64) -> (f64, f64) {
     let machine = MachineSpec::quartz_like();
-    let (t, e) = time_energy_under_cap(t_nominal, compute_fraction, cap, util, &machine);
+    let (t, e) = time_energy_at_scale(
+        terms.t_nominal,
+        terms.compute_fraction,
+        freq_scale,
+        terms.util,
+        &machine,
+    );
     (t, ENERGY_SCALE * e)
+}
+
+/// Noise-free `(time s, energy J)` of an energy-space configuration: the
+/// terms its first five parameters decide (nominal time, compute
+/// fraction, utilization), then the DVFS step at its power cap's
+/// frequency scale.
+pub fn energy_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> (f64, f64) {
+    let cap = cfg.numeric_value(param::PKG_LIMIT, &space.params()[param::PKG_LIMIT]);
+    let freq_scale = freq_scale_at_cap(cap, &MachineSpec::quartz_like());
+    energy_at_scale(energy_terms(cfg, space, scale), freq_scale)
 }
 
 /// The paper's expert manual choice for execution time: test each loop
@@ -266,9 +307,21 @@ pub fn exec_dataset(scale: Scale) -> Dataset {
 
 /// Generates the energy dataset (substitute for the paper's 17 815-config
 /// power-cap sweep). Also the transfer-learning domain of §VII-A.
+///
+/// Every row carries [`energy_model`]'s bits, computed in stages: the walk
+/// yields the rows in code order, power cap fastest, so the
+/// cap-independent terms of a five-parameter prefix are computed once for
+/// all its caps, and each cap's frequency scale once per build.
 pub fn energy_dataset(scale: Scale) -> Dataset {
     let space = energy_space();
     let seed = ENERGY_SEED ^ scale.nodes() as u64;
+    let machine = MachineSpec::quartz_like();
+    let caps = space.params()[param::PKG_LIMIT]
+        .domain()
+        .cardinality()
+        .expect("discrete");
+    let mut freq_scales: Vec<Option<f64>> = vec![None; caps];
+    let mut terms: Option<([usize; param::PKG_LIMIT], EnergyTerms)> = None;
     Dataset::generate(
         match scale {
             Scale::Target => "kripke-energy",
@@ -278,13 +331,26 @@ pub fn energy_dataset(scale: Scale) -> Dataset {
         space,
         seed,
         NOISE_SIGMA,
-        move |cfg, s| energy_model(cfg, s, scale).1,
+        move |cfg, s| {
+            let prefix = std::array::from_fn(|i| cfg.value(i).index());
+            let t = match terms {
+                Some((at, t)) if at == prefix => t,
+                _ => terms.insert((prefix, energy_terms(cfg, s, scale))).1,
+            };
+            let cap = cfg.value(param::PKG_LIMIT).index();
+            let fs = *freq_scales[cap].get_or_insert_with(|| {
+                let watts = cfg.numeric_value(param::PKG_LIMIT, &s.params()[param::PKG_LIMIT]);
+                freq_scale_at_cap(watts, &machine)
+            });
+            energy_at_scale(t, fs).1
+        },
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hiperbot_perfsim::noise::lognormal_factor;
 
     #[test]
     fn exec_space_cardinality_is_documented_value() {
@@ -384,6 +450,39 @@ mod tests {
             min_idx > 0 && min_idx < caps.len() - 1,
             "interior cap optimum expected, energies: {energies:?}"
         );
+    }
+
+    #[test]
+    fn staged_terms_and_the_cap_step_are_the_energy_model_bit_for_bit() {
+        let s = energy_space();
+        let machine = MachineSpec::quartz_like();
+        let caps = &s.params()[param::PKG_LIMIT];
+        let freq_scales: Vec<f64> = (0..caps.domain().cardinality().unwrap())
+            .map(|i| freq_scale_at_cap(caps.values()[i].as_f64().unwrap(), &machine))
+            .collect();
+        for scale in [Scale::Source, Scale::Target] {
+            let d = energy_dataset(scale);
+            let seed = ENERGY_SEED ^ scale.nodes() as u64;
+            let mut walk = s.walk();
+            let mut row = 0;
+            while let Some((_, cfg)) = walk.next_member() {
+                // The terms read the five-parameter prefix only.
+                let prefix: Vec<usize> = (0..param::PKG_LIMIT)
+                    .map(|i| cfg.value(i).index())
+                    .collect();
+                let terms = energy_terms(&Configuration::from_indices(&prefix), &s, scale);
+                let fs = freq_scales[cfg.value(param::PKG_LIMIT).index()];
+                let (t, e) = energy_at_scale(terms, fs);
+                let (want_t, want_e) = energy_model(cfg, &s, scale);
+                assert_eq!(t.to_bits(), want_t.to_bits(), "{cfg:?}");
+                assert_eq!(e.to_bits(), want_e.to_bits(), "{cfg:?}");
+                // The dataset's per-prefix and per-cap reuse change no bit.
+                let noisy = want_e * lognormal_factor(&[seed, row as u64], NOISE_SIGMA);
+                assert_eq!(d.objective(row).to_bits(), noisy.to_bits(), "{cfg:?}");
+                row += 1;
+            }
+            assert_eq!(row, d.len());
+        }
     }
 
     #[test]

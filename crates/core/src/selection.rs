@@ -32,6 +32,7 @@ use crate::surrogate::{
 };
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
+use hiperbot_stats::kde::KdeScratch;
 use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
@@ -861,13 +862,14 @@ pub fn select_by_proposal<R: rand::Rng + ?Sized>(
 pub const PROPOSAL_REDRAW_ROUNDS: usize = 3;
 
 /// Reusable buffers for the vectorized Proposal selector, recycled every
-/// pick, so that on a fully discrete space a pick allocates only its list
-/// of [`ParamView`](crate::surrogate::ParamView)s and the winning
+/// pick, so that a pick allocates only its list of
+/// [`ParamView`](crate::surrogate::ParamView)s and the winning
 /// [`Configuration`] (plus a copy of the best duplicate after each round
-/// whose draws were all seen): the tables a from-scratch fit builds its
-/// views into, the SoA candidate matrix the draws are written into, the
-/// score vector, the density buffers of the serial scoring loop (used by
-/// continuous columns), the candidates' mixed-radix codes for a
+/// whose draws were all seen), however many parameters are continuous:
+/// the tables a from-scratch fit builds its views into, the SoA candidate
+/// matrix the draws are written into, the score vector, the density and
+/// KDE kernel buffers of the serial scoring loop (used by continuous
+/// columns), the candidates' mixed-radix codes for a
 /// [`Seen::Codes`] test, and the probe [`Configuration`] that carries rows
 /// through feasibility checks and a [`Seen::Configs`] test. One instance
 /// lives on the tuner.
@@ -878,6 +880,7 @@ pub struct ProposalScratch {
     scores: Vec<f64>,
     lg: Vec<f64>,
     lb: Vec<f64>,
+    kde: KdeScratch,
     codes: Vec<usize>,
     probe: Option<Configuration>,
 }
@@ -1087,6 +1090,7 @@ pub fn select_by_proposal_vectorized<M: ProposalModel + ?Sized, R: rand::Rng + ?
         scores,
         lg,
         lb,
+        kde,
         codes,
         probe,
     } = scratch;
@@ -1095,7 +1099,7 @@ pub fn select_by_proposal_vectorized<M: ProposalModel + ?Sized, R: rand::Rng + ?
     let mut scored = 0u64;
     for _ in 0..=redraw_rounds {
         sample_views(&views, space, candidates, rng, matrix, probe);
-        score_views_in(&views, matrix, scores, lg, lb);
+        score_views_in(&views, matrix, scores, lg, lb, kde);
         scored += candidates as u64;
         let probe = probe.as_mut().expect("sampled a row");
         let (unseen, dup) = match seen {

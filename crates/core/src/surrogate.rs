@@ -10,7 +10,7 @@
 use crate::transfer::TransferPrior;
 use hiperbot_space::{Configuration, Domain, ParamValue, ParameterSpace};
 use hiperbot_stats::histogram::{sample_masses, SmoothedHistogram};
-use hiperbot_stats::kde::{Bandwidth, GaussianKde};
+use hiperbot_stats::kde::{Bandwidth, GaussianKde, KdeScratch};
 use hiperbot_stats::quantile::split_by_quantile;
 
 /// Candidate-count chunk of the serial scoring loop in [`score_views`]:
@@ -736,17 +736,26 @@ pub fn sample_views<R: rand::Rng + ?Sized>(
 /// # Panics
 /// Panics if the matrix's arity or column kinds do not match `views`.
 pub fn score_views(views: &[ParamView<'_>], matrix: &CandidateMatrix, scores: &mut Vec<f64>) {
-    score_views_in(views, matrix, scores, &mut Vec::new(), &mut Vec::new());
+    score_views_in(
+        views,
+        matrix,
+        scores,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut KdeScratch::default(),
+    );
 }
 
-/// [`score_views`] with caller-held buffers for the good and bad
-/// densities of one chunk of a continuous column.
+/// [`score_views`] with caller-held buffers: the good and bad densities of
+/// one chunk of a continuous column, and the kernel buffers that
+/// [`GaussianKde::log_pdf_batch_in`] fills for each of them.
 pub(crate) fn score_views_in(
     views: &[ParamView<'_>],
     matrix: &CandidateMatrix,
     scores: &mut Vec<f64>,
     lg: &mut Vec<f64>,
     lb: &mut Vec<f64>,
+    kde: &mut KdeScratch,
 ) {
     assert_eq!(matrix.columns().len(), views.len(), "arity mismatch");
     scores.clear();
@@ -760,9 +769,9 @@ pub(crate) fn score_views_in(
                     let xs = &xs[start..start + len];
                     lg.resize(len, 0.0);
                     lb.resize(len, 0.0);
-                    good.log_pdf_batch(xs, lg);
+                    good.log_pdf_batch_in(xs, lg, kde);
                     match bad {
-                        Some(kde) => kde.log_pdf_batch(xs, lb),
+                        Some(bad) => bad.log_pdf_batch_in(xs, lb, kde),
                         None => lb.fill((1.0 / (hi - lo)).ln()), // uniform fallback
                     }
                     for (s, (&g, &b)) in chunk.iter_mut().zip(lg.iter().zip(lb.iter())) {

@@ -43,7 +43,8 @@ pub fn power_at(freq_scale: f64, util: f64, machine: &MachineSpec) -> f64 {
 
 /// Energy in joules for a region that takes `time_nominal_s` at nominal
 /// frequency, run under `cap_w`, where `compute_fraction` of its runtime
-/// scales with frequency (the rest is memory/communication bound).
+/// scales with frequency (the rest is memory/communication bound):
+/// [`freq_scale_at_cap`] followed by [`time_energy_at_scale`].
 ///
 /// Returns `(time_s, energy_j)`.
 pub fn time_energy_under_cap(
@@ -53,18 +54,33 @@ pub fn time_energy_under_cap(
     util: f64,
     machine: &MachineSpec,
 ) -> (f64, f64) {
+    let fs = freq_scale_at_cap(cap_w, machine);
+    time_energy_at_scale(time_nominal_s, compute_fraction, fs, util, machine)
+}
+
+/// The DVFS step of [`time_energy_under_cap`] at a known frequency scale
+/// `freq_scale` (0–1], for callers that compute each cap's scale once and
+/// apply it to many regions.
+///
+/// Returns `(time_s, energy_j)`.
+pub fn time_energy_at_scale(
+    time_nominal_s: f64,
+    compute_fraction: f64,
+    freq_scale: f64,
+    util: f64,
+    machine: &MachineSpec,
+) -> (f64, f64) {
     assert!(time_nominal_s >= 0.0);
     assert!((0.0..=1.0).contains(&compute_fraction));
-    let fs = freq_scale_at_cap(cap_w, machine);
-    // Compute-bound part dilates by 1/fs; the rest is frequency-insensitive
-    // (with the mild sqrt uncore effect from the roofline module folded in
-    // by callers that care).
-    let time = time_nominal_s * (compute_fraction / fs + (1.0 - compute_fraction));
+    // Compute-bound part dilates by 1/freq_scale; the rest is
+    // frequency-insensitive (with the mild sqrt uncore effect from the
+    // roofline module folded in by callers that care).
+    let time = time_nominal_s * (compute_fraction / freq_scale + (1.0 - compute_fraction));
     // Power is what the resulting DVFS point draws. For caps below the
     // minimum-frequency power this exceeds the cap — real packages cannot
     // honor such caps either (they throttle duty cycles at far worse
     // energy, which the measured dataset's worst rows reflect).
-    let power = power_at(fs, util, machine);
+    let power = power_at(freq_scale, util, machine);
     (time, power * time)
 }
 

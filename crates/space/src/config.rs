@@ -112,6 +112,13 @@ impl Configuration {
         self.values[i] = v;
     }
 
+    /// Makes this configuration the first `k` values of `of`, reusing its
+    /// allocation.
+    pub(crate) fn assign_prefix(&mut self, of: &Configuration, k: usize) {
+        self.values.clear();
+        self.values.extend_from_slice(&of.values[..k]);
+    }
+
     /// Resolves parameter `i` through its definition to the domain value.
     ///
     /// # Panics

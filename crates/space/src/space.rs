@@ -5,6 +5,9 @@ use crate::param::{Domain, ParamDef};
 use std::fmt;
 use std::sync::Arc;
 
+/// The predicate type a [`Constraint`] wraps.
+type ConstraintFn = dyn Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync;
+
 /// A named feasibility predicate over configurations.
 ///
 /// The measured datasets the paper uses were collected on real machines
@@ -12,23 +15,28 @@ use std::sync::Arc;
 /// exceeding a node's cores, or a group-set count that does not divide the
 /// number of energy groups); those runs are simply absent, which is why the
 /// datasets have non-product cardinalities. Constraints reproduce that.
-/// The predicate type a [`Constraint`] wraps.
-type ConstraintFn = dyn Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync;
-
+///
+/// A constraint may declare that the first `k` parameters decide it
+/// ([`SpaceBuilder::constraint_within`]); a [`FeasibleWalk`] then tests it
+/// once per distinct `k`-prefix instead of once per product member.
 #[derive(Clone)]
 pub struct Constraint {
     name: String,
+    /// How many leading parameters decide the predicate; `None` when it
+    /// may read the whole configuration.
+    prefix: Option<usize>,
     predicate: Arc<ConstraintFn>,
 }
 
 impl Constraint {
-    /// Creates a named constraint.
+    /// Creates a named constraint over whole configurations.
     pub fn new(
         name: impl Into<String>,
         predicate: impl Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync + 'static,
     ) -> Self {
         Self {
             name: name.into(),
+            prefix: None,
             predicate: Arc::new(predicate),
         }
     }
@@ -48,6 +56,7 @@ impl fmt::Debug for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Constraint")
             .field("name", &self.name)
+            .field("prefix", &self.prefix)
             .finish()
     }
 }
@@ -61,8 +70,19 @@ pub enum SpaceError {
     DuplicateName(String),
     /// A discrete domain has no values.
     EmptyDomain(String),
-    /// A continuous domain has `lo >= hi` or non-finite bounds.
+    /// A continuous domain has `lo >= hi`, a non-finite bound, or a width
+    /// `hi - lo` that overflows to infinity.
     InvalidRange(String),
+    /// A constraint declares a prefix of no parameters or of more
+    /// parameters than the space has.
+    InvalidPrefix {
+        /// The constraint's name.
+        constraint: String,
+        /// The declared prefix length.
+        prefix: usize,
+        /// The space's parameter count.
+        n_params: usize,
+    },
 }
 
 impl fmt::Display for SpaceError {
@@ -74,6 +94,15 @@ impl fmt::Display for SpaceError {
             SpaceError::InvalidRange(n) => {
                 write!(f, "parameter '{n}' has an invalid continuous range")
             }
+            SpaceError::InvalidPrefix {
+                constraint,
+                prefix,
+                n_params,
+            } => write!(
+                f,
+                "constraint '{constraint}' is declared on the first {prefix} parameters, \
+                 but the space has {n_params}"
+            ),
         }
     }
 }
@@ -81,6 +110,14 @@ impl fmt::Display for SpaceError {
 impl std::error::Error for SpaceError {}
 
 /// Builder for [`ParameterSpace`].
+///
+/// Constraints come in two forms. [`constraint`](Self::constraint) takes a
+/// predicate over whole configurations.
+/// [`constraint_within`](Self::constraint_within) declares that the first
+/// `k` parameters decide the predicate, which lets a [`FeasibleWalk`] test
+/// it once per `k`-prefix and skip the members below a failing prefix;
+/// put the parameters that constraints read first to gain from it. Both
+/// forms define the same feasible set.
 #[derive(Default)]
 pub struct SpaceBuilder {
     params: Vec<ParamDef>,
@@ -94,13 +131,35 @@ impl SpaceBuilder {
         self
     }
 
-    /// Adds a feasibility constraint.
+    /// Adds a feasibility constraint over whole configurations. A walk
+    /// tests it on every product member that the declared-prefix
+    /// constraints admit, in declaration order.
     pub fn constraint(
         mut self,
         name: impl Into<String>,
         predicate: impl Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.constraints.push(Constraint::new(name, predicate));
+        self
+    }
+
+    /// Adds a feasibility constraint that the first `k` parameters decide.
+    /// The predicate has the signature of [`constraint`](Self::constraint),
+    /// but must read only values and definitions `0..k`: a walk hands it a
+    /// `k`-long configuration and the first `k` definitions, so reading
+    /// past them panics. `k` equal to the parameter count is the plain
+    /// form; [`build`](Self::build) rejects `k = 0` and `k` past the
+    /// parameter count with [`SpaceError::InvalidPrefix`].
+    pub fn constraint_within(
+        mut self,
+        name: impl Into<String>,
+        k: usize,
+        predicate: impl Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        self.constraints.push(Constraint {
+            prefix: Some(k),
+            ..Constraint::new(name, predicate)
+        });
         self
     }
 
@@ -118,15 +177,40 @@ impl SpaceBuilder {
                 Domain::Discrete(v) if v.is_empty() => {
                     return Err(SpaceError::EmptyDomain(p.name().to_string()))
                 }
-                Domain::Continuous { lo, hi } if !(lo.is_finite() && hi.is_finite() && lo < hi) => {
+                // The width must be finite too: a draw scales it, and
+                // every draw from a range whose width overflows is
+                // infinite.
+                Domain::Continuous { lo, hi }
+                    if !(lo.is_finite() && hi.is_finite() && lo < hi && (hi - lo).is_finite()) =>
+                {
                     return Err(SpaceError::InvalidRange(p.name().to_string()))
                 }
                 _ => {}
             }
         }
+        let n = self.params.len();
+        let mut staged = Vec::new();
+        let mut whole = Vec::new();
+        for c in self.constraints {
+            match c.prefix {
+                Some(k) if k == 0 || k > n => {
+                    return Err(SpaceError::InvalidPrefix {
+                        constraint: c.name,
+                        prefix: k,
+                        n_params: n,
+                    })
+                }
+                Some(k) if k < n => staged.push((k, c)),
+                _ => whole.push(c),
+            }
+        }
+        // Shortest prefix first; the sort is stable, so ties keep their
+        // declaration order.
+        staged.sort_by_key(|&(k, _)| k);
         Ok(ParameterSpace {
             params: self.params,
-            constraints: self.constraints,
+            staged,
+            whole,
         })
     }
 }
@@ -135,7 +219,11 @@ impl SpaceBuilder {
 #[derive(Debug, Clone)]
 pub struct ParameterSpace {
     params: Vec<ParamDef>,
-    constraints: Vec<Constraint>,
+    /// The constraints declared on a proper prefix of the parameters, with
+    /// its length: shortest first, ties in declaration order.
+    staged: Vec<(usize, Constraint)>,
+    /// The constraints over whole configurations, in declaration order.
+    whole: Vec<Constraint>,
 }
 
 impl ParameterSpace {
@@ -189,13 +277,17 @@ impl ParameterSpace {
     /// Whether the space has any feasibility constraint; without one,
     /// every member is feasible.
     pub fn is_constrained(&self) -> bool {
-        !self.constraints.is_empty()
+        !(self.staged.is_empty() && self.whole.is_empty())
     }
 
-    /// Whether `cfg` satisfies all feasibility constraints.
+    /// Whether `cfg` satisfies all feasibility constraints. Every predicate
+    /// sees the whole configuration: the declared-prefix ones first,
+    /// shortest prefix first, then the others in declaration order.
     pub fn is_feasible(&self, cfg: &Configuration) -> bool {
-        self.constraints
+        self.staged
             .iter()
+            .map(|(_, c)| c)
+            .chain(&self.whole)
             .all(|c| c.is_satisfied(cfg, &self.params))
     }
 
@@ -260,11 +352,16 @@ impl ParameterSpace {
         let total = self
             .product_cardinality()
             .expect("enumeration requires a fully discrete space");
+        let deepest = self.staged.last().map_or(0, |&(k, _)| k);
         FeasibleWalk {
             space: self,
             probe: Configuration::new(vec![ParamValue::Index(0); self.params.len()]),
+            prefix: Configuration::new(Vec::with_capacity(deepest)),
             code: 0,
             total,
+            // Without staged constraints every code is settled.
+            settled_until: if deepest == 0 { total } else { 0 },
+            deepest,
             lent: false,
         }
     }
@@ -319,18 +416,38 @@ impl ParameterSpace {
 /// The feasible members of a fully discrete space in code order: the one
 /// odometer behind [`ParameterSpace::enumerate`], the Ranking pool and the
 /// datasets. A single probe configuration steps through the product, last
-/// parameter fastest as in [`config_at`](ParameterSpace::config_at), is
-/// tested against the feasibility constraints in that order, and is lent
-/// to the caller at each feasible member. A walk therefore allocates once
-/// however large the product is; callers clone only what they keep.
+/// parameter fastest as in [`config_at`](ParameterSpace::config_at), and is
+/// lent to the caller at each feasible member, so a walk allocates once
+/// however large the product is (twice with declared-prefix constraints);
+/// callers clone only what they keep.
+///
+/// Constraints are tested in two stages. One declared on the first `k`
+/// parameters ([`SpaceBuilder::constraint_within`]) runs once per distinct
+/// `k`-prefix, as soon as the probe reaches it: on a `k`-long copy of the
+/// probe with the first `k` definitions, shortest prefix first, ties in
+/// declaration order. When it fails, the walk skips every member that
+/// shares the prefix by stepping the odometer at parameter `k − 1`.
+/// Constraints over whole configurations then run on each member the
+/// staged ones admit, in declaration order, as
+/// [`is_feasible`](ParameterSpace::is_feasible) would. A skipped member
+/// fails a constraint that its prefix decides, so the walk yields exactly
+/// the members `config_at` + `is_feasible` accepts, in the same order and
+/// with the same codes.
 #[derive(Debug)]
 pub struct FeasibleWalk<'s> {
     space: &'s ParameterSpace,
     probe: Configuration,
+    /// The `k`-long copy of the probe a staged predicate is handed.
+    prefix: Configuration,
     /// Code of the product member the probe holds.
     code: usize,
     /// Product cardinality: one past the last code.
     total: usize,
+    /// The staged predicates hold at every code below this one from the
+    /// probe's: it ends the longest staged prefix that last passed them.
+    settled_until: usize,
+    /// The longest staged prefix; 0 without staged constraints.
+    deepest: usize,
     /// Whether the probe was lent at `code` and steps before the next test.
     lent: bool,
 }
@@ -341,20 +458,88 @@ impl FeasibleWalk<'_> {
         if std::mem::take(&mut self.lent) {
             self.step();
         }
-        while self.code < self.total {
-            if self.space.is_feasible(&self.probe) {
-                self.lent = true;
-                return Some((self.code, &self.probe));
+        let space = self.space;
+        loop {
+            // The staged predicates hold here: test the others.
+            while self.code < self.settled_until {
+                if space
+                    .whole
+                    .iter()
+                    .all(|c| c.is_satisfied(&self.probe, &space.params))
+                {
+                    self.lent = true;
+                    return Some((self.code, &self.probe));
+                }
+                self.step();
             }
-            self.step();
+            if self.code >= self.total {
+                return None;
+            }
+            self.settle();
         }
-        None
+    }
+
+    /// Runs the staged predicates whose prefixes the probe just reached,
+    /// shortest first, skipping every member below a prefix that fails
+    /// one, until all hold or the product ends. The probe stands at the
+    /// first member of a new longest staged prefix here (its later values
+    /// at their first), and its last value that is not the first, among
+    /// that prefix, is the one that stepped: the shorter prefixes that end
+    /// before it are unchanged, and their predicates held.
+    fn settle(&mut self) {
+        let space = self.space;
+        'probe: while self.code < self.total {
+            let stepped = (0..self.deepest)
+                .rev()
+                .find(|&i| self.probe.value(i).index() != 0)
+                .unwrap_or(0);
+            for &(k, ref c) in &space.staged {
+                if k <= stepped {
+                    continue;
+                }
+                self.prefix.assign_prefix(&self.probe, k);
+                if !c.is_satisfied(&self.prefix, &space.params[..k]) {
+                    self.skip(k);
+                    continue 'probe;
+                }
+            }
+            self.settled_until = self.code + self.stride(self.deepest);
+            return;
+        }
+    }
+
+    /// How many product members share each `k`-prefix: the product of the
+    /// later parameters' cardinalities.
+    fn stride(&self, k: usize) -> usize {
+        self.space.params[k..]
+            .iter()
+            .map(|p| p.domain().cardinality().expect("discrete"))
+            .product()
     }
 
     /// Advances the probe to the next product member.
     fn step(&mut self) {
         self.code += 1;
-        for (i, p) in self.space.params.iter().enumerate().rev() {
+        self.carry(self.space.params.len());
+    }
+
+    /// Skips every member that shares the probe's first `k` values: the
+    /// probe stands at the first of them (its later values at their
+    /// first), so they are the next `stride(k)` codes.
+    fn skip(&mut self, k: usize) {
+        debug_assert!((k..self.probe.len()).all(|i| self.probe.value(i).index() == 0));
+        self.code += self.stride(k);
+        self.carry(k);
+    }
+
+    /// Steps the probe's value at `k − 1`, carrying into earlier
+    /// parameters; the values from `k` on are at their first. Past the
+    /// last member the probe wraps to the first and `code` reaches
+    /// `total`. Inlined into the per-member loop, which calls it on every
+    /// step.
+    #[inline(always)]
+    fn carry(&mut self, k: usize) {
+        for (i, p) in self.space.params[..k].iter().enumerate().rev() {
             let next = self.probe.value(i).index() + 1;
             if next < p.domain().cardinality().expect("discrete") {
                 self.probe.set_value(i, ParamValue::Index(next));
@@ -445,6 +630,24 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, SpaceError::InvalidRange("a".into()));
+    }
+
+    #[test]
+    fn builder_rejects_a_range_whose_width_overflows() {
+        for (lo, hi) in [(-1e308, 1e308), (-f64::MAX, f64::MAX), (-f64::MAX, 0.5e308)] {
+            let err = ParameterSpace::builder()
+                .param(ParamDef::new("k", Domain::discrete_ints(&[1, 2, 3])))
+                .param(ParamDef::new("x", Domain::continuous(lo, hi)))
+                .build()
+                .unwrap_err();
+            assert_eq!(err, SpaceError::InvalidRange("x".into()), "[{lo}, {hi}]");
+        }
+        // A wide range whose width is finite stays valid.
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("x", Domain::continuous(-1e307, 1e307)))
+            .build()
+            .unwrap();
+        assert_eq!(s.n_params(), 1);
     }
 
     #[test]

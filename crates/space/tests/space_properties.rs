@@ -5,7 +5,7 @@
 use hiperbot_space::sampling::{latin_hypercube, sample_distinct};
 use hiperbot_space::{
     Configuration, Domain, Encoder, EncodingKind, ParamDef, ParamValue, ParameterSpace,
-    PoolEncoding,
+    PoolEncoding, SpaceError,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -51,6 +51,135 @@ fn oracle(space: &ParameterSpace) -> Vec<(usize, Configuration)> {
         .map(|i| (i, space.config_at(i)))
         .filter(|(_, cfg)| space.is_feasible(cfg))
         .collect()
+}
+
+/// Calls a space's predicates logged: the constraint's position in
+/// declaration order and the indices of the configuration it was handed.
+type CallLog = Arc<Mutex<Vec<(usize, Vec<usize>)>>>;
+
+/// A random space mixing constraints declared on a prefix with plain
+/// ones: 1–5 parameters of 1–5 values and up to four salted-hash
+/// constraints, each rejecting about a third of the values it reads.
+/// `Some(k)` declares a constraint on the first `k` parameters (`k` may be
+/// the parameter count: the plain form spelled out); `None` leaves it
+/// plain.
+#[derive(Debug, Clone)]
+struct MixedSpec {
+    cards: Vec<usize>,
+    constraints: Vec<(Option<usize>, u64)>,
+}
+
+fn arb_mixed_spec() -> impl Strategy<Value = MixedSpec> {
+    (
+        proptest::collection::vec(1usize..=5, 1..=5),
+        proptest::collection::vec((0usize..=5, 0u64..1000), 0..=4),
+    )
+        .prop_map(|(cards, cs)| {
+            let n = cards.len();
+            let constraints = cs
+                .into_iter()
+                .map(|(k, salt)| ((k > 0).then(|| 1 + (k - 1) % n), salt))
+                .collect();
+            MixedSpec { cards, constraints }
+        })
+}
+
+impl MixedSpec {
+    /// How many leading values constraint `c` reads.
+    fn reads(&self, c: usize) -> usize {
+        self.constraints[c].0.unwrap_or(self.cards.len())
+    }
+
+    /// Whether constraint `c` holds on a configuration starting with
+    /// `values`; it reads only its first `reads(c)`.
+    fn holds(&self, c: usize, values: &[usize]) -> bool {
+        let read = Configuration::from_indices(&values[..self.reads(c)]);
+        !salted(&read, self.constraints[c].1).is_multiple_of(3)
+    }
+
+    /// The space, each predicate logging its calls into `log`.
+    fn build(&self, log: &CallLog) -> ParameterSpace {
+        let mut b = ParameterSpace::builder();
+        for (i, &c) in self.cards.iter().enumerate() {
+            let vals: Vec<i64> = (0..c as i64).collect();
+            b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
+        }
+        for (id, &(k, _)) in self.constraints.iter().enumerate() {
+            let (log, spec) = (Arc::clone(log), self.clone());
+            let predicate = move |c: &Configuration, _: &[ParamDef]| {
+                let handed: Vec<usize> = c.values().iter().map(|v| v.index()).collect();
+                let ok = spec.holds(id, &handed);
+                log.lock().unwrap().push((id, handed));
+                ok
+            };
+            b = match k {
+                Some(k) => b.constraint_within(format!("c{id}"), k, predicate),
+                None => b.constraint(format!("c{id}"), predicate),
+            };
+        }
+        b.build().expect("valid")
+    }
+
+    /// The declared-prefix constraints a walk stages (prefix shorter than
+    /// the space), in the order it tests them: shortest prefix first, ties
+    /// in declaration order.
+    fn stages(&self) -> Vec<usize> {
+        let n = self.cards.len();
+        let mut stages: Vec<usize> = (0..self.constraints.len())
+            .filter(|&c| self.constraints[c].0.is_some_and(|k| k < n))
+            .collect();
+        stages.sort_by_key(|&c| self.reads(c));
+        stages
+    }
+
+    /// Every `k`-prefix of the product, in code order.
+    fn prefixes(&self, k: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![vec![]];
+        for &card in &self.cards[..k] {
+            out = out
+                .into_iter()
+                .flat_map(|p| {
+                    (0..card).map(move |v| {
+                        let mut p = p.clone();
+                        p.push(v);
+                        p
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// The calls a walk must make, by constraint: each staged predicate
+    /// once per prefix the walk reaches — every prefix, in code order, on
+    /// which the stages tested before it hold — and the others on every
+    /// member the stages admit, in code order, until one fails.
+    fn expected_calls(&self) -> Vec<Vec<Vec<usize>>> {
+        let mut calls = vec![Vec::new(); self.constraints.len()];
+        let stages = self.stages();
+        for (at, &c) in stages.iter().enumerate() {
+            calls[c] = self
+                .prefixes(self.reads(c))
+                .into_iter()
+                .filter(|p| stages[..at].iter().all(|&s| self.holds(s, p)))
+                .collect();
+        }
+        let whole: Vec<usize> = (0..self.constraints.len())
+            .filter(|c| !stages.contains(c))
+            .collect();
+        for member in self.prefixes(self.cards.len()) {
+            if !stages.iter().all(|&s| self.holds(s, &member)) {
+                continue;
+            }
+            for &c in &whole {
+                calls[c].push(member.clone());
+                if !self.holds(c, &member) {
+                    break;
+                }
+            }
+        }
+        calls
+    }
 }
 
 fn arb_discrete_space() -> impl Strategy<Value = ParameterSpace> {
@@ -131,6 +260,71 @@ proptest! {
         let _ = space.enumerate();
         let walked = std::mem::take(&mut *log.lock().unwrap());
         prop_assert_eq!(walked, expected);
+    }
+
+    #[test]
+    fn staged_walks_match_the_config_at_oracle(spec in arb_mixed_spec()) {
+        let space = spec.build(&CallLog::default());
+        let expected = oracle(&space);
+        let mut walk = space.walk();
+        let mut walked = Vec::new();
+        while let Some((code, cfg)) = walk.next_member() {
+            walked.push((code, cfg.clone()));
+        }
+        prop_assert_eq!(&walked, &expected);
+        prop_assert!(walk.next_member().is_none(), "a finished walk stays finished");
+
+        let all = space.enumerate();
+        prop_assert_eq!(
+            &all,
+            &expected.iter().map(|(_, cfg)| cfg.clone()).collect::<Vec<_>>()
+        );
+
+        let (encoding, codes) = PoolEncoding::enumerate(&space);
+        prop_assert_eq!(encoding.n_configs(), expected.len());
+        prop_assert_eq!(
+            codes.as_slice(),
+            expected.iter().map(|(code, _)| *code).collect::<Vec<_>>().as_slice()
+        );
+        for (i, (_, want)) in expected.iter().enumerate() {
+            prop_assert_eq!(&encoding.config(i), want);
+        }
+    }
+
+    #[test]
+    fn staged_predicates_run_once_per_prefix_the_walk_reaches(spec in arb_mixed_spec()) {
+        let log = CallLog::default();
+        let space = spec.build(&log);
+        let _ = space.enumerate();
+        let mut calls = vec![Vec::new(); spec.constraints.len()];
+        for (c, handed) in std::mem::take(&mut *log.lock().unwrap()) {
+            calls[c].push(handed);
+        }
+        prop_assert_eq!(calls, spec.expected_calls(), "{:?}", spec);
+    }
+
+    #[test]
+    fn prefixes_outside_the_space_are_errors(
+        cards in proptest::collection::vec(1usize..=3, 1..=4),
+        past in 1usize..=3,
+    ) {
+        let n = cards.len();
+        for k in [0, n + past] {
+            let mut b = ParameterSpace::builder();
+            for (i, &c) in cards.iter().enumerate() {
+                let vals: Vec<i64> = (0..c as i64).collect();
+                b = b.param(ParamDef::new(format!("p{i}"), Domain::discrete_ints(&vals)));
+            }
+            let err = b
+                .constraint("plain", |_, _| true)
+                .constraint_within("bad", k, |_, _| true)
+                .build()
+                .unwrap_err();
+            prop_assert_eq!(
+                err,
+                SpaceError::InvalidPrefix { constraint: "bad".into(), prefix: k, n_params: n }
+            );
+        }
     }
 
     #[test]
@@ -244,6 +438,40 @@ proptest! {
         // all-zeros is always feasible under this constraint
         prop_assert!(!feasible.is_empty());
     }
+}
+
+/// A three-parameter space whose one constraint is declared on the first
+/// two parameters; `predicate` stands for what it really reads.
+fn declared_on_two(
+    predicate: impl Fn(&Configuration, &[ParamDef]) -> bool + Send + Sync + 'static,
+) -> ParameterSpace {
+    let mut b = ParameterSpace::builder();
+    for i in 0..3 {
+        b = b.param(ParamDef::new(
+            format!("p{i}"),
+            Domain::discrete_ints(&[1, 2]),
+        ));
+    }
+    b.constraint_within("declared on p0, p1", 2, predicate)
+        .build()
+        .unwrap()
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn a_predicate_reading_a_value_past_its_prefix_panics_in_the_walk() {
+    let space = declared_on_two(|c, _| c.value(2).index() == 0);
+    // Whole configurations hide the mistake...
+    assert!(space.is_feasible(&Configuration::from_indices(&[0, 0, 0])));
+    // ...the walk does not.
+    let _ = space.enumerate();
+}
+
+#[test]
+#[should_panic(expected = "out of")]
+fn a_predicate_reading_a_definition_past_its_prefix_panics_in_the_walk() {
+    let space = declared_on_two(|c, d| c.numeric_value(1, &d[2]) > 0.0);
+    let _ = PoolEncoding::enumerate(&space);
 }
 
 #[test]

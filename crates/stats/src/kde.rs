@@ -23,6 +23,15 @@ pub enum Bandwidth {
     Silverman,
 }
 
+/// The buffers of [`GaussianKde::log_pdf_batch_in`], lent by a caller that
+/// evaluates densities batch after batch: the usable kernels with their
+/// log-weights, and one point's kernel terms.
+#[derive(Debug, Clone, Default)]
+pub struct KdeScratch {
+    kernels: Vec<(f64, f64)>,
+    terms: Vec<f64>,
+}
+
 /// A one-dimensional Gaussian kernel density estimate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaussianKde {
@@ -144,18 +153,30 @@ impl GaussianKde {
     /// # Panics
     /// Panics if `xs` and `out` differ in length.
     pub fn log_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
+        self.log_pdf_batch_in(xs, out, &mut KdeScratch::default());
+    }
+
+    /// [`log_pdf_batch`](Self::log_pdf_batch) with caller-held buffers: it
+    /// allocates nothing once `scratch` has held as many kernels.
+    ///
+    /// # Panics
+    /// Panics if `xs` and `out` differ in length.
+    pub fn log_pdf_batch_in(&self, xs: &[f64], out: &mut [f64], scratch: &mut KdeScratch) {
         assert_eq!(xs.len(), out.len(), "xs/out length mismatch");
         let h = self.bandwidth;
         let log_norm_num = INV_SQRT_2PI.ln();
         let log_norm_den = (self.total_weight * h).ln();
-        let kernels: Vec<(f64, f64)> = self
-            .points
-            .iter()
-            .zip(&self.weights)
-            .filter(|&(_, &w)| w != 0.0)
-            .map(|(&p, &w)| (p, w.ln()))
-            .collect();
-        let mut terms = vec![0.0f64; kernels.len()];
+        let KdeScratch { kernels, terms } = scratch;
+        kernels.clear();
+        kernels.extend(
+            self.points
+                .iter()
+                .zip(&self.weights)
+                .filter(|&(_, &w)| w != 0.0)
+                .map(|(&p, &w)| (p, w.ln())),
+        );
+        terms.clear();
+        terms.resize(kernels.len(), 0.0);
         for (&x, o) in xs.iter().zip(out.iter_mut()) {
             let mut max_t = f64::NEG_INFINITY;
             for (&(p, ln_w), t) in kernels.iter().zip(terms.iter_mut()) {
@@ -171,7 +192,7 @@ impl GaussianKde {
                 continue;
             }
             let mut acc = 0.0;
-            for &t in &terms {
+            for &t in terms.iter() {
                 acc += (t - max_t).exp();
             }
             *o = max_t + acc.ln() + log_norm_num - log_norm_den;

@@ -43,7 +43,7 @@ pub use divergence::{
     hellinger, js_divergence, js_divergence_continuous, kl_divergence, total_variation,
 };
 pub use histogram::SmoothedHistogram;
-pub use kde::GaussianKde;
+pub use kde::{GaussianKde, KdeScratch};
 pub use linalg::Matrix;
 pub use order_stats::OrderStatMultiset;
 pub use quantile::quantile;

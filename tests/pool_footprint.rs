@@ -5,36 +5,67 @@
 //! bound sits between the layout it guards against and the current one,
 //! so the test fails if a `Configuration`-keyed map, a stored
 //! `Configuration` per dataset row, a per-row allocation in the dataset
-//! build, or a `Vec<Configuration>` pool copy comes back.
+//! build, or a `Vec<Configuration>` pool copy comes back. The same
+//! allocator counts the allocations of steady-state Proposal picks, which
+//! must not grow with the number of continuous parameters.
 //!
 //! Measured on x86-64 Linux, debug and release builds alike:
 //!
 //! | | hashed (map + copies) | code-addressed rows | rowless dataset |
 //! |---|---|---|---|
 //! | dataset live heap | 5.06 MiB | 2.23 MiB | 0.26 MiB |
-//! | dataset build allocations | | 34,000+ | 43 |
+//! | dataset build allocations | | 34,000+ | 46 |
 //! | tuner after bootstrap | +5.34 MiB | +0.37 MiB | +0.37 MiB |
+//!
+//! The rowless build made 43 allocations; staging the walk and the energy
+//! model added three (the space's list of declared-prefix constraints,
+//! the walk's prefix copy and the energy model's per-cap table).
 
 use hiperbot::apps::{kripke, Scale};
-use hiperbot::core::{EvalOutcome, Tuner, TunerOptions};
+use hiperbot::core::selection::{select_by_proposal_vectorized, Seen, PROPOSAL_REDRAW_ROUNDS};
+use hiperbot::core::surrogate::{SurrogateOptions, TpeSurrogate};
+use hiperbot::core::{EvalOutcome, ObservationHistory, ProposalScratch, Tuner, TunerOptions};
+use hiperbot::space::sampling::sample_distinct;
+use hiperbot::space::{Domain, ParamDef, ParameterSpace};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
 
 /// Bytes currently allocated through [`Counting`].
 static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// Allocations and reallocations made through [`Counting`].
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocations and reallocations this thread made through
+    /// [`Counting`]: the test harness's own threads cannot add to a
+    /// test's count.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread (none while the thread's
+/// locals are being torn down).
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 /// The system allocator, counting live bytes and allocation calls.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees hold; the counters are atomics that touch no
-// allocated memory.
+// `System`'s guarantees hold; the counters are an atomic and a
+// const-initialized thread-local `Cell` without a destructor, neither of
+// which touches allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
         }
@@ -43,7 +74,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
         }
@@ -57,7 +88,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         if !p.is_null() {
             LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
         }
@@ -81,14 +112,17 @@ const DATASET_ALLOCS: usize = 100;
 /// +0.37 and +5.34.
 const TUNER_MIB: f64 = 1.5;
 
-// One test in this binary: a second, running in parallel, would count its
-// allocations into this one's.
+/// Held by each test for its whole run: tests running in parallel would
+/// add to each other's live heap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn code_addressed_pools_hold_no_per_configuration_copies() {
-    let (before, allocs_before) = (live_mib(), ALLOCS.load(Ordering::SeqCst));
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (before, allocs_before) = (live_mib(), allocs());
     let dataset = kripke::energy_dataset(Scale::Target);
     let dataset_mib = live_mib() - before;
-    let dataset_allocs = ALLOCS.load(Ordering::SeqCst) - allocs_before;
+    let dataset_allocs = allocs() - allocs_before;
     assert_eq!(dataset.len(), 17_160);
 
     let before = live_mib();
@@ -119,5 +153,66 @@ fn code_addressed_pools_hold_no_per_configuration_copies() {
     assert!(
         tuner_mib < TUNER_MIB,
         "the bootstrapped tuner holds +{tuner_mib:.2} MiB (bound {TUNER_MIB} MiB)"
+    );
+}
+
+/// Allocations made by 16 steady-state Proposal picks (32 candidates) on a
+/// space of one 3-value discrete parameter and `continuous` continuous
+/// ones: one surrogate fitted on 40 observations and one scratch kept
+/// across picks, counted after four warm-up picks.
+fn proposal_pick_allocs(continuous: usize) -> usize {
+    let mut b =
+        ParameterSpace::builder().param(ParamDef::new("k", Domain::discrete_ints(&[1, 2, 3])));
+    for i in 0..continuous {
+        b = b.param(ParamDef::new(format!("x{i}"), Domain::continuous(0.0, 1.0)));
+    }
+    let space = b.build().unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let configs = sample_distinct(&space, 40, &mut rng);
+    let objectives: Vec<f64> = configs
+        .iter()
+        .map(|c| c.values().iter().map(|v| v.as_f64()).sum::<f64>() + 1.0)
+        .collect();
+    let surrogate = TpeSurrogate::fit(
+        &space,
+        &configs,
+        &objectives,
+        &SurrogateOptions::default(),
+        None,
+    );
+    let mut history = ObservationHistory::new();
+    for (cfg, &y) in configs.iter().zip(&objectives) {
+        history.push(cfg.clone(), y);
+    }
+    let mut scratch = ProposalScratch::default();
+    let mut pick = || {
+        select_by_proposal_vectorized(
+            &surrogate,
+            &space,
+            Seen::Configs(&history, None),
+            32,
+            PROPOSAL_REDRAW_ROUNDS,
+            &mut rng,
+            &mut scratch,
+        )
+    };
+    for _ in 0..4 {
+        pick();
+    }
+    let before = allocs();
+    for _ in 0..16 {
+        pick();
+    }
+    allocs() - before
+}
+
+#[test]
+fn proposal_picks_allocate_alike_whatever_the_continuous_parameter_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (one, four) = (proposal_pick_allocs(1), proposal_pick_allocs(4));
+    eprintln!("16 Proposal picks: {one} allocations with 1 continuous parameter, {four} with 4");
+    assert!(
+        four <= one,
+        "Proposal picks allocate more with more continuous parameters: {one} with 1, {four} with 4"
     );
 }
