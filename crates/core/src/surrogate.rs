@@ -40,24 +40,27 @@ impl Default for SurrogateOptions {
     }
 }
 
-/// Which fit engine the tuner's model-driven suggestions use, under both
+/// Which surrogate the tuner's one suggestion loop reads, under both
 /// selection strategies.
 ///
-/// `Incremental` (the default) maintains a persistent
+/// `Incremental` (the default, and what every shipped caller runs)
+/// maintains a persistent
 /// [`IncrementalSurrogate`](crate::incremental::IncrementalSurrogate) that
 /// absorbs each new observation in O(log n + churn) instead of re-fitting
 /// from scratch every iteration: Ranking reads its score columns, Proposal
-/// samples and scores from its maintained pmfs, columns and KDEs. `Full` is
-/// the from-scratch reference. The two modes produce **bit-identical**
-/// suggestions, histories, and traces — the incremental engine's contract,
-/// enforced by debug-assert parity checks and the property suites in
-/// `tests/incremental_parity.rs` and `tests/proposal_engine_parity.rs`.
+/// samples and scores from its maintained pmfs, columns and KDEs. `Full`
+/// selects the from-scratch reference, which refits over the history plus
+/// the live constant-liar fantasies after every sync and fantasy push. The
+/// two produce **bit-identical** suggestions, histories, and traces — the
+/// incremental engine's contract, enforced by debug-assert parity checks
+/// and by the property suites in `tests/incremental_parity.rs` and
+/// `tests/proposal_engine_parity.rs`, which run one against the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SurrogateMode {
     /// Persistent O(churn) delta-maintained surrogate (default).
     #[default]
     Incremental,
-    /// From-scratch re-fit every iteration (the pre-engine behavior).
+    /// From-scratch refit per read: the parity suites' reference.
     Full,
 }
 

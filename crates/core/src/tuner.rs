@@ -10,14 +10,14 @@
 //!    budget is exhausted (or, for Ranking, the space is).
 
 use crate::checkpoint::{CheckpointError, TraceTrial, TunerCheckpoint, CHECKPOINT_VERSION};
+use crate::fantasy::{self, FantasySurrogate};
 use crate::history::{HistoryCursor, ObservationHistory};
-use crate::incremental::{ChurnStats, IncrementalSurrogate};
+use crate::incremental::ChurnStats;
 use crate::outcome::EvalOutcome;
 use crate::selection::{
-    rank_indexed, select_by_proposal_vectorized, ProposalScratch, ProposalSeen, RunIndex,
-    SearchScratch, SelectionStrategy, PROPOSAL_REDRAW_ROUNDS,
+    rank_indexed, ProposalScratch, ProposalSeen, RunIndex, SearchScratch, SelectionStrategy,
 };
-use crate::surrogate::{FitScratch, SurrogateMode, SurrogateOptions, TpeSurrogate};
+use crate::surrogate::{SurrogateMode, SurrogateOptions, TpeSurrogate};
 use crate::transfer::TransferPrior;
 use hiperbot_obs::{
     counters, space_fingerprint, Event, MetricsRegistry, NoopRecorder, Recorder, RunHeader,
@@ -87,9 +87,10 @@ pub struct TunerOptions {
     pub seed: u64,
     /// Optional transfer-learning prior with its mixture weight `w`.
     pub prior: Option<(TransferPrior, f64)>,
-    /// How surrogate fits are maintained, under both strategies: a
-    /// persistent O(churn) incremental engine (default) or a from-scratch
-    /// refit per iteration. Bit-identical by contract.
+    /// The surrogate the suggestion loop reads, under both strategies:
+    /// the O(churn) incremental engine (default) or the from-scratch
+    /// refit the parity suites compare it against. Bit-identical by
+    /// contract.
     pub surrogate_mode: SurrogateMode,
 }
 
@@ -320,33 +321,26 @@ pub struct Tuner {
     pool: Option<RankingPool>,
     rng: ChaCha8Rng,
     bootstrapped: bool,
-    /// Proposal-mode iterations of the current run that stalled on a
-    /// duplicate suggestion without consuming budget (reset per run).
+    /// Proposal-mode picks of the current run dropped as duplicates of
+    /// history (reset per run).
     stalls: usize,
     /// Trace sink. Defaults to [`NoopRecorder`]; instrumentation checks
     /// `recorder.enabled()` before taking timestamps or building events,
     /// and never touches `rng`, so traced and untraced runs are
     /// bit-identical for the same seed.
     recorder: Arc<dyn Recorder>,
-    /// Persistent incremental surrogate (`SurrogateMode::Incremental` only,
-    /// either strategy; built lazily on the first model-driven suggestion,
-    /// so a resumed tuner rebuilds it from the restored history). Fantasy
-    /// observations pushed during batch suggestion are always popped before
-    /// the suggesting call returns, so between calls the engine mirrors
-    /// `history` exactly (or lags it by the entries since the last sync).
-    engine: Option<IncrementalSurrogate>,
-    /// Reused point/weight buffers for the from-scratch KDE fits of the
-    /// `SurrogateMode::Full` paths, so those fits allocate no staging
-    /// vectors.
-    fit_scratch: FitScratch,
+    /// The surrogate `options.surrogate_mode` selects, either strategy;
+    /// built lazily on the first model-driven suggestion, so a resumed
+    /// tuner rebuilds it from the restored history. Fantasy observations
+    /// pushed during a suggestion are always popped before it returns, so
+    /// between calls the model mirrors `history` exactly (or lags it by
+    /// the entries since the last sync).
+    model: Option<Box<dyn FantasySurrogate>>,
     proposal_scratch: ProposalScratch,
     /// The seen test of Proposal picks: the codes of the history's
     /// configurations on a fully discrete space, plus a batch's in-flight
     /// picks while it is built. Unused under Ranking.
     proposal_seen: ProposalSeen,
-    /// Prefix-cloned failure configurations, grown once per new failure
-    /// instead of re-cloning the whole failure list on every fit.
-    failed_cache: Vec<Configuration>,
     /// Optional metrics sink for delta-update churn counters and span
     /// timings. Never touches `rng`: attached and detached runs are
     /// bit-identical for the same seed.
@@ -399,11 +393,9 @@ impl Tuner {
             bootstrapped: false,
             stalls: 0,
             recorder: Arc::new(NoopRecorder),
-            engine: None,
-            fit_scratch: FitScratch::default(),
+            model: None,
             proposal_scratch: ProposalScratch::default(),
             proposal_seen,
-            failed_cache: Vec::new(),
             metrics: None,
             last_churn: ChurnStats::default(),
             checkpointing: None,
@@ -454,40 +446,15 @@ impl Tuner {
     }
 
     /// Cumulative delta-work counters of the incremental engine, `None`
-    /// until the first incremental-mode suggestion builds it.
+    /// until the first model-driven suggestion builds it (always zero
+    /// under `SurrogateMode::Full`).
     pub fn churn_stats(&self) -> Option<ChurnStats> {
-        self.engine.as_ref().map(|e| e.stats())
+        self.model.as_ref().map(|m| m.stats())
     }
 
     /// The run header a trace of this tuner would carry.
     pub fn run_header(&self) -> RunHeader {
         RunHeader::new(&self.space, self.options.seed, self.options.summary())
-    }
-
-    /// Resumes a tuner from a previously saved history (see
-    /// [`ObservationHistory`]'s serde support). The bootstrap is considered
-    /// done if the history already holds at least one observation; further
-    /// `run`/`step` calls continue model-driven selection from there.
-    ///
-    /// # Panics
-    /// Panics if any saved configuration is outside or infeasible in
-    /// `space` (the space definition changed since the save).
-    pub fn resume(
-        space: ParameterSpace,
-        options: TunerOptions,
-        history: ObservationHistory,
-    ) -> Self {
-        for cfg in history.configs() {
-            assert!(
-                space.contains(cfg) && space.is_feasible(cfg),
-                "saved history contains a configuration outside or infeasible in this space"
-            );
-        }
-        let bootstrapped = !history.is_empty();
-        let mut tuner = Self::new(space, options);
-        tuner.history = history;
-        tuner.bootstrapped = bootstrapped;
-        tuner
     }
 
     /// Takes a crash-safe snapshot of the campaign: the observation history
@@ -499,14 +466,14 @@ impl Tuner {
     /// bootstrap draw: the bootstrap samples are drawn all at once, so a
     /// resume redraws the identical list and skips the evaluated prefix.
     pub fn checkpoint(&self) -> TunerCheckpoint {
-        // Snapshots happen only at safe points: the engine must mirror (or
+        // Snapshots happen only at safe points: the model must mirror (or
         // lag) the real history — a constant-liar fantasy leaking into
         // checkpoint bytes would poison every resumed continuation.
         debug_assert!(
-            self.engine
+            self.model
                 .as_ref()
-                .is_none_or(|e| e.len() <= self.history.len()),
-            "checkpoint taken mid-batch-suggestion: engine holds fantasy observations"
+                .is_none_or(|m| m.len() <= self.history.len()),
+            "checkpoint taken mid-batch-suggestion: model holds fantasy observations"
         );
         let rng_word_pos = if self.bootstrapped {
             self.rng.word_pos()
@@ -652,14 +619,7 @@ impl Tuner {
         }
         if tuner.history.trials() >= full_boot {
             // Bootstrap completed: advance the RNG past the draw it made.
-            let _ = match tuner.options.init_design {
-                InitDesign::UniformRandom => {
-                    sample_distinct(&tuner.space, full_boot, &mut tuner.rng)
-                }
-                InitDesign::LatinHypercube => {
-                    latin_hypercube(&tuner.space, full_boot, &mut tuner.rng)
-                }
-            };
+            tuner.draw_bootstrap(full_boot);
             tuner.bootstrapped = true;
         }
         // else: mid-bootstrap — the RNG stays at the pre-draw position and
@@ -680,9 +640,10 @@ impl Tuner {
         &self.history
     }
 
-    /// How many iterations of the most recent run stalled on a duplicate
-    /// Proposal-mode suggestion without consuming budget. Always zero for
-    /// the Ranking strategy (the pool mask makes duplicates impossible).
+    /// How many Proposal-mode picks since the most recent run started were
+    /// dropped because they duplicated history (a serial stall spends no
+    /// budget). Always zero for the Ranking strategy (the pool mask makes
+    /// duplicates impossible).
     pub fn stalls(&self) -> usize {
         self.stalls
     }
@@ -715,91 +676,12 @@ impl Tuner {
         }
     }
 
-    /// Extends the cached failure-configuration list with any failures
-    /// quarantined since the last fit. Each failure is cloned exactly once
-    /// over the tuner's lifetime, instead of the old whole-list re-clone on
-    /// every fit.
-    fn sync_failed_cache(&mut self) {
-        let failures = self.history.failures();
-        for f in &failures[self.failed_cache.len()..] {
-            self.failed_cache.push(f.config.clone());
-        }
-    }
-
-    /// From-scratch surrogate fit over the current history, reusing the
-    /// tuner's scratch buffers and failure cache (no per-fit allocation
-    /// churn beyond the densities themselves).
-    fn fit_surrogate(&mut self) -> TpeSurrogate {
-        self.sync_failed_cache();
-        let opts = self.surrogate_options();
-        TpeSurrogate::fit_with_failures_scratch(
-            &self.space,
-            self.history.configs(),
-            self.history.objectives(),
-            &self.failed_cache,
-            &opts,
-            self.options.prior.as_ref().map(|(p, w)| (p, *w)),
-            &mut self.fit_scratch,
-        )
-    }
-
-    /// Whether model-driven suggestions run through the persistent
-    /// incremental engine (both strategies) rather than a from-scratch fit
-    /// per pick.
-    fn use_incremental(&self) -> bool {
-        self.options.surrogate_mode == SurrogateMode::Incremental
-    }
-
-    /// Brings the incremental engine up to date with the history: builds it
-    /// on first use, then absorbs only the observations and failures
-    /// appended since the previous sync — O(churn) per new entry instead of
-    /// a from-scratch refit — and refreshes its score columns once, for
-    /// the read that follows. In debug builds every sync re-verifies the
-    /// bit-identity contract against a full fit.
-    fn sync_engine(&mut self) {
-        let span = SpanTimer::start(self.metrics.is_some());
-        if self.engine.is_none() {
-            let opts = self.surrogate_options();
-            self.engine = Some(IncrementalSurrogate::new(
-                &self.space,
-                &opts,
-                self.options.prior.as_ref().map(|(p, w)| (p, *w)),
-            ));
-        }
-        let engine = self.engine.as_mut().expect("just built");
-        let from = engine.len();
-        for (cfg, &y) in self.history.configs()[from..]
-            .iter()
-            .zip(&self.history.objectives()[from..])
-        {
-            engine.observe_deferred(cfg, y);
-        }
-        let from_failed = engine.n_failed();
-        for f in &self.history.failures()[from_failed..] {
-            engine.observe_failure_deferred(&f.config);
-        }
-        engine.refresh();
-        self.publish_churn(span.elapsed_ns());
-        #[cfg(debug_assertions)]
-        {
-            self.sync_failed_cache();
-            let engine = self.engine.as_ref().expect("just built");
-            engine.assert_parity(
-                &self.space,
-                self.history.configs(),
-                self.history.objectives(),
-                &self.failed_cache,
-                self.options.prior.as_ref().map(|(p, w)| (p, *w)),
-            );
-        }
-    }
-
-    /// Publishes the engine counters accumulated since the last call to the
-    /// attached metrics registry (no-op without one), plus the delta-update
-    /// span when timed.
+    /// Publishes the model's counters accumulated since the last call to
+    /// the attached metrics registry (no-op without one), plus the
+    /// suggestion's delta-update span when timed.
     fn publish_churn(&mut self, span_ns: Option<u64>) {
-        let Some(engine) = &self.engine else { return };
-        let stats = engine.stats();
+        let Some(model) = &self.model else { return };
+        let stats = model.stats();
         if let Some(metrics) = &self.metrics {
             let prev = self.last_churn;
             metrics.add(
@@ -852,14 +734,24 @@ impl Tuner {
         }
     }
 
+    /// Draws the `n` bootstrap samples in the configured design.
+    fn draw_bootstrap(&mut self, n: usize) -> Vec<Configuration> {
+        match self.options.init_design {
+            InitDesign::UniformRandom => sample_distinct(&self.space, n, &mut self.rng),
+            InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
+        }
+    }
+
     /// Runs the bootstrap phase if it has not happened yet: evaluates
-    /// `init_samples` distinct uniform random configurations. The count is
-    /// a parameter (not read from `self.options`) so budget-driven clamping
-    /// never mutates the configured options.
-    fn bootstrap(
+    /// `init_samples` distinct configurations in chunks of `k` through the
+    /// batch evaluator. The count is a parameter (not read from
+    /// `self.options`) so budget-driven clamping never mutates the
+    /// configured options; the chunking changes no sample.
+    fn bootstrap_batch(
         &mut self,
-        objective: &mut impl FnMut(&Configuration) -> EvalOutcome,
+        evaluate_batch: &mut impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
         init_samples: usize,
+        k: usize,
     ) {
         if self.bootstrapped {
             return;
@@ -868,39 +760,30 @@ impl Tuner {
         // A mid-bootstrap resume restarts here with the RNG at the
         // pre-draw position and the evaluated prefix already in the
         // history: redraw the identical sample list and skip that prefix.
+        // The prefix need not be a whole number of chunks: a run at
+        // another batch size may have written it, and neither the samples
+        // nor the first model-driven batch depend on how the bootstrap was
+        // chunked.
         let done = self.history.trials();
         self.boot_word_pos = Some(self.rng.word_pos());
-        let samples = match self.options.init_design {
-            InitDesign::UniformRandom => sample_distinct(&self.space, n, &mut self.rng),
-            InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
-        };
-        for cfg in samples.into_iter().skip(done) {
-            // The redraw of a genuine snapshot never repeats its evaluated
-            // prefix; that of a corrupt one can, and must not evaluate a
-            // configuration twice.
-            if !self.history.contains(&cfg) {
-                self.evaluate_and_push(cfg, &mut *objective, true);
+        let samples = self.draw_bootstrap(n);
+        // The redraw of a genuine snapshot never repeats its evaluated
+        // prefix; that of a corrupt one can, and must not evaluate a
+        // configuration twice.
+        let pending: Vec<Configuration> = samples
+            .into_iter()
+            .skip(done)
+            .filter(|cfg| !self.history.contains(cfg))
+            .collect();
+        let mut pending = pending.into_iter();
+        loop {
+            let chunk: Vec<Configuration> = pending.by_ref().take(k).collect();
+            if chunk.is_empty() {
+                break;
             }
+            self.evaluate_and_merge(chunk, evaluate_batch, true);
         }
         self.bootstrapped = true;
-    }
-
-    /// Evaluates `objective` on `cfg` and appends either the observation or
-    /// the failure record, tracing when a recorder is attached. Returns
-    /// whether the evaluation succeeded. The untraced success path is
-    /// byte-for-byte the old `history.push(cfg, objective(&cfg))`.
-    fn evaluate_and_push(
-        &mut self,
-        cfg: Configuration,
-        objective: &mut impl FnMut(&Configuration) -> EvalOutcome,
-        bootstrap: bool,
-    ) -> bool {
-        let traced = self.recorder.enabled();
-        let timer = SpanTimer::start(traced);
-        let outcome = objective(&cfg);
-        let ok = self.push_outcome(cfg, outcome, bootstrap, timer.elapsed_ns());
-        self.maybe_checkpoint();
-        ok
     }
 
     /// Appends one already-evaluated outcome: the observation on success,
@@ -956,24 +839,33 @@ impl Tuner {
         }
     }
 
-    /// A configuration to evaluate when the surrogate cannot be fit because
-    /// every trial so far failed: uniform random restarts (deduplicated
-    /// against the history), falling back to a pool scan on small discrete
-    /// spaces where rejection sampling keeps colliding. `None` when the
-    /// whole space has been tried.
-    fn recovery_config(&mut self) -> Option<Configuration> {
-        for _ in 0..64 {
-            let cfg = sample_uniform(&self.space, &mut self.rng);
-            if !self.history.contains(&cfg) {
-                return Some(cfg);
+    /// Up to `k` configurations to evaluate when the surrogate cannot be
+    /// fit because every trial so far failed: uniform random restarts,
+    /// deduplicated against the history and each other, falling back to a
+    /// pool scan on small discrete spaces where rejection sampling keeps
+    /// colliding. Empty when the whole space has been tried.
+    fn recovery_batch(&mut self, k: usize) -> Vec<Configuration> {
+        let mut out: Vec<Configuration> = Vec::new();
+        for _ in 0..k {
+            let mut found = None;
+            for _ in 0..64 {
+                let cfg = sample_uniform(&self.space, &mut self.rng);
+                if !self.history.contains(&cfg) && !out.contains(&cfg) {
+                    found = Some(cfg);
+                    break;
+                }
+            }
+            if found.is_none() && self.space.is_fully_discrete() {
+                self.pool();
+                let pool = self.pool.as_ref().expect("just built");
+                found = pool.first_unseen(&self.space, &out);
+            }
+            match found {
+                Some(cfg) => out.push(cfg),
+                None => break,
             }
         }
-        if self.space.is_fully_discrete() {
-            self.pool();
-            let pool = self.pool.as_ref().expect("just built");
-            return pool.first_unseen(&self.space, &[]);
-        }
-        None
+        out
     }
 
     /// Fits and returns the surrogate for the current history — the object
@@ -1006,137 +898,18 @@ impl Tuner {
         )
     }
 
-    /// Selects the next configuration to evaluate, without evaluating it.
-    /// Returns `None` when a Ranking pool is exhausted.
+    /// Selects the next configuration to evaluate, without evaluating it:
+    /// the batch of one of [`suggest_batch`](Self::suggest_batch). Returns
+    /// `None` when a Ranking pool is exhausted, and under Proposal when
+    /// the pick duplicated history after the redraw rounds (counted as a
+    /// stall).
     ///
     /// # Panics
     /// Panics before bootstrap, or when every trial so far failed (no
     /// observation to fit the surrogate on — the run loops recover from
     /// that state via uniform restarts instead of suggesting).
     pub fn suggest(&mut self) -> Option<Configuration> {
-        assert!(
-            self.bootstrapped,
-            "call run/step first: the surrogate needs bootstrap data"
-        );
-        assert!(
-            !self.history.is_empty(),
-            "no successful observations to fit the surrogate on"
-        );
-        let traced = self.recorder.enabled();
-        let iteration = self.history.trials() as u64;
-        if self.use_incremental() {
-            return self.suggest_incremental(traced, iteration);
-        }
-        let fit_timer = SpanTimer::start(traced);
-        let surrogate = self.fit_surrogate();
-        if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-            self.recorder.record(&Event::SurrogateFit {
-                iteration,
-                n_good: surrogate.n_good() as u64,
-                n_bad: surrogate.n_bad() as u64,
-                threshold: surrogate.threshold(),
-                elapsed_ns,
-            });
-        }
-        let select_timer = SpanTimer::start(traced);
-        let (picked, candidates, proposal_score) = match self.options.strategy {
-            SelectionStrategy::Ranking => {
-                let table = surrogate.score_table();
-                let tables = table
-                    .discrete_tables()
-                    .expect("Ranking requires a fully discrete space");
-                let pool = self.pool();
-                let picked = pool.best_unseen(&tables).map(|i| pool.encoding.config(i));
-                (picked, pool.len() as u64, None)
-            }
-            SelectionStrategy::Proposal { candidates } => {
-                self.proposal_seen.sync(&self.space, &self.history);
-                let pick = select_by_proposal_vectorized(
-                    &surrogate,
-                    &self.space,
-                    self.proposal_seen.as_seen(&self.history),
-                    candidates,
-                    PROPOSAL_REDRAW_ROUNDS,
-                    &mut self.rng,
-                    &mut self.proposal_scratch,
-                );
-                (Some(pick.config), pick.scored, Some(pick.score))
-            }
-        };
-        if let (Some(elapsed_ns), Some(cfg)) = (select_timer.elapsed_ns(), &picked) {
-            self.recorder.record(&Event::SelectionScored {
-                iteration,
-                candidates,
-                // Proposal already scored every candidate: reuse the
-                // winning score instead of re-walking the densities.
-                best_ei: proposal_score.unwrap_or_else(|| surrogate.log_ei(cfg)),
-                elapsed_ns,
-            });
-        }
-        picked
-    }
-
-    /// The incremental-engine suggestion: syncs the persistent engine
-    /// (O(churn) per new history entry), then selects from its maintained
-    /// state — the pool argmax over its score columns under Ranking, draws
-    /// and scores from its pmfs, columns and KDEs under Proposal. Emits the
-    /// exact `SurrogateFit`/`SelectionScored` events and consumes the exact
-    /// RNG draws of the from-scratch path — same fields, same values
-    /// (bit-identical by the parity contract), timings aside.
-    fn suggest_incremental(&mut self, traced: bool, iteration: u64) -> Option<Configuration> {
-        let fit_timer = SpanTimer::start(traced);
-        self.sync_engine();
-        let engine = self.engine.as_ref().expect("just synced");
-        let (n_good, n_bad, threshold) = (engine.n_good(), engine.n_bad(), engine.threshold());
-        if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-            self.recorder.record(&Event::SurrogateFit {
-                iteration,
-                n_good: n_good as u64,
-                n_bad: n_bad as u64,
-                threshold,
-                elapsed_ns,
-            });
-        }
-        let select_timer = SpanTimer::start(traced);
-        let (picked, candidates, best_ei) = match self.options.strategy {
-            SelectionStrategy::Ranking => {
-                self.pool();
-                let pool = self.pool.as_mut().expect("just built");
-                let engine = self.engine.as_ref().expect("synced above");
-                let tables = engine
-                    .tables()
-                    .expect("Ranking requires a fully discrete space");
-                let picked = pool.best_unseen(tables).map(|i| pool.encoding.config(i));
-                // Scored only for the trace: the argmax returns no score.
-                let best_ei = picked
-                    .as_ref()
-                    .filter(|_| traced)
-                    .map(|cfg| engine.score(cfg));
-                (picked, pool.len() as u64, best_ei)
-            }
-            SelectionStrategy::Proposal { candidates } => {
-                self.proposal_seen.sync(&self.space, &self.history);
-                let pick = select_by_proposal_vectorized(
-                    self.engine.as_ref().expect("synced above"),
-                    &self.space,
-                    self.proposal_seen.as_seen(&self.history),
-                    candidates,
-                    PROPOSAL_REDRAW_ROUNDS,
-                    &mut self.rng,
-                    &mut self.proposal_scratch,
-                );
-                (Some(pick.config), pick.scored, Some(pick.score))
-            }
-        };
-        if let (Some(elapsed_ns), Some(best_ei)) = (select_timer.elapsed_ns(), best_ei) {
-            self.recorder.record(&Event::SelectionScored {
-                iteration,
-                candidates,
-                best_ei,
-                elapsed_ns,
-            });
-        }
-        picked
+        self.suggest_batch(1).pop()
     }
 
     /// Performs one iteration: bootstrap if needed, otherwise select one
@@ -1145,7 +918,7 @@ impl Tuner {
     ///
     /// With the Proposal strategy a duplicate suggestion (possible by
     /// design: sampling may re-draw a seen configuration) is *not*
-    /// re-evaluated; the iteration is simply skipped.
+    /// re-evaluated; the iteration is counted as a stall.
     pub fn step(&mut self, mut objective: impl FnMut(&Configuration) -> f64) -> bool {
         self.step_fallible(|cfg| EvalOutcome::from_value(objective(cfg)))
     }
@@ -1153,7 +926,8 @@ impl Tuner {
     /// Fallible variant of [`step`](Self::step): the objective reports an
     /// [`EvalOutcome`] per evaluation. A failed trial still counts as
     /// progress (it consumed budget and taught the surrogate something);
-    /// only pool/space exhaustion returns `false`.
+    /// only pool/space exhaustion returns `false`. It is
+    /// [`step_batch_fallible`](Self::step_batch_fallible) with `k = 1`.
     ///
     /// When every trial so far has failed there is nothing to fit the
     /// surrogate on, so the iteration falls back to a uniform random
@@ -1162,65 +936,34 @@ impl Tuner {
         &mut self,
         mut objective: impl FnMut(&Configuration) -> EvalOutcome,
     ) -> bool {
-        if !self.bootstrapped {
-            let init = self.options.init_samples;
-            self.bootstrap(&mut objective, init);
-            return true;
-        }
-        if self.recorder.enabled() {
-            self.recorder.record(&Event::IterationStart {
-                iteration: self.history.trials() as u64,
-                history_len: self.history.len() as u64,
-            });
-        }
-        if self.history.is_empty() {
-            // All trials failed so far: no surrogate, recover by restart.
-            return match self.recovery_config() {
-                None => false,
-                Some(cfg) => {
-                    self.evaluate_and_push(cfg, &mut objective, false);
-                    true
-                }
-            };
-        }
-        match self.suggest() {
-            None => false,
-            Some(cfg) => {
-                if !self.history.contains(&cfg) {
-                    self.evaluate_and_push(cfg, &mut objective, false);
-                }
-                true
-            }
-        }
+        self.step_batch_fallible(1, |cfgs, _| cfgs.iter().map(&mut objective).collect())
     }
 
     /// Suggests `k` configurations to evaluate concurrently, by
     /// **constant-liar** batch selection (Ginsbourger et al.): the first
-    /// pick is the plain Ranking argmax; after each pick a *fantasy
-    /// observation* at the liar value — the good/bad threshold `y(τ)` of
-    /// the pre-batch fit — is appended to a scratch copy of the history,
-    /// the score table is refit over history + fantasies, and the argmax
-    /// repeats with the picked pool positions masked out. The fantasies
-    /// live only inside this call (they are evicted when it returns); real
-    /// outcomes are merged later by [`step_batch_fallible`](Self::step_batch_fallible).
+    /// pick is the plain argmax of the surrogate synced to the history;
+    /// after each pick a *fantasy observation* at the liar value — the
+    /// good/bad threshold `y(τ)` of the pre-batch fit — is pushed into the
+    /// surrogate, and the next pick passes over the earlier ones. The
+    /// fantasies live only inside this call (they are popped before it
+    /// returns); real outcomes are merged later by
+    /// [`step_batch_fallible`](Self::step_batch_fallible).
     ///
-    /// Each refit reuses the batch-scoring engine — the cached
-    /// [`PoolEncoding`] and run index and an incrementally updated
-    /// [`PoolMask`] — so only the per-value score tables are rebuilt per
-    /// fantasy before each of the `k` argmax searches.
+    /// Under **Ranking** each pick is the exact argmax over the pool (the
+    /// cached [`PoolEncoding`] and run index) with the seen positions
+    /// masked out of the pool's [`PoolMask`]; the batch returns fewer than
+    /// `k` configurations when the pool runs out. Under **Proposal** each
+    /// pick runs the vectorized Proposal selector; a pick that still
+    /// duplicates history or an earlier pick after the redraw rounds is
+    /// dropped from the batch and counted as a stall. A pick that a later
+    /// pick follows is held in the pool mask or the seen codes until the
+    /// batch returns, so `k == 1` does exactly the work of one serial pick
+    /// — it is [`suggest`](Self::suggest).
     ///
-    /// With `k == 1` this is exactly [`suggest`](Self::suggest): one fit,
-    /// one argmax, same tie-break (lowest pool index), bit-identical pick.
-    /// Returns fewer than `k` configurations when the pool runs out.
-    ///
-    /// Under the **Proposal** strategy the same constant-liar scheme runs
-    /// on the vectorized Proposal selector: picks that duplicate history
-    /// after the in-selection redraw rounds are dropped from the batch and
-    /// counted as stalls. With the default incremental engine both
-    /// strategies push and pop their fantasies through it (see
-    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental));
-    /// `SurrogateMode::Full` refits per pick as described above (see
-    /// [`suggest_batch_proposal`](Self::suggest_batch_proposal)).
+    /// The surrogate is the one `options.surrogate_mode` selects; both
+    /// give bit-identical picks, RNG draws and events. In debug builds the
+    /// incremental engine is re-verified against a full fit after the
+    /// sync, after every fantasy push and after the pops.
     ///
     /// # Panics
     /// Panics before bootstrap, or when every trial so far failed (no
@@ -1234,185 +977,6 @@ impl Tuner {
             !self.history.is_empty(),
             "no successful observations to fit the surrogate on"
         );
-        if self.use_incremental() {
-            return self.suggest_batch_incremental(k);
-        }
-        if let SelectionStrategy::Proposal { candidates } = self.options.strategy {
-            return self.suggest_batch_proposal(k, candidates);
-        }
-        self.sync_failed_cache();
-        let opts = self.surrogate_options();
-        self.pool(); // build + sync once; the loop borrows it
-        let pool = self.pool.as_mut().expect("just built");
-        let traced = self.recorder.enabled();
-        let base_iteration = self.history.trials() as u64;
-        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        // Scratch tables: real history plus constant-liar fantasies.
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut liar = 0.0;
-        let mut picks = Vec::with_capacity(k);
-        for i in 0..k {
-            let fit_timer = SpanTimer::start(traced);
-            let surrogate = TpeSurrogate::fit_with_failures_scratch(
-                &self.space,
-                &configs,
-                &objectives,
-                &self.failed_cache,
-                &opts,
-                prior,
-                &mut self.fit_scratch,
-            );
-            if i == 0 {
-                // The constant liar: the pre-batch good-threshold objective.
-                liar = surrogate.threshold();
-            }
-            if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-                self.recorder.record(&Event::SurrogateFit {
-                    iteration: base_iteration + i as u64,
-                    n_good: surrogate.n_good() as u64,
-                    n_bad: surrogate.n_bad() as u64,
-                    threshold: surrogate.threshold(),
-                    elapsed_ns,
-                });
-            }
-            let select_timer = SpanTimer::start(traced);
-            let table = surrogate.score_table();
-            let tables = table
-                .discrete_tables()
-                .expect("Ranking requires a fully discrete space");
-            let Some(pos) = pool.best_unseen(&tables) else {
-                break; // pool exhausted mid-batch
-            };
-            let cfg = pool.encoding.config(pos);
-            if let Some(elapsed_ns) = select_timer.elapsed_ns() {
-                self.recorder.record(&Event::SelectionScored {
-                    iteration: base_iteration + i as u64,
-                    candidates: pool.len() as u64,
-                    best_ei: surrogate.log_ei(&cfg),
-                    elapsed_ns,
-                });
-            }
-            pool.hold(pos);
-            if i + 1 < k {
-                configs.push(cfg.clone());
-                objectives.push(liar);
-            }
-            picks.push(cfg);
-        }
-        pool.release();
-        picks
-    }
-
-    /// Constant-liar batch suggestion for the **Proposal** strategy under
-    /// `SurrogateMode::Full` — the from-scratch reference of the engine's
-    /// Proposal arm in
-    /// [`suggest_batch_incremental`](Self::suggest_batch_incremental): every
-    /// pick refits the surrogate over history + fantasy observations at
-    /// the liar value (the pre-batch good-threshold `y(τ)`, exactly as in
-    /// the Ranking arm) and runs the vectorized Proposal selector with the
-    /// batch's earlier picks folded into the duplicate check, so one batch
-    /// never proposes the same configuration twice. A pick that still
-    /// duplicates history after the in-selection redraw rounds is dropped
-    /// from the batch and counted as a stall (surfaced through the
-    /// existing `ProposalStalled` accounting when the run finishes).
-    ///
-    /// With `k == 1` this performs exactly the fits, RNG draws, and events
-    /// of [`suggest`](Self::suggest) — the serial==batch=1 parity contract
-    /// extends to Proposal mode.
-    fn suggest_batch_proposal(&mut self, k: usize, candidates: usize) -> Vec<Configuration> {
-        self.sync_failed_cache();
-        self.proposal_seen.sync(&self.space, &self.history);
-        let traced = self.recorder.enabled();
-        let base_iteration = self.history.trials() as u64;
-        let opts = self.surrogate_options();
-        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
-        // Scratch tables: real history plus constant-liar fantasies.
-        let mut configs: Vec<Configuration> = self.history.configs().to_vec();
-        let mut objectives: Vec<f64> = self.history.objectives().to_vec();
-        let mut liar = 0.0;
-        let mut picks = Vec::with_capacity(k);
-        let mut stalled = 0usize;
-        for i in 0..k {
-            let fit_timer = SpanTimer::start(traced);
-            let surrogate = TpeSurrogate::fit_with_failures_scratch(
-                &self.space,
-                &configs,
-                &objectives,
-                &self.failed_cache,
-                &opts,
-                prior,
-                &mut self.fit_scratch,
-            );
-            if i == 0 {
-                // The constant liar: the pre-batch good-threshold objective.
-                liar = surrogate.threshold();
-            }
-            if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
-                self.recorder.record(&Event::SurrogateFit {
-                    iteration: base_iteration + i as u64,
-                    n_good: surrogate.n_good() as u64,
-                    n_bad: surrogate.n_bad() as u64,
-                    threshold: surrogate.threshold(),
-                    elapsed_ns,
-                });
-            }
-            let select_timer = SpanTimer::start(traced);
-            let pick = select_by_proposal_vectorized(
-                &surrogate,
-                &self.space,
-                self.proposal_seen.as_seen(&self.history),
-                candidates,
-                PROPOSAL_REDRAW_ROUNDS,
-                &mut self.rng,
-                &mut self.proposal_scratch,
-            );
-            if let Some(elapsed_ns) = select_timer.elapsed_ns() {
-                self.recorder.record(&Event::SelectionScored {
-                    iteration: base_iteration + i as u64,
-                    candidates: pick.scored,
-                    best_ei: pick.score,
-                    elapsed_ns,
-                });
-            }
-            if pick.duplicate {
-                // Every draw duplicated history or an earlier pick: count
-                // the stall and let the remaining picks keep going.
-                stalled += 1;
-                continue;
-            }
-            if i + 1 < k {
-                configs.push(pick.config.clone());
-                objectives.push(liar);
-            }
-            self.proposal_seen.hold(&self.space, &pick.config);
-            picks.push(pick.config);
-        }
-        self.proposal_seen.release(&self.space, &picks);
-        self.stalls += stalled;
-        picks
-    }
-
-    /// Constant-liar batch suggestion on the incremental engine, under
-    /// either strategy: the pre-batch sync absorbs only the new history
-    /// entries, and each fantasy observation is an O(churn) delta update
-    /// instead of a from-scratch refit over history + fantasies. Ranking
-    /// holds its picks in the pool's seen mask and Proposal in its seen
-    /// test (the code set, or the in-flight configurations on a space with
-    /// a continuous parameter), both released before returning; Proposal
-    /// also, like
-    /// [`suggest_batch_proposal`](Self::suggest_batch_proposal), drops a
-    /// pick that still duplicates after the redraw rounds and counts a
-    /// stall — no fantasy is pushed for it. All fantasies are popped (LIFO,
-    /// exactly invertible) before returning, so the engine again mirrors
-    /// the real history. The engine refreshes its score columns once per
-    /// read: the sync refreshes for the first pick, each fantasy push for
-    /// the pick after it, and the pops leave the columns stale for the next
-    /// sync to refresh. Event sequence, picks, RNG draws, stalls and liar
-    /// value are bit-identical to the full-refit paths by the parity
-    /// contract; in debug builds that is re-verified against a full fit
-    /// after every fantasy push and after the pops.
-    fn suggest_batch_incremental(&mut self, k: usize) -> Vec<Configuration> {
         let traced = self.recorder.enabled();
         let base_iteration = self.history.trials() as u64;
         let span = SpanTimer::start(self.metrics.is_some());
@@ -1424,78 +988,76 @@ impl Tuner {
                 self.proposal_seen.sync(&self.space, &self.history);
             }
         }
+        if self.model.is_none() {
+            self.model = Some(fantasy::build(
+                self.options.surrogate_mode,
+                &self.space,
+                self.surrogate_options(),
+                self.options.prior.as_ref(),
+            ));
+        }
+        let model = self.model.as_deref_mut().expect("just built");
         #[cfg(debug_assertions)]
-        let mut dbg_configs: Vec<Configuration> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut dbg_objectives: Vec<f64> = Vec::new();
-        let mut fantasies = 0usize;
-        let mut liar = 0.0;
-        let mut stalled = 0usize;
+        let prior = self.options.prior.as_ref().map(|(p, w)| (p, *w));
+        let (mut liar, mut fantasies, mut held, mut stalled) = (0.0, 0, 0, 0);
         let mut picks: Vec<Configuration> = Vec::with_capacity(k);
         for i in 0..k {
             let fit_timer = SpanTimer::start(traced);
             if i == 0 {
-                self.sync_engine();
+                model.sync(&self.space, &self.history);
                 // The constant liar: the pre-batch good-threshold objective.
-                liar = self.engine.as_ref().expect("just synced").threshold();
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs = self.history.configs().to_vec();
-                    dbg_objectives = self.history.objectives().to_vec();
-                }
-            }
-            // Fantasize the previous pick, unless it was a dropped duplicate.
-            if let Some(prev) = picks.get(fantasies).cloned() {
-                let engine = self.engine.as_mut().expect("synced on first pick");
-                engine.observe(&prev, liar);
+                liar = model.threshold();
+            } else if let Some(prev) = picks.get(fantasies) {
+                // Fantasize the previous pick, unless it was a dropped
+                // duplicate.
+                model.push_fantasy(&self.space, prev, liar);
                 fantasies += 1;
-                #[cfg(debug_assertions)]
-                {
-                    dbg_configs.push(prev);
-                    dbg_objectives.push(liar);
-                    self.assert_engine_parity(&dbg_configs, &dbg_objectives);
-                }
             }
-            let engine = self.engine.as_ref().expect("synced on first pick");
+            #[cfg(debug_assertions)]
+            model.assert_parity(&self.space, &self.history, &picks[..fantasies], liar, prior);
             if let Some(elapsed_ns) = fit_timer.elapsed_ns() {
                 self.recorder.record(&Event::SurrogateFit {
                     iteration: base_iteration + i as u64,
-                    n_good: engine.n_good() as u64,
-                    n_bad: engine.n_bad() as u64,
-                    threshold: engine.threshold(),
+                    n_good: model.n_good() as u64,
+                    n_bad: model.n_bad() as u64,
+                    threshold: model.threshold(),
                     elapsed_ns,
                 });
             }
             let select_timer = SpanTimer::start(traced);
+            let followed = i + 1 < k;
             let (picked, candidates, best_ei) = match self.options.strategy {
                 SelectionStrategy::Ranking => {
-                    let pool = self.pool.as_mut().expect("just built");
-                    let tables = engine
+                    let pool = self.pool.as_mut().expect("built above");
+                    let tables = model
                         .tables()
                         .expect("Ranking requires a fully discrete space");
                     let Some(pos) = pool.best_unseen(tables) else {
                         break; // pool exhausted mid-batch
                     };
-                    pool.hold(pos);
+                    if followed {
+                        pool.hold(pos);
+                    }
                     let cfg = pool.encoding.config(pos);
                     // Scored only for the trace: the argmax returns no score.
-                    let best_ei = if traced { engine.score(&cfg) } else { 0.0 };
+                    let best_ei = if traced { model.score(&cfg) } else { 0.0 };
                     (Some(cfg), pool.len() as u64, best_ei)
                 }
                 SelectionStrategy::Proposal { candidates } => {
-                    let pick = select_by_proposal_vectorized(
-                        engine,
+                    let pick = model.propose(
                         &self.space,
                         self.proposal_seen.as_seen(&self.history),
                         candidates,
-                        PROPOSAL_REDRAW_ROUNDS,
                         &mut self.rng,
                         &mut self.proposal_scratch,
                     );
                     // A pick that duplicates history or an earlier pick is
                     // dropped (None): a stall, and the batch goes on.
                     let kept = (!pick.duplicate).then(|| {
-                        self.proposal_seen.hold(&self.space, &pick.config);
+                        if followed {
+                            self.proposal_seen.hold(&self.space, &pick.config);
+                            held += 1;
+                        }
                         pick.config
                     });
                     (kept, pick.scored, pick.score)
@@ -1514,42 +1076,19 @@ impl Tuner {
                 None => stalled += 1,
             }
         }
-        // Evict the fantasies: the engine must mirror the real history
-        // before outcomes are merged back. Nothing reads it before the next
-        // sync, which refreshes the columns.
-        let engine = self.engine.as_mut().expect("synced on first pick");
-        for _ in 0..fantasies {
-            engine.pop_deferred();
-        }
-        self.proposal_seen.release(&self.space, &picks);
+        // Evict the fantasies: the model must mirror the real history
+        // before outcomes are merged back.
+        model.pop_fantasies(fantasies);
+        #[cfg(debug_assertions)]
+        model.assert_parity(&self.space, &self.history, &[], liar, prior);
+        // Every held pick precedes the unheld last one.
+        self.proposal_seen.release(&self.space, &picks[..held]);
         if let Some(pool) = &mut self.pool {
             pool.release();
-        }
-        #[cfg(debug_assertions)]
-        {
-            dbg_configs.truncate(self.history.len());
-            dbg_objectives.truncate(self.history.len());
-            self.assert_engine_parity(&dbg_configs, &dbg_objectives);
         }
         self.publish_churn(span.elapsed_ns());
         self.stalls += stalled;
         picks
-    }
-
-    /// Debug-build parity check: the engine's state must be bit-identical
-    /// to a from-scratch fit over `configs`/`objectives` (history plus any
-    /// live fantasies) and the quarantined failures.
-    #[cfg(debug_assertions)]
-    fn assert_engine_parity(&mut self, configs: &[Configuration], objectives: &[f64]) {
-        self.sync_failed_cache();
-        let engine = self.engine.as_ref().expect("engine exists");
-        engine.assert_parity(
-            &self.space,
-            configs,
-            objectives,
-            &self.failed_cache,
-            self.options.prior.as_ref().map(|(p, w)| (p, *w)),
-        );
     }
 
     /// Performs one **batch** iteration: bootstrap (in chunks of `k`) if
@@ -1559,23 +1098,22 @@ impl Tuner {
     /// **in suggestion order** — successes appended as observations,
     /// failures quarantined — regardless of the order in which a parallel
     /// executor completed them (`evaluate_batch` returns outcomes indexed
-    /// like its input slice). Returns `false` when the pool is exhausted.
+    /// like its input slice). Returns `false` when no further progress is
+    /// possible.
     ///
     /// `evaluate_batch` receives the configurations plus the trial index
     /// of the first one; item `i` is trial `base + i`. Executors key any
     /// randomness (fault draws, retry jitter) on that trial index so
     /// results are independent of worker scheduling.
     ///
-    /// With `k == 1` every fit, selection, evaluation, and append happens
-    /// in exactly the serial [`step_fallible`](Self::step_fallible) order,
-    /// so the resulting history is bit-identical to a serial run — under
-    /// both strategies.
+    /// [`step_fallible`](Self::step_fallible) is this with `k == 1`.
     ///
-    /// An empty suggestion set means "pool exhausted" (`false`) under
-    /// Ranking, but under Proposal it means every pick of this batch
-    /// duplicated history — a stall iteration, already counted by
+    /// An empty recovery (every trial failed and the whole space has been
+    /// tried) or an empty Ranking batch (the pool is exhausted) returns
+    /// `false`. An empty Proposal batch means every pick duplicated
+    /// history — a stall, already counted by
     /// [`suggest_batch`](Self::suggest_batch), after which fresh draws can
-    /// still make progress — so the Proposal arm returns `true`.
+    /// still make progress — so it returns `true`.
     ///
     /// # Panics
     /// Panics if `evaluate_batch` returns a different number of outcomes
@@ -1597,138 +1135,19 @@ impl Tuner {
                 history_len: self.history.len() as u64,
             });
         }
-        let suggestions = if self.history.is_empty() {
-            // All trials failed so far: no surrogate, recover by restarts.
+        // All trials failed so far: no surrogate, recover by restarts.
+        let recovering = self.history.is_empty();
+        let suggestions = if recovering {
             self.recovery_batch(k)
         } else {
             self.suggest_batch(k)
         };
         if suggestions.is_empty() {
-            // Ranking: the pool is exhausted, no further progress possible.
-            // Proposal: the whole batch stalled on duplicates; fresh draws
-            // next iteration can still make progress.
-            return matches!(self.options.strategy, SelectionStrategy::Proposal { .. });
+            return !recovering
+                && matches!(self.options.strategy, SelectionStrategy::Proposal { .. });
         }
-        self.evaluate_and_merge(&suggestions, &mut evaluate_batch, false);
+        self.evaluate_and_merge(suggestions, &mut evaluate_batch, false);
         true
-    }
-
-    /// Batch variant of [`run_fallible`](Self::run_fallible): spends
-    /// `budget` trials in batches of (at most) `batch`, evaluating each
-    /// batch with one `evaluate_batch` call — typically a multi-worker
-    /// executor. The final batch is clamped so the budget is honored
-    /// exactly. Returns `None` when the run ends with zero successful
-    /// observations.
-    ///
-    /// With `batch == 1` the run is bit-identical to
-    /// [`run_fallible`](Self::run_fallible) with the same seed (pinned by
-    /// regression test).
-    pub fn run_batch_fallible(
-        &mut self,
-        budget: usize,
-        batch: usize,
-        mut evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
-    ) -> Option<BestResult> {
-        assert!(budget > 0, "budget must be positive");
-        assert!(batch > 0, "batch size must be positive");
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            // Clamp on a local: the stored options stay as configured.
-            let init = self.options.init_samples.min(budget);
-            self.bootstrap_batch(&mut evaluate_batch, init, batch);
-        }
-        let mut stall_guard = 0usize;
-        while self.history.trials() < budget {
-            let before = self.history.trials();
-            let k = batch.min(budget - before);
-            if !self.step_batch_fallible(k, &mut evaluate_batch) {
-                break; // pool exhausted
-            }
-            if self.history.trials() == before {
-                // A fully stalled Proposal batch (stalls are counted per
-                // pick inside suggest_batch; this guard only bounds the
-                // loop so a degenerate space cannot spin forever).
-                stall_guard += 1;
-                if stall_guard > 100 * budget {
-                    break;
-                }
-            } else {
-                stall_guard = 0;
-            }
-        }
-        self.final_checkpoint();
-        self.finish_run()
-    }
-
-    /// Runs the bootstrap phase in chunks of `k` through the batch
-    /// evaluator. Sample selection is identical to the serial
-    /// [`bootstrap`](Self::bootstrap) (same RNG draws); only the
-    /// evaluation is chunked.
-    fn bootstrap_batch(
-        &mut self,
-        evaluate_batch: &mut impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
-        init_samples: usize,
-        k: usize,
-    ) {
-        if self.bootstrapped {
-            return;
-        }
-        let n = self.bootstrap_count(init_samples);
-        // Mirror the serial bootstrap's resume support: redraw from the
-        // pre-draw RNG position and skip the already-evaluated prefix. The
-        // prefix need not be a whole number of chunks: a serial run or one
-        // at another batch size may have written it, and neither the
-        // samples nor the first model-driven batch depend on how the
-        // bootstrap was chunked.
-        let done = self.history.trials();
-        let k = k.max(1);
-        self.boot_word_pos = Some(self.rng.word_pos());
-        let samples = match self.options.init_design {
-            InitDesign::UniformRandom => sample_distinct(&self.space, n, &mut self.rng),
-            InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
-        };
-        let start = done.min(samples.len());
-        // As in the serial bootstrap, a corrupt snapshot's redraw may repeat
-        // its evaluated prefix; those samples are not evaluated again.
-        let pending: Vec<Configuration> = samples
-            .into_iter()
-            .skip(start)
-            .filter(|cfg| !self.history.contains(cfg))
-            .collect();
-        for chunk in pending.chunks(k) {
-            self.evaluate_and_merge(chunk, evaluate_batch, true);
-        }
-        self.bootstrapped = true;
-    }
-
-    /// Draws up to `k` distinct recovery configurations (see
-    /// [`recovery_config`](Self::recovery_config)), deduplicated against
-    /// both the history and each other. With `k == 1` the RNG draws are
-    /// identical to the serial recovery path.
-    fn recovery_batch(&mut self, k: usize) -> Vec<Configuration> {
-        let mut out: Vec<Configuration> = Vec::new();
-        for _ in 0..k {
-            let mut found = None;
-            for _ in 0..64 {
-                let cfg = sample_uniform(&self.space, &mut self.rng);
-                if !self.history.contains(&cfg) && !out.contains(&cfg) {
-                    found = Some(cfg);
-                    break;
-                }
-            }
-            if found.is_none() && self.space.is_fully_discrete() {
-                self.pool();
-                let pool = self.pool.as_ref().expect("just built");
-                found = pool.first_unseen(&self.space, &out);
-            }
-            match found {
-                Some(cfg) => out.push(cfg),
-                None => break,
-            }
-        }
-        out
     }
 
     /// Evaluates `suggestions` through one `evaluate_batch` call, merges
@@ -1738,7 +1157,7 @@ impl Tuner {
     /// batches keep the serial trace shape).
     fn evaluate_and_merge(
         &mut self,
-        suggestions: &[Configuration],
+        suggestions: Vec<Configuration>,
         evaluate_batch: &mut impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
         bootstrap: bool,
     ) {
@@ -1752,7 +1171,7 @@ impl Tuner {
             });
         }
         let timer = SpanTimer::start(traced);
-        let outcomes = evaluate_batch(suggestions, base);
+        let outcomes = evaluate_batch(&suggestions, base);
         let elapsed = timer.elapsed_ns();
         assert_eq!(
             outcomes.len(),
@@ -1764,7 +1183,7 @@ impl Tuner {
         // (the executor records true per-worker latencies separately).
         let per_item = elapsed.map(|e| e / k as u64);
         let (mut ok, mut failed) = (0u64, 0u64);
-        for (cfg, outcome) in suggestions.iter().cloned().zip(outcomes) {
+        for (cfg, outcome) in suggestions.into_iter().zip(outcomes) {
             if self.push_outcome(cfg, outcome, bootstrap, per_item) {
                 ok += 1;
             } else {
@@ -1780,17 +1199,17 @@ impl Tuner {
                 elapsed_ns,
             });
         }
-        // Merge boundaries are the batch mode's safe points: a snapshot
-        // here keeps the trial cursor chunk-aligned, so a resumed run's
-        // batch layout matches the uninterrupted one.
+        // Merge boundaries are the safe points: a snapshot here keeps the
+        // trial cursor chunk-aligned, so a resumed run's batch layout
+        // matches the uninterrupted one.
         self.maybe_checkpoint();
     }
 
     /// Persists a snapshot if checkpointing is enabled and at least
     /// `every` trials have elapsed since the last write. Called only at
-    /// safe points (after a serial push or a whole-batch merge). Snapshot
-    /// writes never touch the RNG or the history, so enabling
-    /// checkpointing cannot change what the tuner evaluates.
+    /// safe points (after a whole-batch merge). Snapshot writes never
+    /// touch the RNG or the history, so enabling checkpointing cannot
+    /// change what the tuner evaluates.
     fn maybe_checkpoint(&mut self) {
         let Some(policy) = &self.checkpointing else {
             return;
@@ -1862,36 +1281,17 @@ impl Tuner {
             !rules.is_empty() || self.space.is_fully_discrete(),
             "an empty stopping set on a continuous space never terminates"
         );
-        self.emit_run_header();
-        self.reset_stalls();
-        if !self.bootstrapped {
-            // Clamp on a local: the stored options stay as configured (the
-            // run header and later runs on this tuner must not see a
-            // budget-mangled init_samples).
-            let mut init = self.options.init_samples;
-            if let Some(cap) = rules.evaluation_cap() {
-                init = init.min(cap.max(1));
-            }
-            self.bootstrap(&mut objective, init);
-        }
-        let mut stall_guard = 0usize;
-        while !rules.should_stop(&self.history) {
-            let before = self.history.trials();
-            if !self.step_fallible(&mut objective) {
-                break; // pool exhausted
-            }
-            if self.history.trials() == before {
-                self.stalls += 1;
-                stall_guard += 1;
-                if stall_guard > 10_000 {
-                    break; // proposal duplicates only; treat as converged
-                }
-            } else {
-                stall_guard = 0;
-            }
-        }
-        self.final_checkpoint();
-        self.finish_run()
+        let init = match rules.evaluation_cap() {
+            Some(cap) => self.options.init_samples.min(cap.max(1)),
+            None => self.options.init_samples,
+        };
+        self.run_loop(
+            init,
+            1,
+            |history| usize::from(!rules.should_stop(history)),
+            10_000, // proposal duplicates only; treat as converged
+            |cfgs, _| cfgs.iter().map(&mut objective).collect(),
+        )
     }
 
     /// Emits the self-describing [`RunHeader`] event (no-op when untraced),
@@ -1974,36 +1374,78 @@ impl Tuner {
     /// [`EvalOutcome`] per evaluation, and `budget` counts **trials** —
     /// successes plus permanent failures — since a crashed run consumes
     /// machine time exactly like a successful one. Returns `None` when the
-    /// run ends with zero successful observations.
+    /// run ends with zero successful observations. It is
+    /// [`run_batch_fallible`](Self::run_batch_fallible) with `batch = 1`.
     pub fn run_fallible(
         &mut self,
         budget: usize,
         mut objective: impl FnMut(&Configuration) -> EvalOutcome,
     ) -> Option<BestResult> {
+        self.run_batch_fallible(budget, 1, |cfgs, _| {
+            cfgs.iter().map(&mut objective).collect()
+        })
+    }
+
+    /// Batch variant of [`run_fallible`](Self::run_fallible): spends
+    /// `budget` trials in batches of (at most) `batch`, evaluating each
+    /// batch with one `evaluate_batch` call — typically a multi-worker
+    /// executor. The final batch is clamped so the budget is honored
+    /// exactly. Returns `None` when the run ends with zero successful
+    /// observations.
+    pub fn run_batch_fallible(
+        &mut self,
+        budget: usize,
+        batch: usize,
+        evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
+    ) -> Option<BestResult> {
         assert!(budget > 0, "budget must be positive");
+        assert!(batch > 0, "batch size must be positive");
+        // A budget smaller than init_samples spends it all on bootstrap.
+        // Clamp on a local: the stored options stay as configured.
+        let init = self.options.init_samples.min(budget);
+        self.run_loop(
+            init,
+            batch,
+            |history| budget.saturating_sub(history.trials()),
+            100 * budget,
+            evaluate_batch,
+        )
+    }
+
+    /// The run loop every `run*` entry point shares: emits the run header,
+    /// bootstraps `init` samples (once per tuner) in chunks of `batch`,
+    /// then steps in batches of at most `batch` while `room` allows more
+    /// trials, until no progress is possible or more than `max_stalls`
+    /// consecutive steps spent no trial (Proposal duplicates only, so a
+    /// degenerate space cannot spin forever).
+    fn run_loop(
+        &mut self,
+        init: usize,
+        batch: usize,
+        room: impl Fn(&ObservationHistory) -> usize,
+        max_stalls: usize,
+        mut evaluate_batch: impl FnMut(&[Configuration], u64) -> Vec<EvalOutcome>,
+    ) -> Option<BestResult> {
         self.emit_run_header();
         self.reset_stalls();
-        if !self.bootstrapped {
-            // A budget smaller than init_samples spends it all on bootstrap.
-            // Clamp on a local: the stored options stay as configured.
-            let init = self.options.init_samples.min(budget);
-            self.bootstrap(&mut objective, init);
-        }
+        self.bootstrap_batch(&mut evaluate_batch, init, batch);
         let mut stall_guard = 0usize;
-        while self.history.trials() < budget {
-            let before = self.history.trials();
-            if !self.step_fallible(&mut objective) {
-                break; // pool exhausted
+        loop {
+            let room = room(&self.history);
+            if room == 0 {
+                break;
             }
-            if self.history.trials() == before {
-                // Proposal duplicate; tolerate a bounded number of stalls.
-                self.stalls += 1;
+            let before = self.history.trials();
+            if !self.step_batch_fallible(batch.min(room), &mut evaluate_batch) {
+                break;
+            }
+            if self.history.trials() > before {
+                stall_guard = 0;
+            } else {
                 stall_guard += 1;
-                if stall_guard > 100 * budget {
+                if stall_guard > max_stalls {
                     break;
                 }
-            } else {
-                stall_guard = 0;
             }
         }
         self.final_checkpoint();
@@ -2194,43 +1636,6 @@ mod tests {
             .collect();
         levels.sort_unstable();
         assert_eq!(levels, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn resume_continues_where_a_run_left_off() {
-        // Run 30 evaluations, save, resume, run to 45: the combined trace
-        // must equal a single 45-evaluation run with the same seed.
-        let mut first = Tuner::new(space(), TunerOptions::default().with_seed(21));
-        first.run(30, objective);
-        let saved = serde_json::to_string(first.history()).unwrap();
-
-        let restored: crate::history::ObservationHistory = serde_json::from_str(&saved).unwrap();
-        let mut resumed = Tuner::resume(space(), TunerOptions::default().with_seed(21), restored);
-        let best = resumed.run(45, objective);
-        assert_eq!(best.evaluations, 45);
-        assert_eq!(
-            &resumed.history().configs()[..30],
-            first.history().configs()
-        );
-        // resumption must not re-bootstrap
-        let boot_like = resumed.history().configs()[30..].to_vec();
-        assert_eq!(boot_like.len(), 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "infeasible")]
-    fn resume_rejects_histories_from_a_different_space() {
-        let mut h = crate::history::ObservationHistory::new();
-        h.push(Configuration::from_indices(&[50, 0]), 1.0); // out of domain
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::discrete_ints(&[0, 1])))
-            .param(ParamDef::new("y", Domain::discrete_ints(&[0, 1])))
-            .constraint("index in range", |c, d| {
-                (0..c.len()).all(|i| c.value(i).index() < d[i].values().len())
-            })
-            .build()
-            .unwrap();
-        let _ = Tuner::resume(s, TunerOptions::default(), h);
     }
 
     #[test]
@@ -2481,18 +1886,89 @@ mod tests {
         assert_eq!(distinct.len(), 25);
     }
 
+    /// An event's JSON with every `*_ns` timing zeroed.
+    fn untimed(event: &Event) -> String {
+        let json = serde_json::to_string(event).expect("events serialize");
+        let mut parts = json.split("_ns\":");
+        let mut out = parts.next().unwrap_or_default().to_string();
+        for part in parts {
+            out.push_str("_ns\":0");
+            out.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
+        }
+        out
+    }
+
     #[test]
     fn all_failed_exhausts_small_discrete_spaces() {
+        // Serially and in batches, under both strategies, the run ends once
+        // recovery has tried the whole space.
         let s = ParameterSpace::builder()
             .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
             .build()
             .unwrap();
-        let mut tuner = Tuner::new(s, TunerOptions::default().with_seed(19));
-        let out = tuner.run_fallible(50, |_| EvalOutcome::Failed {
+        let fail = |_: &Configuration| EvalOutcome::Failed {
             reason: "always".into(),
-        });
-        assert!(out.is_none());
-        assert_eq!(tuner.history().trials(), 3, "stops after trying the space");
+        };
+        for strategy in [
+            SelectionStrategy::Ranking,
+            SelectionStrategy::Proposal { candidates: 8 },
+        ] {
+            let run = |batch: usize| {
+                let rec = Arc::new(hiperbot_obs::MemoryRecorder::new());
+                let opts = TunerOptions::default()
+                    .with_seed(19)
+                    .with_strategy(strategy);
+                let mut tuner = Tuner::new(s.clone(), opts).with_recorder(rec.clone());
+                let out = match batch {
+                    0 => tuner.run_fallible(50, fail),
+                    k => tuner.run_batch_fallible(50, k, |c, _| c.iter().map(fail).collect()),
+                };
+                assert!(out.is_none());
+                assert_eq!(tuner.history().trials(), 3, "stops after trying the space");
+                rec.events().iter().map(untimed).collect::<Vec<_>>()
+            };
+            let serial = run(0);
+            assert_eq!(serial, run(1), "{strategy:?}");
+            let starts = |events: &[String]| {
+                events
+                    .iter()
+                    .filter(|e| e.contains("IterationStart"))
+                    .count()
+            };
+            assert_eq!(starts(&serial), starts(&run(4)), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn proposal_suggest_returns_none_on_a_duplicate_and_counts_one_stall() {
+        // Five of six configurations seen: most draws land on seen ones.
+        let s = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1])))
+            .build()
+            .unwrap();
+        let opts = TunerOptions::default()
+            .with_seed(5)
+            .with_init_samples(2)
+            .with_strategy(SelectionStrategy::Proposal { candidates: 1 });
+        let mut tuner = Tuner::new(s, opts);
+        tuner.run(5, |c| (c.value(0).index() + 3 * c.value(1).index()) as f64);
+        assert_eq!(tuner.history().trials(), 5);
+        let mut nones = 0;
+        for _ in 0..20 {
+            let stalls = tuner.stalls();
+            match tuner.suggest() {
+                None => {
+                    nones += 1;
+                    assert_eq!(tuner.stalls(), stalls + 1);
+                }
+                Some(cfg) => {
+                    assert!(!tuner.history().contains(&cfg), "suggested a seen config");
+                    assert_eq!(tuner.stalls(), stalls);
+                }
+            }
+        }
+        assert!(nones > 0, "no suggestion duplicated history");
     }
 
     #[test]

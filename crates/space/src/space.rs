@@ -70,6 +70,14 @@ pub enum SpaceError {
     DuplicateName(String),
     /// A discrete domain has no values.
     EmptyDomain(String),
+    /// A discrete domain lists a value twice (as its text renders): two
+    /// configurations would render the same command.
+    DuplicateValue {
+        /// The parameter's name.
+        param: String,
+        /// The repeated value.
+        value: String,
+    },
     /// A continuous domain has `lo >= hi`, a non-finite bound, or a width
     /// `hi - lo` that overflows to infinity.
     InvalidRange(String),
@@ -91,6 +99,9 @@ impl fmt::Display for SpaceError {
             SpaceError::NoParameters => write!(f, "parameter space has no parameters"),
             SpaceError::DuplicateName(n) => write!(f, "duplicate parameter name '{n}'"),
             SpaceError::EmptyDomain(n) => write!(f, "parameter '{n}' has an empty domain"),
+            SpaceError::DuplicateValue { param, value } => {
+                write!(f, "parameter '{param}' lists the value '{value}' twice")
+            }
             SpaceError::InvalidRange(n) => {
                 write!(f, "parameter '{n}' has an invalid continuous range")
             }
@@ -176,6 +187,15 @@ impl SpaceBuilder {
             match p.domain() {
                 Domain::Discrete(v) if v.is_empty() => {
                     return Err(SpaceError::EmptyDomain(p.name().to_string()))
+                }
+                Domain::Discrete(v) => {
+                    let mut texts = std::collections::HashSet::new();
+                    if let Some(dup) = v.iter().find(|x| !texts.insert(x.to_string())) {
+                        return Err(SpaceError::DuplicateValue {
+                            param: p.name().to_string(),
+                            value: dup.to_string(),
+                        });
+                    }
                 }
                 // The width must be finite too: a draw scales it, and
                 // every draw from a range whose width overflows is
@@ -616,6 +636,26 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, SpaceError::EmptyDomain("a".into()));
+    }
+
+    #[test]
+    fn builder_rejects_a_repeated_value() {
+        let err = ParameterSpace::builder()
+            .param(ParamDef::new("b", Domain::discrete_ints(&[4, 8])))
+            .param(ParamDef::new("a", Domain::discrete_ints(&[1, 1, 2])))
+            .build()
+            .unwrap_err();
+        let dup = SpaceError::DuplicateValue {
+            param: "a".into(),
+            value: "1".into(),
+        };
+        assert_eq!(err, dup);
+        assert_eq!(err.to_string(), "parameter 'a' lists the value '1' twice");
+        let err = ParameterSpace::builder()
+            .param(ParamDef::new("c", Domain::categorical(&["x", "y", "x"])))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, SpaceError::DuplicateValue { .. }), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use hiperbot::apps::{lulesh, Scale};
-use hiperbot::core::{InitDesign, StoppingRule, StoppingSet, Tuner, TunerOptions};
+use hiperbot::core::{InitDesign, StoppingRule, StoppingSet, Tuner, TunerCheckpoint, TunerOptions};
 
 fn main() {
     let dataset = lulesh::dataset(Scale::Target);
@@ -22,12 +22,10 @@ fn main() {
             window: 25,
             min_delta: 0.005,
         });
-    let mut tuner = Tuner::new(
-        space.clone(),
-        TunerOptions::default()
-            .with_seed(1)
-            .with_init_design(InitDesign::LatinHypercube),
-    );
+    let options = TunerOptions::default()
+        .with_seed(1)
+        .with_init_design(InitDesign::LatinHypercube);
+    let mut tuner = Tuner::new(space.clone(), options.clone());
     let best = tuner.run_until(&rules, |cfg| dataset.evaluate(cfg));
     println!(
         "stagnation-stopped after {} evaluations: best {:.3} s",
@@ -44,19 +42,18 @@ fn main() {
     }
 
     // --- 3. Checkpoint and resume. ---------------------------------------
-    let checkpoint = serde_json::to_string(tuner.history()).expect("serialize");
+    // The snapshot holds the history, the RNG position and the identity
+    // (seed, options, space) it may only be resumed under.
+    let checkpoint = tuner.checkpoint().to_json();
     println!(
         "\ncheckpoint: {} evaluations, {} bytes of JSON",
         tuner.history().len(),
         checkpoint.len()
     );
 
-    let restored = serde_json::from_str(&checkpoint).expect("deserialize");
-    let mut resumed = Tuner::resume(
-        space.clone(),
-        TunerOptions::default().with_seed(1),
-        restored,
-    );
+    let restored = TunerCheckpoint::from_json(&checkpoint).expect("deserialize");
+    let mut resumed =
+        Tuner::resume_from_checkpoint(space.clone(), options, &restored).expect("same identity");
     let more = resumed.run(best.evaluations + 20, |cfg| dataset.evaluate(cfg));
     println!(
         "resumed and ran 20 more evaluations: best now {:.3} s ({} total)",

@@ -27,8 +27,7 @@
 //!   ```
 
 use crate::core::{
-    CheckpointPolicy, EvalOutcome, SelectionStrategy, SurrogateMode, Tuner, TunerCheckpoint,
-    TunerOptions,
+    CheckpointPolicy, EvalOutcome, SelectionStrategy, Tuner, TunerCheckpoint, TunerOptions,
 };
 use crate::eval::{outcome_from_sim, BatchExecutor, RetryPolicy, RetryingObjective, ThreadSleeper};
 use crate::obs::{
@@ -194,11 +193,6 @@ pub struct CliOptions {
     /// batches pick from the refit score table; Proposal batches pick
     /// through the vectorized proposal engine, same liar protocol.
     pub batch: usize,
-    /// Surrogate maintenance mode, for Ranking and Proposal alike: the
-    /// O(churn) incremental engine (default), which both strategies select
-    /// from directly, or a from-scratch refit per pick. Bit-identical
-    /// results either way; `full` is the reference path.
-    pub surrogate: SurrogateMode,
     /// Where to write crash-recovery snapshots (`None` = checkpointing
     /// off). Written atomically every `checkpoint_every` trials and at
     /// the end of the run.
@@ -237,7 +231,6 @@ impl Default for CliOptions {
             profile_out: None,
             workers: 1,
             batch: 1,
-            surrogate: SurrogateMode::Incremental,
             checkpoint_out: None,
             checkpoint_every: 10,
             resume_from: None,
@@ -251,7 +244,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let usage = "usage: hiperbot --space <spec.json> --command <template> \
                  [--budget N=50] [--seed N=0] [--init N=20] [--measure stdout|time] \
                  [--max-retries N=0] [--workers N=1] [--batch K=1] [--threads N] \
-                 [--surrogate incremental|full=incremental] \
                  [--trace-out <trace.jsonl>] [--log-level off|info|debug] [--metrics-summary] \
                  [--metrics-out <file.prom>] [--diag] [--strict-health] \
                  [--profile-out <file.folded>] \
@@ -279,7 +271,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut workers = 1usize;
     let mut batch = 1usize;
     let mut threads = None;
-    let mut surrogate = SurrogateMode::Incremental;
     let mut checkpoint_out = None;
     let mut checkpoint_every = 10usize;
     let mut resume_from = None;
@@ -348,13 +339,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     .parse()
                     .map_err(|_| format!("--threads must be a positive integer\n{usage}"))?;
                 threads = Some(n);
-            }
-            "--surrogate" => {
-                surrogate = match take("--surrogate")?.as_str() {
-                    "incremental" => SurrogateMode::Incremental,
-                    "full" => SurrogateMode::Full,
-                    other => return Err(format!("unknown surrogate mode '{other}'\n{usage}")),
-                }
             }
             "--trace-out" => trace_out = Some(take("--trace-out")?),
             "--log-level" => {
@@ -432,7 +416,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         profile_out,
         workers,
         batch,
-        surrogate,
         checkpoint_out,
         checkpoint_every,
         resume_from,
@@ -666,8 +649,7 @@ fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAl
     let tuner_options = TunerOptions::default()
         .with_seed(options.seed)
         .with_init_samples(options.init_samples)
-        .with_strategy(strategy)
-        .with_surrogate_mode(options.surrogate);
+        .with_strategy(strategy);
     let mut tuner = build_tuner(space.clone(), tuner_options, options)?;
 
     let obs = Observability::from_options(options)?;
@@ -765,8 +747,7 @@ fn run_app_mode(
     let tuner_options = TunerOptions::default()
         .with_seed(options.seed)
         .with_init_samples(options.init_samples)
-        .with_strategy(SelectionStrategy::Ranking)
-        .with_surrogate_mode(options.surrogate);
+        .with_strategy(SelectionStrategy::Ranking);
     let mut tuner = build_tuner(space.clone(), tuner_options, options)?;
 
     let obs = Observability::from_options(options)?;
@@ -1205,113 +1186,6 @@ mod tests {
         let folded = std::fs::read_to_string(&folded_path).unwrap();
         assert!(folded.contains("run;tuner.fit "), "{folded}");
         assert!(folded.contains("run;tuner.evaluate "), "{folded}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn surrogate_flag_parses() {
-        let o = parse_args(&to_args(&["--app", "kripke"])).unwrap();
-        assert_eq!(o.surrogate, SurrogateMode::Incremental); // default
-        let o = parse_args(&to_args(&["--app", "kripke", "--surrogate", "full"])).unwrap();
-        assert_eq!(o.surrogate, SurrogateMode::Full);
-        let o = parse_args(&to_args(&["--app", "kripke", "--surrogate", "incremental"])).unwrap();
-        assert_eq!(o.surrogate, SurrogateMode::Incremental);
-        assert!(parse_args(&to_args(&["--app", "kripke", "--surrogate", "lazy"])).is_err());
-    }
-
-    #[test]
-    fn surrogate_modes_agree_end_to_end() {
-        // The bit-identity contract at the CLI layer: an incremental-engine
-        // run and a from-scratch-refit run report the same best, faults,
-        // batching, and retries included.
-        let base = CliOptions {
-            app: Some("kripke".into()),
-            budget: 24,
-            seed: 9,
-            init_samples: 8,
-            max_retries: 1,
-            fail_prob: 0.15,
-            workers: 2,
-            batch: 4,
-            ..CliOptions::default()
-        };
-        let incremental = run(&base).unwrap();
-        let full = run(&CliOptions {
-            surrogate: SurrogateMode::Full,
-            ..base.clone()
-        })
-        .unwrap();
-        assert_eq!(incremental, full);
-    }
-
-    #[test]
-    fn surrogate_modes_agree_on_a_continuous_command_mode_space() {
-        // The same contract on the Proposal strategy: a continuous space
-        // selects by Proposal, which samples and scores from the
-        // incremental engine by default. Serially and at 4 workers, batch
-        // 4, both modes report the same best and write the same trace,
-        // timings and the `surrogate=` option token aside.
-        fn zero_timings(v: &mut serde_json::Value) {
-            match v {
-                serde_json::Value::Object(entries) => {
-                    for (key, child) in entries.iter_mut() {
-                        if key.ends_with("_ns") {
-                            *child = serde_json::Value::UInt(0);
-                        } else {
-                            zero_timings(child);
-                        }
-                    }
-                }
-                serde_json::Value::Array(items) => items.iter_mut().for_each(zero_timings),
-                _ => {}
-            }
-        }
-        let dir = std::env::temp_dir().join(format!("hiperbot-cli-modes-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec_path = dir.join("space.json");
-        std::fs::write(
-            &spec_path,
-            r#"{"params": [
-                {"type": "continuous", "name": "alpha", "lo": 0.0, "hi": 1.0},
-                {"type": "continuous", "name": "beta", "lo": -1.0, "hi": 1.0},
-                {"type": "ints", "name": "k", "values": [0, 1, 2, 3]}
-            ]}"#,
-        )
-        .unwrap();
-        for (workers, batch) in [(1, 1), (4, 4)] {
-            let mut reports = Vec::new();
-            for surrogate in [SurrogateMode::Incremental, SurrogateMode::Full] {
-                let trace_path = dir.join(format!("{surrogate:?}-{workers}.jsonl"));
-                let options = CliOptions {
-                    space_path: spec_path.to_string_lossy().into_owned(),
-                    command: "awk 'BEGIN { print ({alpha} - 0.3)^2 + ({beta})^2 + 0.1 * {k} + 1 }'"
-                        .into(),
-                    budget: 24,
-                    seed: 9,
-                    init_samples: 8,
-                    workers,
-                    batch,
-                    surrogate,
-                    trace_out: Some(trace_path.to_string_lossy().into_owned()),
-                    ..CliOptions::default()
-                };
-                let best = run(&options).unwrap();
-                let trace: Vec<String> = std::fs::read_to_string(&trace_path)
-                    .unwrap()
-                    .lines()
-                    .map(|line| {
-                        let mut event: serde_json::Value = serde_json::from_str(line).unwrap();
-                        zero_timings(&mut event);
-                        serde_json::to_string(&event)
-                            .unwrap()
-                            .replace("surrogate=Full", "surrogate=Incremental")
-                    })
-                    .collect();
-                reports.push((best, trace));
-            }
-            assert!(reports[0].1.iter().any(|l| l.contains("SelectionScored")));
-            assert_eq!(reports[0], reports[1], "workers {workers}, batch {batch}");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -42,3 +42,14 @@ fn a_continuous_range_whose_width_overflows_is_a_typed_error() {
         );
     }
 }
+
+#[test]
+fn a_repeated_parameter_value_is_a_typed_error() {
+    let spec = r#"{"params":[{"type":"ints","name":"a","values":[1,1,2]}]}"#;
+    let (code, stderr) = run("repeated-value.json", spec);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: parameter 'a' lists the value '1' twice"),
+        "{stderr}"
+    );
+}

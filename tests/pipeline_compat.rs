@@ -1,6 +1,9 @@
 //! The speculative suggest-ahead pipeline is gone (DESIGN §15): its two
 //! trace events left the trace format and its flag left the CLI. Inputs
 //! written for it fail loudly; the lenient trace replay skips the lines.
+//! The `--surrogate` flag is gone too: the from-scratch refit it selected
+//! gave the same output, slower, and remains only as the parity suites'
+//! reference (`SurrogateMode::Full`).
 
 use hiperbot::cli::parse_args;
 use hiperbot::core::checkpoint::CheckpointError;
@@ -76,12 +79,26 @@ fn speculation_events_fail_strict_reads_and_are_skipped_leniently() {
     assert_eq!(lenient.diagnostics, strict.diagnostics);
 }
 
-#[test]
-fn pipeline_flag_is_an_unknown_argument() {
-    let args: Vec<String> = ["--app", "kripke", "--pipeline", "on"]
+/// Parses `--app kripke <flag> <value>` and expects `flag` rejected as an
+/// unknown argument.
+fn assert_unknown_flag(flag: &str, value: &str) {
+    let args: Vec<String> = ["--app", "kripke", flag, value]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let err = parse_args(&args).unwrap_err();
-    assert!(err.starts_with("unknown argument '--pipeline'"), "{err}");
+    assert!(
+        err.starts_with(&format!("unknown argument '{flag}'")),
+        "{err}"
+    );
+}
+
+#[test]
+fn pipeline_flag_is_an_unknown_argument() {
+    assert_unknown_flag("--pipeline", "on");
+}
+
+#[test]
+fn surrogate_flag_is_an_unknown_argument() {
+    assert_unknown_flag("--surrogate", "full");
 }
