@@ -17,6 +17,17 @@
 //!
 //! where `b_v` is the node's prior — its label for evaluated nodes, 0.5
 //! for unevaluated ones — and `β` modulates neighbor influence.
+//!
+//! The graph is built once per pool and cached in the selector: a CSR
+//! adjacency of two arrays, node offsets and neighbor positions, with each
+//! node's neighbors in [`ParameterSpace::neighbors`] order. A round's
+//! sweeps are serial Jacobi passes that update four consecutive nodes in
+//! lockstep, each still summing its own neighbors left to right, so the
+//! scores carry the bits of a per-node sweep. The round then takes the
+//! `batch_size` best unevaluated nodes in one stable top-k pass over a
+//! shuffled candidate order. Everything else a run needs is allocated once
+//! per [`select`](ConfigSelector::select) call and dropped with it: only
+//! the graph outlives a run.
 
 use crate::selector::{ConfigSelector, SelectionRun};
 use hiperbot_obs::{Event, NoopRecorder, Recorder, SpanTimer};
@@ -26,8 +37,8 @@ use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// GEIST hyperparameters.
@@ -42,9 +53,10 @@ pub struct GeistSelector {
     pub beta: f64,
     /// Propagation sweeps per round.
     pub propagation_iters: usize,
-    /// Cached configuration graph, keyed by a pool fingerprint so that the
-    /// repeated-trial runner builds the (expensive) graph once per dataset
-    /// rather than once per repetition.
+    /// Cached configuration graph, keyed by a fingerprint of the space's
+    /// shape and the whole pool so that the repeated-trial runner builds
+    /// the (expensive) graph once per dataset rather than once per
+    /// repetition.
     graph_cache: Mutex<Option<GraphCacheEntry>>,
     /// Trace sink for per-round propagation events (default: disabled).
     pub recorder: Arc<dyn Recorder>,
@@ -119,27 +131,43 @@ impl Clone for GeistSelector {
     }
 }
 
-/// Content fingerprint of a pool (cheap, collision-resistant enough for a
-/// single-process cache).
-fn pool_fingerprint(pool: &[Configuration]) -> u64 {
+/// Content fingerprint of a space and a pool: a hash over the space's
+/// shape (its parameters' cardinalities), the pool's length and every
+/// member in order, by code ([`ParameterSpace::index_of`]) and, for a
+/// member without one, by value. The shape goes in because a code alone
+/// does not name a configuration: 10 × 10 and 1 × 100 both code their
+/// members 0..100. Taken once per `select` call, it costs about a quarter
+/// of a millisecond on the shipped pools, against the hundreds of
+/// milliseconds of a run's propagation rounds.
+fn pool_fingerprint(space: &ParameterSpace, pool: &[Configuration]) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let mut h = DefaultHasher::new();
+    space.params().len().hash(&mut h);
+    for p in space.params() {
+        p.domain().cardinality().hash(&mut h);
+    }
     pool.len().hash(&mut h);
-    if let Some(first) = pool.first() {
-        first.hash(&mut h);
+    for c in pool {
+        let code = space.index_of(c);
+        code.hash(&mut h);
+        if code.is_none() {
+            c.hash(&mut h);
+        }
     }
-    if let Some(last) = pool.last() {
-        last.hash(&mut h);
-    }
-    pool.get(pool.len() / 2).hash(&mut h);
     h.finish()
 }
 
-/// The configuration graph: CSR-ish adjacency over pool indices.
-#[derive(Debug)]
+/// The configuration graph as a CSR adjacency over pool positions: node
+/// `v`'s neighbors are `targets[offsets[v]..offsets[v + 1]]`, in
+/// [`ParameterSpace::neighbors`] order. Two arrays, 4 bytes per node and
+/// 4 bytes per edge.
+#[derive(Debug, PartialEq)]
 struct ConfigGraph {
-    neighbors: Vec<Vec<u32>>,
+    /// `n + 1` ascending offsets into `targets`, from 0.
+    offsets: Vec<u32>,
+    /// Every node's neighbor positions, node after node.
+    targets: Vec<u32>,
 }
 
 impl ConfigGraph {
@@ -160,17 +188,9 @@ impl ConfigGraph {
             .enumerate()
             .map(|(i, c)| Some((space.index_of(c)?, i as u32)))
             .collect::<Option<_>>()?;
-        let neighbors = pool
-            .iter()
-            .map(|c| {
-                space
-                    .neighbors(c)
-                    .iter()
-                    .filter_map(|n| position.get(&space.index_of(n)?).copied())
-                    .collect()
-            })
-            .collect();
-        Some(Self { neighbors })
+        Some(Self::from_positions(space, pool, |n| {
+            position.get(&space.index_of(n)?).copied()
+        }))
     }
 
     fn build_hashed(space: &ParameterSpace, pool: &[Configuration]) -> Self {
@@ -179,68 +199,177 @@ impl ConfigGraph {
             .enumerate()
             .map(|(i, c)| (c, i as u32))
             .collect();
-        let neighbors = pool
-            .iter()
-            .map(|c| {
-                space
-                    .neighbors(c)
-                    .iter()
-                    .filter_map(|n| position.get(n).copied())
-                    .collect()
-            })
-            .collect();
-        Self { neighbors }
+        Self::from_positions(space, pool, |n| position.get(n).copied())
+    }
+
+    /// The one builder: each member's feasible Hamming-1 neighbors that
+    /// `position` finds in the pool.
+    fn from_positions(
+        space: &ParameterSpace,
+        pool: &[Configuration],
+        position: impl Fn(&Configuration) -> Option<u32>,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(pool.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for c in pool {
+            targets.extend(space.neighbors(c).iter().filter_map(&position));
+            offsets.push(u32::try_from(targets.len()).expect("fewer than 2^32 graph edges"));
+        }
+        targets.shrink_to_fit();
+        Self { offsets, targets }
+    }
+
+    /// Node count.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbors(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     fn degree(&self, v: usize) -> usize {
-        self.neighbors[v].len()
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 }
 
-/// Fixed chunk width of the parallel propagation sweep. Each node's
-/// neighbor sum is a serial left-to-right fold regardless of chunking, so
-/// the Jacobi update is bit-identical for any thread count; the fixed
-/// width just keeps work distribution deterministic too.
-const PROPAGATE_CHUNK: usize = 1024;
+/// CAMLP propagation over one graph, with its buffers: the Jacobi double
+/// buffer and the denominators `1 + β·deg(v)`, computed once. A `select`
+/// call makes one and drops it on return, so a run's rounds reuse the
+/// buffers and the selector keeps none of them.
+struct Propagator<'g> {
+    graph: &'g ConfigGraph,
+    beta: f64,
+    denom: Vec<f64>,
+    f: Vec<f64>,
+    next: Vec<f64>,
+}
 
-impl GeistSelector {
-    /// One CAMLP propagation pass; returns the stationary-ish scores.
-    ///
-    /// The sweep is Jacobi-style (reads `f`, writes `next`, swaps), which
-    /// makes every node update independent — the inner loop fans out over
-    /// node chunks with rayon, and the double buffer guarantees the result
-    /// does not depend on node visit order.
-    fn propagate(
-        &self,
-        graph: &ConfigGraph,
-        prior: &[f64],    // b_v per node
-        labeled: &[bool], // which nodes hold real labels
-    ) -> Vec<f64> {
-        let n = graph.neighbors.len();
-        let mut f: Vec<f64> = prior.to_vec();
-        let mut next = vec![0.0; n];
-        for _ in 0..self.propagation_iters {
-            let f_cur = &f;
-            next.par_chunks_mut(PROPAGATE_CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * PROPAGATE_CHUNK;
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        let v = base + off;
-                        let acc: f64 = graph.neighbors[v].iter().map(|&u| f_cur[u as usize]).sum();
-                        *slot = (prior[v] + self.beta * acc)
-                            / (1.0 + self.beta * graph.degree(v) as f64);
-                    }
-                });
-            std::mem::swap(&mut f, &mut next);
+impl<'g> Propagator<'g> {
+    fn new(graph: &'g ConfigGraph, beta: f64) -> Self {
+        let n = graph.len();
+        Self {
+            graph,
+            beta,
+            denom: (0..n)
+                .map(|v| 1.0 + beta * graph.degree(v) as f64)
+                .collect(),
+            f: vec![0.0; n],
+            next: vec![0.0; n],
         }
-        // Labeled nodes keep their ground truth for ranking purposes.
-        for v in 0..n {
-            if labeled[v] {
-                f[v] = prior[v];
+    }
+
+    /// One CAMLP propagation: `iters` Jacobi sweeps from `prior` (`b_v`
+    /// per node), after which labeled nodes keep their ground truth for
+    /// ranking purposes. Returns the scores.
+    ///
+    /// The sweeps are serial. Each reads `f` and writes `next`, so no node
+    /// sees another's update within a sweep and the visit order cannot
+    /// change a score.
+    fn propagate(&mut self, prior: &[f64], labeled: &[bool], iters: usize) -> &[f64] {
+        self.f.copy_from_slice(prior);
+        for _ in 0..iters {
+            self.sweep(prior);
+            std::mem::swap(&mut self.f, &mut self.next);
+        }
+        for (v, _) in labeled.iter().enumerate().filter(|(_, &l)| l) {
+            self.f[v] = prior[v];
+        }
+        &self.f
+    }
+
+    /// One Jacobi sweep, `next[v] = (b_v + β·Σ_{u ∈ N(v)} f_u) / (1 + β·deg(v))`.
+    ///
+    /// A node's neighbor sum is one dependent add chain, so four
+    /// consecutive nodes run their chains side by side over the degree
+    /// they share, and each then adds the rest of its own neighbors; the
+    /// last `n mod 4` nodes run alone. Every chain adds its node's
+    /// neighbors left to right from `-0.0`, where `Iterator::sum` over
+    /// `f64` starts, so a node's score has the bits of a sweep that
+    /// updates each node on its own.
+    fn sweep(&mut self, prior: &[f64]) {
+        let Self {
+            graph,
+            beta,
+            denom,
+            f,
+            next,
+        } = self;
+        let (beta, n) = (*beta, next.len());
+        let mut v = 0;
+        while v + 4 <= n {
+            let t: [&[u32]; 4] = std::array::from_fn(|j| graph.neighbors(v + j));
+            let common = t.iter().map(|t| t.len()).min().unwrap_or(0);
+            let (t0, t1, t2, t3) = (
+                &t[0][..common],
+                &t[1][..common],
+                &t[2][..common],
+                &t[3][..common],
+            );
+            let mut acc = [-0.0f64; 4];
+            for k in 0..common {
+                acc[0] += f[t0[k] as usize];
+                acc[1] += f[t1[k] as usize];
+                acc[2] += f[t2[k] as usize];
+                acc[3] += f[t3[k] as usize];
+            }
+            for (j, (sum, t)) in acc.iter_mut().zip(t).enumerate() {
+                for &u in &t[common..] {
+                    *sum += f[u as usize];
+                }
+                next[v + j] = (prior[v + j] + beta * *sum) / denom[v + j];
+            }
+            v += 4;
+        }
+        while v < n {
+            let sum: f64 = graph.neighbors(v).iter().map(|&u| f[u as usize]).sum();
+            next[v] = (prior[v] + beta * sum) / denom[v];
+            v += 1;
+        }
+    }
+}
+
+/// Writes into `picks` the `take` candidates a stable sort by descending
+/// score would put first, in that order, in one pass: equal scores keep
+/// their order in `candidates`. A NaN score among two or more candidates
+/// panics with "finite scores".
+fn top_k(candidates: &[u32], scores: &[f64], take: usize, picks: &mut Vec<u32>) {
+    picks.clear();
+    for &v in candidates {
+        let s = scores[v as usize];
+        let below =
+            |u: &u32| scores[*u as usize].partial_cmp(&s).expect("finite scores") == Ordering::Less;
+        if picks.len() == take {
+            match picks.last() {
+                Some(last) if below(last) => {
+                    picks.pop();
+                }
+                _ => continue,
             }
         }
-        f
+        let at = picks.iter().position(below).unwrap_or(picks.len());
+        picks.insert(at, v);
+    }
+}
+
+impl GeistSelector {
+    /// The graph of `pool`: the cached one when the pool's fingerprint
+    /// matches, or a new one that replaces it.
+    fn graph(&self, space: &ParameterSpace, pool: &[Configuration]) -> Arc<ConfigGraph> {
+        let fingerprint = pool_fingerprint(space, pool);
+        let mut cache = self.graph_cache.lock();
+        match cache.as_ref() {
+            Some(e) if e.fingerprint == fingerprint => Arc::clone(&e.graph),
+            _ => {
+                let graph = Arc::new(ConfigGraph::build(space, pool));
+                *cache = Some(GraphCacheEntry {
+                    fingerprint,
+                    graph: Arc::clone(&graph),
+                });
+                graph
+            }
+        }
     }
 }
 
@@ -260,56 +389,44 @@ impl ConfigSelector for GeistSelector {
         assert!(self.batch_size > 0 && self.init_samples > 0);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let budget = budget.min(pool.len());
-        let fingerprint = pool_fingerprint(pool);
-        let entry: GraphCacheEntry = {
-            let mut cache = self.graph_cache.lock();
-            match cache.as_ref() {
-                Some(e) if e.fingerprint == fingerprint => e.clone(),
-                _ => {
-                    let e = GraphCacheEntry {
-                        fingerprint,
-                        graph: Arc::new(ConfigGraph::build(space, pool)),
-                    };
-                    *cache = Some(e.clone());
-                    e
-                }
-            }
-        };
-        let graph: &ConfigGraph = &entry.graph;
+        let graph = self.graph(space, pool);
         let n = pool.len();
 
-        let mut observed: Vec<Option<f64>> = vec![None; n];
+        // Evaluated nodes in pick order, their objectives, and which nodes
+        // hold a label.
         let mut order: Vec<u32> = Vec::with_capacity(budget);
+        let mut objectives: Vec<f64> = Vec::with_capacity(budget);
+        let mut labeled = vec![false; n];
 
         // Bootstrap with random nodes.
         let mut all: Vec<u32> = (0..n as u32).collect();
         all.shuffle(&mut rng);
         for &v in all.iter().take(self.init_samples.min(budget)) {
-            let y = objective(&pool[v as usize]);
-            observed[v as usize] = Some(y);
+            objectives.push(objective(&pool[v as usize]));
             order.push(v);
+            labeled[v as usize] = true;
         }
+
+        // The rounds' buffers. Labeled nodes only accumulate, so an
+        // unlabeled node's prior stays 0.5 and each round rewrites the
+        // labels alone.
+        let mut prior = vec![0.5; n];
+        let mut propagator = Propagator::new(&graph, self.beta);
+        let mut candidates = all;
+        let mut picks: Vec<u32> = Vec::with_capacity(self.batch_size.min(budget));
 
         let mut round: u64 = 0;
         while order.len() < budget {
             // Label threshold from observations so far.
-            let values: Vec<f64> = order
-                .iter()
-                .map(|&v| observed[v as usize].unwrap())
-                .collect();
-            let threshold = quantile(&values, self.alpha).expect("non-empty");
+            let threshold = quantile(&objectives, self.alpha).expect("non-empty");
 
             // Priors: labels for evaluated nodes, 0.5 elsewhere.
-            let mut prior = vec![0.5; n];
-            let mut labeled = vec![false; n];
-            for &v in &order {
-                let y = observed[v as usize].unwrap();
+            for (&v, &y) in order.iter().zip(&objectives) {
                 prior[v as usize] = if y <= threshold { 1.0 } else { 0.0 };
-                labeled[v as usize] = true;
             }
 
             let timer = SpanTimer::start(self.recorder.enabled());
-            let scores = self.propagate(graph, &prior, &labeled);
+            let scores = propagator.propagate(&prior, &labeled, self.propagation_iters);
             if let Some(elapsed_ns) = timer.elapsed_ns() {
                 self.recorder.record(&Event::PropagationRound {
                     round,
@@ -322,21 +439,16 @@ impl ConfigSelector for GeistSelector {
 
             // Top unlabeled nodes by score; random tie-breaking via a
             // pre-shuffled candidate order.
-            let mut candidates: Vec<u32> = (0..n as u32)
-                .filter(|&v| observed[v as usize].is_none())
-                .collect();
+            candidates.clear();
+            candidates.extend((0..n as u32).filter(|&v| !labeled[v as usize]));
             candidates.shuffle(&mut rng);
-            candidates.sort_by(|&a, &b| {
-                scores[b as usize]
-                    .partial_cmp(&scores[a as usize])
-                    .expect("finite scores")
-            });
-
             let take = self.batch_size.min(budget - order.len());
-            for &v in candidates.iter().take(take) {
-                let y = objective(&pool[v as usize]);
-                observed[v as usize] = Some(y);
+            top_k(&candidates, scores, take, &mut picks);
+
+            for &v in &picks {
+                objectives.push(objective(&pool[v as usize]));
                 order.push(v);
+                labeled[v as usize] = true;
             }
             if candidates.is_empty() {
                 break;
@@ -345,10 +457,7 @@ impl ConfigSelector for GeistSelector {
 
         SelectionRun {
             configs: order.iter().map(|&v| pool[v as usize].clone()).collect(),
-            objectives: order
-                .iter()
-                .map(|&v| observed[v as usize].unwrap())
-                .collect(),
+            objectives,
             failures: 0,
         }
     }
@@ -358,6 +467,7 @@ impl ConfigSelector for GeistSelector {
 mod tests {
     use super::*;
     use hiperbot_space::{Domain, ParamDef};
+    use rand::Rng;
 
     fn space() -> ParameterSpace {
         let vals: Vec<i64> = (0..10).collect();
@@ -391,10 +501,7 @@ mod tests {
         let mut pool = s.enumerate();
         pool.reverse();
         let coded = ConfigGraph::build_coded(&s, &pool).expect("a discrete pool has codes");
-        assert_eq!(
-            coded.neighbors,
-            ConfigGraph::build_hashed(&s, &pool).neighbors
-        );
+        assert_eq!(coded, ConfigGraph::build_hashed(&s, &pool));
         // A member without a code leaves the graph to configuration hashing.
         let stray = [Configuration::from_indices(&[0])];
         assert!(ConfigGraph::build_coded(&s, &stray).is_none());
@@ -405,7 +512,7 @@ mod tests {
         let s = space();
         let pool = s.enumerate();
         let g = ConfigGraph::build(&s, &pool);
-        for (v, ns) in g.neighbors.iter().enumerate() {
+        for (v, ns) in (0..g.len()).map(|v| (v, g.neighbors(v))) {
             // 2 params × 9 alternatives each = 18 neighbors
             assert_eq!(ns.len(), 18);
             for &u in ns {
@@ -439,7 +546,8 @@ mod tests {
         labeled[best] = true;
         prior[worst] = 0.0;
         labeled[worst] = true;
-        let scores = geist.propagate(&g, &prior, &labeled);
+        let mut propagator = Propagator::new(&g, geist.beta);
+        let scores = propagator.propagate(&prior, &labeled, geist.propagation_iters);
         // A neighbor of the optimal node should outscore a neighbor of the
         // non-optimal node.
         let near_best = pool
@@ -480,14 +588,15 @@ mod tests {
         labeled[0] = true;
         prior[n - 1] = 0.0;
         labeled[n - 1] = true;
-        let iterative = geist.propagate(&g, &prior, &labeled);
+        let mut propagator = Propagator::new(&g, geist.beta);
+        let iterative = propagator.propagate(&prior, &labeled, geist.propagation_iters);
 
         // Exact: (I + beta*L) f = b.
         let beta = geist.beta;
         let mut a = Matrix::zeros(n, n);
         for v in 0..n {
             a[(v, v)] = 1.0 + beta * g.degree(v) as f64;
-            for &u in &g.neighbors[v] {
+            for &u in g.neighbors(v) {
                 a[(v, u as usize)] = -beta;
             }
         }
@@ -556,5 +665,164 @@ mod tests {
         let run =
             GeistSelector::default().select(&s, &pool, &|c| c.value(0).index() as f64, 100, 3);
         assert_eq!(run.len(), 5);
+    }
+
+    /// The per-node sweep that the lockstep one replaced, kept as its
+    /// oracle: each node's neighbor sum folded on its own and its
+    /// denominator computed in place.
+    fn propagate_per_node(
+        g: &ConfigGraph,
+        beta: f64,
+        iters: usize,
+        prior: &[f64],
+        labeled: &[bool],
+    ) -> Vec<f64> {
+        let n = g.len();
+        let mut f: Vec<f64> = prior.to_vec();
+        let mut next = vec![0.0; n];
+        for _ in 0..iters {
+            for (v, slot) in next.iter_mut().enumerate() {
+                let acc: f64 = g.neighbors(v).iter().map(|&u| f[u as usize]).sum();
+                *slot = (prior[v] + beta * acc) / (1.0 + beta * g.degree(v) as f64);
+            }
+            std::mem::swap(&mut f, &mut next);
+        }
+        for v in 0..n {
+            if labeled[v] {
+                f[v] = prior[v];
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn lockstep_sweeps_match_the_per_node_oracle_bit_for_bit() {
+        let constrained = ParameterSpace::builder()
+            .param(ParamDef::new("a", Domain::discrete_ints(&[0, 1, 2, 3, 4])))
+            .param(ParamDef::new("b", Domain::discrete_ints(&[0, 1, 2, 3])))
+            .param(ParamDef::new("c", Domain::discrete_ints(&[0, 1, 2])))
+            .constraint("a + b + c <= 6", |c, _| {
+                c.value(0).index() + c.value(1).index() + c.value(2).index() <= 6
+            })
+            .constraint("a != b", |c, _| c.value(0).index() != c.value(1).index())
+            .build()
+            .unwrap();
+        let cube = ParameterSpace::builder()
+            .param(ParamDef::new("x", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("y", Domain::discrete_ints(&[0, 1, 2])))
+            .param(ParamDef::new("z", Domain::discrete_ints(&[0, 1, 2])))
+            .build()
+            .unwrap();
+        let grid = space();
+        // No two diagonal members share a value: every node is isolated.
+        let diagonal: Vec<Configuration> = (0..10)
+            .map(|i| Configuration::from_indices(&[i, i]))
+            .collect();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut cases: Vec<(&ParameterSpace, Vec<Configuration>)> = vec![(&grid, diagonal)];
+        for s in [&constrained, &cube, &grid] {
+            // Code order, reversed and shuffled, so that four-node groups
+            // form and break at different places.
+            let pool = s.enumerate();
+            let reversed = pool.iter().rev().cloned().collect();
+            let mut shuffled = pool.clone();
+            shuffled.shuffle(&mut rng);
+            cases.extend([(s, pool), (s, reversed), (s, shuffled)]);
+        }
+
+        // Four-node groups of one degree, groups of mixed degrees (whose
+        // nodes finish their own neighbors alone) and single tail nodes.
+        let (mut equal, mut mixed, mut tail) = (0, 0, 0);
+        for (s, pool) in &cases {
+            let g = ConfigGraph::build(s, pool);
+            let degrees: Vec<usize> = (0..g.len()).map(|v| g.degree(v)).collect();
+            for four in degrees.chunks_exact(4) {
+                if four.iter().all(|&d| d == four[0]) {
+                    equal += 1;
+                } else {
+                    mixed += 1;
+                }
+            }
+            tail += degrees.len() % 4;
+            for beta in [0.1, 0.7] {
+                let labeled: Vec<bool> = (0..g.len()).map(|_| rng.gen_bool(0.3)).collect();
+                let prior: Vec<f64> = (0..g.len()).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let oracle = propagate_per_node(&g, beta, 30, &prior, &labeled);
+                let mut propagator = Propagator::new(&g, beta);
+                let scores = propagator.propagate(&prior, &labeled, 30);
+                for (v, (got, want)) in scores.iter().zip(&oracle).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "node {v}: {got} vs {want}");
+                }
+            }
+        }
+        assert!(
+            equal > 0 && mixed > 0 && tail > 0,
+            "{equal} equal-degree groups, {mixed} mixed groups, {tail} tail nodes"
+        );
+    }
+
+    #[test]
+    fn top_k_takes_what_a_stable_sort_puts_first() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut picks = Vec::new();
+        for _ in 0..300 {
+            let n = rng.gen_range(1..60);
+            // Few distinct scores, so most comparisons are ties.
+            let scores: Vec<f64> = (0..n).map(|_| rng.gen_range(0..5) as f64 / 4.0).collect();
+            let mut candidates: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.7)).collect();
+            candidates.shuffle(&mut rng);
+            let take = rng.gen_range(1..12);
+            let mut sorted = candidates.clone();
+            sorted.sort_by(|&a, &b| scores[b as usize].partial_cmp(&scores[a as usize]).unwrap());
+            sorted.truncate(take);
+            top_k(&candidates, &scores, take, &mut picks);
+            assert_eq!(picks, sorted);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite scores")]
+    fn top_k_rejects_a_nan_score() {
+        top_k(&[0, 1, 2], &[0.5, f64::NAN, 0.2], 2, &mut Vec::new());
+    }
+
+    /// A selector run on a second pool must pick as a fresh one would,
+    /// however much the second pool looks like the first.
+    #[test]
+    fn a_reused_selector_builds_each_pool_its_own_graph() {
+        // Two pools of one space that agree on their length, ends and
+        // middle and differ elsewhere.
+        let grid = space();
+        let all = grid.enumerate();
+        let a = all[..60].to_vec();
+        let mut b = a.clone();
+        b[1..10].clone_from_slice(&all[80..89]);
+        assert_eq!(
+            (a.len(), &a[0], &a[30], &a[59]),
+            (b.len(), &b[0], &b[30], &b[59])
+        );
+        // 10 × 10 and 1 × 100 both code their members 0..100, but their
+        // Hamming graphs have degree 18 and 99.
+        let vals: Vec<i64> = (0..100).collect();
+        let line = ParameterSpace::builder()
+            .param(ParamDef::new("i", Domain::discrete_ints(&[0])))
+            .param(ParamDef::new("x", Domain::discrete_ints(&vals)))
+            .build()
+            .unwrap();
+        let row = line.enumerate();
+        let codes = |s: &ParameterSpace, pool: &[Configuration]| -> Vec<Option<usize>> {
+            pool.iter().map(|c| s.index_of(c)).collect()
+        };
+        assert_eq!(codes(&grid, &all), codes(&line, &row));
+
+        for ((s1, p1), (s2, p2)) in [((&grid, &a), (&grid, &b)), ((&grid, &all), (&line, &row))] {
+            let geist = GeistSelector::default();
+            geist.select(s1, p1, &objective, 40, 4);
+            let second = geist.select(s2, p2, &objective, 40, 4);
+            let fresh = GeistSelector::default().select(s2, p2, &objective, 40, 4);
+            assert_eq!(second.configs, fresh.configs);
+            assert_eq!(second.objectives, fresh.objectives);
+        }
     }
 }

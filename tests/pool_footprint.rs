@@ -7,7 +7,10 @@
 //! `Configuration` per dataset row, a per-row allocation in the dataset
 //! build, or a `Vec<Configuration>` pool copy comes back. The same
 //! allocator counts the allocations of steady-state Proposal picks, which
-//! must not grow with the number of continuous parameters.
+//! must not grow with the number of continuous parameters, and the heap
+//! a GEIST selector keeps after an OpenAtom run: its cached graph, which
+//! must stay two flat arrays (0.74 MiB in 3 blocks) rather than a heap
+//! block per node (1.34 MiB in 9,218 blocks).
 //!
 //! Measured on x86-64 Linux, debug and release builds alike:
 //!
@@ -21,7 +24,8 @@
 //! model added three (the space's list of declared-prefix constraints,
 //! the walk's prefix copy and the energy model's per-cap table).
 
-use hiperbot::apps::{kripke, Scale};
+use hiperbot::apps::{kripke, openatom, Scale};
+use hiperbot::baselines::{ConfigSelector, GeistSelector};
 use hiperbot::core::selection::{select_by_proposal_vectorized, Seen, PROPOSAL_REDRAW_ROUNDS};
 use hiperbot::core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot::core::{EvalOutcome, ObservationHistory, ProposalScratch, Tuner, TunerOptions};
@@ -36,6 +40,8 @@ use std::sync::Mutex;
 
 /// Bytes currently allocated through [`Counting`].
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// Blocks currently allocated through [`Counting`].
+static BLOCKS: AtomicIsize = AtomicIsize::new(0);
 
 thread_local! {
     /// Allocations and reallocations this thread made through
@@ -59,8 +65,8 @@ fn allocs() -> usize {
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees hold; the counters are an atomic and a
-// const-initialized thread-local `Cell` without a destructor, neither of
+// `System`'s guarantees hold; the counters are two atomics and a
+// const-initialized thread-local `Cell` without a destructor, none of
 // which touches allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -68,6 +74,7 @@ unsafe impl GlobalAlloc for Counting {
         count_alloc();
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
+            BLOCKS.fetch_add(1, Ordering::SeqCst);
         }
         p
     }
@@ -77,6 +84,7 @@ unsafe impl GlobalAlloc for Counting {
         count_alloc();
         if !p.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::SeqCst);
+            BLOCKS.fetch_add(1, Ordering::SeqCst);
         }
         p
     }
@@ -84,6 +92,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         LIVE.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        BLOCKS.fetch_sub(1, Ordering::SeqCst);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -103,6 +112,10 @@ fn live_mib() -> f64 {
     LIVE.load(Ordering::SeqCst) as f64 / (1u64 << 20) as f64
 }
 
+fn live_blocks() -> isize {
+    BLOCKS.load(Ordering::SeqCst)
+}
+
 /// Live-heap bound on the dataset, in MiB: between 0.26 and 2.23.
 const DATASET_MIB: f64 = 1.0;
 /// Bound on the allocations one dataset build makes: a small constant,
@@ -111,6 +124,12 @@ const DATASET_ALLOCS: usize = 100;
 /// Bound on the heap a bootstrapped Ranking tuner adds, in MiB: between
 /// +0.37 and +5.34.
 const TUNER_MIB: f64 = 1.5;
+
+/// Bound on the heap a GEIST selector keeps after one OpenAtom run, in
+/// MiB: between its CSR graph (0.74) and a heap block per node (1.34).
+const GEIST_MIB: f64 = 1.0;
+/// Bound on the blocks it keeps: a few arrays, far below one per node.
+const GEIST_BLOCKS: isize = 100;
 
 /// Held by each test for its whole run: tests running in parallel would
 /// add to each other's live heap.
@@ -214,5 +233,28 @@ fn proposal_picks_allocate_alike_whatever_the_continuous_parameter_count() {
     assert!(
         four <= one,
         "Proposal picks allocate more with more continuous parameters: {one} with 1, {four} with 4"
+    );
+}
+
+#[test]
+fn a_geist_selector_keeps_a_flat_graph() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dataset = openatom::dataset(Scale::Target);
+    let pool = dataset.to_configs();
+    let geist = GeistSelector::default();
+    let (before, blocks_before) = (live_mib(), live_blocks());
+    let run = geist.select(dataset.space(), &pool, &|c| dataset.evaluate(c), 30, 1);
+    assert_eq!(run.len(), 30);
+    drop(run);
+    let (kept_mib, kept_blocks) = (live_mib() - before, live_blocks() - blocks_before);
+
+    eprintln!("GEIST keeps {kept_mib:.2} MiB in {kept_blocks} blocks after one OpenAtom run");
+    assert!(
+        kept_mib < GEIST_MIB,
+        "GEIST keeps {kept_mib:.2} MiB (bound {GEIST_MIB} MiB)"
+    );
+    assert!(
+        kept_blocks < GEIST_BLOCKS,
+        "GEIST keeps {kept_blocks} blocks (bound {GEIST_BLOCKS})"
     );
 }
