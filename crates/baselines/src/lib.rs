@@ -23,4 +23,4 @@ pub use geist::GeistSelector;
 pub use gp::GpEiSelector;
 pub use perfnet::{PerfNet, PerfNetOptions};
 pub use random::RandomSelector;
-pub use selector::{ConfigSelector, HiPerBOtSelector, SelectionRun, TracedSelector};
+pub use selector::{ConfigSelector, HiPerBOtSelector, SelectionRun};

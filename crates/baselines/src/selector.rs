@@ -1,9 +1,9 @@
 //! The common interface the evaluation harness drives all methods through.
 
 use hiperbot_core::{EvalOutcome, SelectionStrategy, Tuner, TunerOptions};
-use hiperbot_obs::{Event, NoopRecorder, Recorder, SpanTimer};
+use hiperbot_obs::{NoopRecorder, Recorder};
 use hiperbot_space::{Configuration, ParameterSpace};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A method's evaluation trace: configurations in the order they were
@@ -174,123 +174,6 @@ impl ConfigSelector for HiPerBOtSelector {
     }
 }
 
-/// Wraps any [`ConfigSelector`] with tracing: each `select` call emits one
-/// [`Event::ObjectiveEvaluated`] per objective call (numbered in evaluation
-/// order) and a closing [`Event::SelectorRun`]. This instruments selectors
-/// that have no tracing hooks of their own — `RandomSelector`, `GpEiSelector`
-/// — from the outside, without touching the wrapped method's behavior: the
-/// objective values and RNG stream pass through untouched.
-pub struct TracedSelector<S> {
-    inner: S,
-    recorder: Arc<dyn Recorder>,
-}
-
-impl<S: ConfigSelector> TracedSelector<S> {
-    /// Wraps `inner`, sending events to `recorder`.
-    pub fn new(inner: S, recorder: Arc<dyn Recorder>) -> Self {
-        Self { inner, recorder }
-    }
-
-    /// The wrapped selector.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: ConfigSelector> ConfigSelector for TracedSelector<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn select(
-        &self,
-        space: &ParameterSpace,
-        pool: &[Configuration],
-        objective: &(dyn Fn(&Configuration) -> f64 + Sync),
-        budget: usize,
-        seed: u64,
-    ) -> SelectionRun {
-        if !self.recorder.enabled() {
-            return self.inner.select(space, pool, objective, budget, seed);
-        }
-        let counter = AtomicU64::new(0);
-        let recorder = &self.recorder;
-        let traced_objective = move |cfg: &Configuration| {
-            let timer = SpanTimer::start(true);
-            let y = objective(cfg);
-            recorder.record(&Event::ObjectiveEvaluated {
-                iteration: counter.fetch_add(1, Ordering::Relaxed),
-                objective: y,
-                bootstrap: false,
-                elapsed_ns: timer.elapsed_ns().unwrap_or(0),
-                config: Some(cfg.clone()),
-            });
-            y
-        };
-        let timer = SpanTimer::start(true);
-        let run = self
-            .inner
-            .select(space, pool, &traced_objective, budget, seed);
-        self.recorder.record(&Event::SelectorRun {
-            method: self.inner.name().to_string(),
-            evaluations: run.len() as u64,
-            best: run.best_within(run.len()),
-            elapsed_ns: timer.elapsed_ns().unwrap_or(0),
-        });
-        run
-    }
-
-    fn select_fallible(
-        &self,
-        space: &ParameterSpace,
-        pool: &[Configuration],
-        objective: &(dyn Fn(&Configuration) -> EvalOutcome + Sync),
-        budget: usize,
-        seed: u64,
-    ) -> SelectionRun {
-        if !self.recorder.enabled() {
-            return self
-                .inner
-                .select_fallible(space, pool, objective, budget, seed);
-        }
-        let counter = AtomicU64::new(0);
-        let recorder = &self.recorder;
-        let traced_objective = move |cfg: &Configuration| {
-            let timer = SpanTimer::start(true);
-            let out = objective(cfg).normalized();
-            let elapsed_ns = timer.elapsed_ns().unwrap_or(0);
-            let iteration = counter.fetch_add(1, Ordering::Relaxed);
-            match out.value() {
-                Some(y) => recorder.record(&Event::ObjectiveEvaluated {
-                    iteration,
-                    objective: y,
-                    bootstrap: false,
-                    elapsed_ns,
-                    config: Some(cfg.clone()),
-                }),
-                None => recorder.record(&Event::TrialFailed {
-                    iteration,
-                    reason: out.failure_reason().unwrap_or_default(),
-                    elapsed_ns,
-                    config: Some(cfg.clone()),
-                }),
-            }
-            out
-        };
-        let timer = SpanTimer::start(true);
-        let run = self
-            .inner
-            .select_fallible(space, pool, &traced_objective, budget, seed);
-        self.recorder.record(&Event::SelectorRun {
-            method: self.inner.name().to_string(),
-            evaluations: run.len() as u64,
-            best: run.best_within(run.len()),
-            elapsed_ns: timer.elapsed_ns().unwrap_or(0),
-        });
-        run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,43 +218,6 @@ mod tests {
             assert!(b <= prev);
             prev = b;
         }
-    }
-
-    #[test]
-    fn traced_selector_is_transparent_and_emits_events() {
-        use crate::random::RandomSelector;
-        let s = space();
-        let pool = s.enumerate();
-        let plain = RandomSelector.select(&s, &pool, &objective, 20, 5);
-        let recorder = Arc::new(hiperbot_obs::MemoryRecorder::new());
-        let traced = TracedSelector::new(RandomSelector, recorder.clone())
-            .select(&s, &pool, &objective, 20, 5);
-        // Wrapping must not perturb the method.
-        assert_eq!(plain.configs, traced.configs);
-        assert_eq!(plain.objectives, traced.objectives);
-        let events = recorder.events();
-        let evals = events
-            .iter()
-            .filter(|e| matches!(e, Event::ObjectiveEvaluated { .. }))
-            .count();
-        assert_eq!(evals, 20);
-        assert!(matches!(
-            events.last(),
-            Some(Event::SelectorRun {
-                evaluations: 20,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn traced_selector_with_noop_recorder_skips_instrumentation() {
-        use crate::random::RandomSelector;
-        let s = space();
-        let pool = s.enumerate();
-        let run = TracedSelector::new(RandomSelector, Arc::new(NoopRecorder))
-            .select(&s, &pool, &objective, 10, 6);
-        assert_eq!(run.len(), 10);
     }
 
     #[test]
@@ -429,38 +275,6 @@ mod tests {
             run.objectives.iter().all(|o| o.is_finite()),
             "no sentinel values in a failure-aware trace"
         );
-    }
-
-    #[test]
-    fn traced_select_fallible_is_transparent_and_counts_failures() {
-        use crate::random::RandomSelector;
-        let s = space();
-        let pool = s.enumerate();
-        let fallible = |c: &Configuration| {
-            if c.value(1).index() == 3 {
-                EvalOutcome::Timeout
-            } else {
-                EvalOutcome::Ok(objective(c))
-            }
-        };
-        let plain = RandomSelector.select_fallible(&s, &pool, &fallible, 20, 5);
-        let recorder = Arc::new(hiperbot_obs::MemoryRecorder::new());
-        let traced = TracedSelector::new(RandomSelector, recorder.clone())
-            .select_fallible(&s, &pool, &fallible, 20, 5);
-        assert_eq!(plain.configs, traced.configs);
-        assert_eq!(plain.objectives, traced.objectives);
-        assert_eq!(plain.failures, traced.failures);
-        let events = recorder.events();
-        let failed = events
-            .iter()
-            .filter(|e| matches!(e, Event::TrialFailed { .. }))
-            .count();
-        assert_eq!(failed, traced.failures);
-        let ok = events
-            .iter()
-            .filter(|e| matches!(e, Event::ObjectiveEvaluated { .. }))
-            .count();
-        assert_eq!(ok + failed, 20);
     }
 
     #[test]

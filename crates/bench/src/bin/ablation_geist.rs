@@ -7,9 +7,9 @@
 //! batch = 10) sit at or near GEIST's own optimum on our datasets.
 
 use hiperbot_apps::{kripke, Scale};
-use hiperbot_baselines::{ConfigSelector, GeistSelector};
+use hiperbot_baselines::GeistSelector;
 use hiperbot_eval::metrics::{GoodSet, Recall};
-use hiperbot_stats::{SeedSequence, Summary};
+use hiperbot_eval::runner::{run_trials, TrialConfig};
 
 const BUDGET: usize = 192;
 
@@ -17,10 +17,10 @@ fn main() {
     let reps: usize = std::env::var("HIPERBOT_ABLATION_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
+        .filter(|&r| r > 0)
         .unwrap_or(10);
     let dataset = kripke::exec_dataset(Scale::Target);
     let recall = Recall::new(&dataset, GoodSet::Percentile(0.02));
-    let pool = dataset.to_configs();
 
     let mut out = String::new();
     out.push_str("## ablation-geist — GEIST hyperparameter sensitivity (Kripke exec)\n");
@@ -39,26 +39,17 @@ fn main() {
             let geist = GeistSelector::default()
                 .with_beta(beta)
                 .with_batch_size(batch);
-            let mut seq = SeedSequence::new(0x6E15 ^ (beta * 1000.0) as u64 ^ (batch as u64) << 20);
-            let mut best = Summary::new();
-            let mut rec = Summary::new();
-            for _ in 0..reps {
-                let run = geist.select(
-                    dataset.space(),
-                    &pool,
-                    &|c| dataset.evaluate(c),
-                    BUDGET,
-                    seq.next_seed(),
-                );
-                best.push(run.best_within(BUDGET));
-                rec.push(recall.of_prefix(&run.objectives, BUDGET));
-            }
+            let trial = TrialConfig::new(vec![BUDGET])
+                .with_repetitions(reps)
+                .with_seed(0x6E15 ^ (beta * 1000.0) as u64 ^ (batch as u64) << 20)
+                .with_good(GoodSet::Percentile(0.02));
+            let stats = &run_trials(&dataset, &geist, &trial)[0];
             out.push_str(&format!(
                 "{beta:>6.2} | {batch:>6} | {:>9.4} ±{:>6.4} | {:>9.4} ±{:>6.4}\n",
-                best.mean(),
-                best.sample_std_dev(),
-                rec.mean(),
-                rec.sample_std_dev()
+                stats.best.mean(),
+                stats.best.sample_std_dev(),
+                stats.recall.mean(),
+                stats.recall.sample_std_dev()
             ));
         }
     }

@@ -10,10 +10,10 @@
 //! tuner's own next pick. It reports p50 and p90 ns per pick for each path,
 //! the index build time, the index's suffix shapes per level and the pool
 //! size. Run with
-//! `HIPERBOT_THREADS=1 cargo run --release -p hiperbot-bench --bin bench_selection`.
+//! `cargo run --release -p hiperbot-bench --bin bench_selection`.
 
 use hiperbot_apps::{hypre, kripke, lulesh, openatom, Dataset, Scale};
-use hiperbot_bench::{host_meta, pin_threads, write_bench_json, HostMeta};
+use hiperbot_bench::{host_meta, write_bench_json, HostMeta};
 use hiperbot_core::selection::{rank_encoded, rank_indexed, RunIndex, SearchScratch};
 use hiperbot_core::surrogate::{SurrogateOptions, TpeSurrogate};
 use hiperbot_core::{Tuner, TunerOptions};
@@ -150,7 +150,6 @@ fn measure(name: &str, dataset: &Dataset) -> PoolResult {
 type DatasetBuilder = fn() -> Dataset;
 
 fn main() {
-    pin_threads();
     let pools: [(&str, DatasetBuilder); 6] = [
         ("kripke-exec", || kripke::exec_dataset(Scale::Target)),
         ("lulesh", || lulesh::dataset(Scale::Target)),

@@ -33,8 +33,9 @@ pub struct HostMeta {
     pub logical_cores: usize,
     /// `rustc --version` of the toolchain that built the bench.
     pub rustc: String,
-    /// Effective rayon pool width for vectorized sweeps (after
-    /// [`pin_threads`]; equals `logical_cores` when unpinned).
+    /// Threads a repetition fan-out of the figure runner would use in
+    /// this process: `RAYON_NUM_THREADS` when set, `logical_cores`
+    /// otherwise. Nothing else in the workspace runs rayon code.
     pub rayon_threads: usize,
 }
 
@@ -53,19 +54,6 @@ pub fn host_meta() -> HostMeta {
             .unwrap_or(1),
         rustc,
         rayon_threads: rayon::current_num_threads(),
-    }
-}
-
-/// Pins the global rayon pool from `HIPERBOT_THREADS` (when set), so BENCH
-/// numbers stop depending on the runner's ambient core count. Call once at
-/// the top of every bench `main`, before any parallel work.
-pub fn pin_threads() {
-    if let Ok(n) = std::env::var("HIPERBOT_THREADS") {
-        if n.parse::<usize>().map(|n| n >= 1).unwrap_or(false) {
-            std::env::set_var("RAYON_NUM_THREADS", n);
-        } else {
-            eprintln!("warning: ignoring HIPERBOT_THREADS={n} (not a positive integer)");
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! table entries (paper eqs. 7–8), so the hot path is [`rank_indexed`]: an
 //! exact branch-and-bound search over the pool's prefix runs
 //! ([`RunIndex`]) that scores each shared prefix once and skips runs whose
-//! upper bound cannot beat the incumbent. The rayon-chunked sweep
+//! upper bound cannot beat the incumbent. The chunked sweep
 //! [`rank_encoded`] defines the result — the search returns its pick bit
 //! for bit — and stays as the fallback for non-finite tables and as the
 //! test oracle.
@@ -33,7 +33,6 @@ use crate::surrogate::{
 use hiperbot_space::pool::{IndexBuffer, PoolEncoding, PoolIndex, PoolMask};
 use hiperbot_space::{Configuration, ParameterSpace};
 use hiperbot_stats::kde::KdeScratch;
-use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -51,10 +50,10 @@ pub enum SelectionStrategy {
     },
 }
 
-/// Fixed chunk width of the parallel ranking argmax. Chunk boundaries
-/// depend only on this constant (never on the worker count), which is one
-/// half of the bit-identical-across-thread-counts guarantee; the other half
-/// is the in-order chunk reduction in [`rank_encoded`].
+/// Chunk width of the ranking sweep [`rank_encoded`], which reduces each
+/// chunk's winner in chunk order. With NaN scores the pick depends on
+/// where chunks begin, so this width is part of the sweep's result
+/// (DESIGN §16).
 pub const RANK_CHUNK: usize = 4096;
 
 /// Argmax of one chunk of the encoded pool. Scans positions in ascending
@@ -90,11 +89,10 @@ fn best_in_chunk<T: PoolIndex, C: AsRef<[f64]>>(
 /// configuration, or `None` when every position is seen.
 ///
 /// **Tie-breaking contract:** among equal-scoring candidates the **lowest
-/// pool index** wins. **Determinism contract:** the result is bit-identical
-/// regardless of `RAYON_NUM_THREADS` — every candidate's score is a fixed
-/// left-to-right sum over its parameters, chunk boundaries are a function
-/// of [`RANK_CHUNK`] only, and chunk winners are reduced in chunk order
-/// with a strict `>` (an earlier chunk's equal score survives).
+/// pool index** wins. Every candidate's score is a fixed left-to-right sum
+/// over its parameters, the pool is scanned in [`RANK_CHUNK`]-wide chunks,
+/// and chunk winners are reduced in chunk order with a strict `>` (an
+/// earlier chunk's equal score survives).
 ///
 /// `tables[p]` is parameter `p`'s score column: `&[f64]` slices, or the
 /// `Vec<f64>` columns the incremental engine lends without a per-search
@@ -103,7 +101,7 @@ fn best_in_chunk<T: PoolIndex, C: AsRef<[f64]>>(
 /// # Panics
 /// Panics if `tables`' arity differs from the encoding's, or if the mask
 /// length differs from the pool length.
-pub fn rank_encoded<C: AsRef<[f64]> + Sync>(
+pub fn rank_encoded<C: AsRef<[f64]>>(
     tables: &[C],
     encoding: &PoolEncoding,
     seen: &PoolMask,
@@ -115,23 +113,18 @@ pub fn rank_encoded<C: AsRef<[f64]> + Sync>(
     }
     assert_eq!(tables.len(), encoding.n_params(), "arity mismatch");
     let n_params = encoding.n_params();
-    let n_chunks = n.div_ceil(RANK_CHUNK);
-    let partials: Vec<Option<(f64, usize)>> = (0..n_chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let start = ci * RANK_CHUNK;
-            let end = (start + RANK_CHUNK).min(n);
-            match encoding.buffer() {
-                IndexBuffer::U16(b) => best_in_chunk(b, n_params, tables, seen, start, end),
-                IndexBuffer::U32(b) => best_in_chunk(b, n_params, tables, seen, start, end),
-            }
-        })
-        .collect();
     let mut best: Option<(f64, usize)> = None;
-    for (score, c) in partials.into_iter().flatten() {
-        match best {
-            Some((s, _)) if s >= score => {}
-            _ => best = Some((score, c)),
+    for start in (0..n).step_by(RANK_CHUNK) {
+        let end = (start + RANK_CHUNK).min(n);
+        let winner = match encoding.buffer() {
+            IndexBuffer::U16(b) => best_in_chunk(b, n_params, tables, seen, start, end),
+            IndexBuffer::U32(b) => best_in_chunk(b, n_params, tables, seen, start, end),
+        };
+        if let Some((score, c)) = winner {
+            match best {
+                Some((s, _)) if s >= score => {}
+                _ => best = Some((score, c)),
+            }
         }
     }
     best.map(|(_, c)| c)
@@ -625,7 +618,7 @@ pub struct SearchScratch {
 /// Panics if `runs` was built from a different pool shape, if `tables`'
 /// arity differs from the encoding's, or if the mask length differs from
 /// the pool length.
-pub fn rank_indexed<C: AsRef<[f64]> + Sync>(
+pub fn rank_indexed<C: AsRef<[f64]>>(
     tables: &[C],
     encoding: &PoolEncoding,
     runs: &RunIndex,

@@ -8,8 +8,7 @@
 //!   operation ([`IncrementalSurrogate::assert_parity`]).
 //! - **Tuner level** — a full fault-injected batch run in
 //!   `SurrogateMode::Incremental` must produce the same history, best,
-//!   and trace event sequence (timings excluded) as `SurrogateMode::Full`,
-//!   at every rayon thread count.
+//!   and trace event sequence (timings excluded) as `SurrogateMode::Full`.
 
 use hiperbot_core::surrogate::{SurrogateMode, SurrogateOptions};
 use hiperbot_core::{EvalOutcome, IncrementalSurrogate, TransferPrior, Tuner, TunerOptions};
@@ -288,43 +287,36 @@ fn fingerprint(t: &Tuner) -> (Vec<String>, Vec<f64>, Vec<String>, usize) {
 
 #[test]
 fn incremental_and_full_runs_are_bit_identical_with_faults_and_batching() {
-    // The vendored rayon reads RAYON_NUM_THREADS per call, so toggling it
-    // mid-test exercises both worker counts; determinism makes any
-    // cross-test interleaving harmless.
-    for threads in ["1", "4"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        for (seed, batch) in [(3u64, 1usize), (11, 4), (42, 6)] {
-            let full_rec = Arc::new(MemoryRecorder::new());
-            let mut full = tuner(seed, SurrogateMode::Full).with_recorder(full_rec.clone());
-            let full_best =
-                full.run_batch_fallible(36, batch, |cfgs, _| cfgs.iter().map(fallible).collect());
+    for (seed, batch) in [(3u64, 1usize), (11, 4), (42, 6)] {
+        let full_rec = Arc::new(MemoryRecorder::new());
+        let mut full = tuner(seed, SurrogateMode::Full).with_recorder(full_rec.clone());
+        let full_best =
+            full.run_batch_fallible(36, batch, |cfgs, _| cfgs.iter().map(fallible).collect());
 
-            let inc_rec = Arc::new(MemoryRecorder::new());
-            let mut inc = tuner(seed, SurrogateMode::Incremental).with_recorder(inc_rec.clone());
-            let inc_best =
-                inc.run_batch_fallible(36, batch, |cfgs, _| cfgs.iter().map(fallible).collect());
+        let inc_rec = Arc::new(MemoryRecorder::new());
+        let mut inc = tuner(seed, SurrogateMode::Incremental).with_recorder(inc_rec.clone());
+        let inc_best =
+            inc.run_batch_fallible(36, batch, |cfgs, _| cfgs.iter().map(fallible).collect());
 
-            assert_eq!(
-                fingerprint(&full),
-                fingerprint(&inc),
-                "seed {seed} batch {batch} threads {threads}"
-            );
-            let (f, i) = (full_best.unwrap(), inc_best.unwrap());
-            assert_eq!(
-                (f.config, f.objective, f.evaluations),
-                (i.config, i.objective, i.evaluations)
-            );
-            assert_eq!(
-                normalized_events(&full_rec),
-                normalized_events(&inc_rec),
-                "seed {seed} batch {batch} threads {threads}: traces must match event-for-event"
-            );
-            // The *next* suggestion agrees too: surrogate states stay
-            // interchangeable after the run, fantasies all evicted.
-            assert_eq!(full.suggest(), inc.suggest(), "seed {seed} batch {batch}");
-        }
+        assert_eq!(
+            fingerprint(&full),
+            fingerprint(&inc),
+            "seed {seed} batch {batch}"
+        );
+        let (f, i) = (full_best.unwrap(), inc_best.unwrap());
+        assert_eq!(
+            (f.config, f.objective, f.evaluations),
+            (i.config, i.objective, i.evaluations)
+        );
+        assert_eq!(
+            normalized_events(&full_rec),
+            normalized_events(&inc_rec),
+            "seed {seed} batch {batch}: traces must match event-for-event"
+        );
+        // The *next* suggestion agrees too: surrogate states stay
+        // interchangeable after the run, fantasies all evicted.
+        assert_eq!(full.suggest(), inc.suggest(), "seed {seed} batch {batch}");
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 #[test]

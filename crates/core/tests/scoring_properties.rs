@@ -1,8 +1,8 @@
 //! Property-based invariants of the batch-scoring engine: the precomputed
 //! [`ScoreTable`] must agree with the per-candidate `log_ei` path, the
-//! rayon-chunked ranking must be bit-identical to the serial oracle at
-//! every thread count, and the run-index search must return the sweep's
-//! pick on any pool, mask and table.
+//! chunked ranking sweep must pick what the serial oracle picks, and the
+//! run-index search must return the sweep's pick on any pool, mask and
+//! table.
 
 use hiperbot_core::selection::{
     rank_encoded, rank_indexed, select_by_ranking_serial, RunIndex, SearchScratch,
@@ -124,14 +124,10 @@ proptest! {
         }
     }
 
-    /// The chunked parallel argmax returns the same pool index as the
-    /// serial oracle regardless of how many rayon workers run it. The two
-    /// thread counts are exercised inside one test body: the vendored
-    /// rayon reads `RAYON_NUM_THREADS` on every call, so toggling the
-    /// variable mid-test switches the worker count, and the determinism
-    /// guarantee makes any cross-test interleaving harmless.
+    /// The chunked argmax returns the same pool index as the
+    /// per-candidate serial oracle.
     #[test]
-    fn parallel_ranking_matches_serial_across_thread_counts(
+    fn chunked_ranking_matches_the_serial_oracle(
         space in arb_discrete_space(),
         seed in 0u64..500,
         salt in 0u64..500,
@@ -149,17 +145,12 @@ proptest! {
             }
         }
         let oracle = select_by_ranking_serial(&table, &pool, &history);
-        for threads in ["1", "4"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let pick = rank_encoded(&tables, &encoding, &seen).map(|i| pool[i].clone());
-            prop_assert_eq!(
-                pick.as_ref(),
-                oracle.as_ref(),
-                "thread count {} diverged from the serial oracle",
-                threads
-            );
-        }
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let pick = rank_encoded(&tables, &encoding, &seen).map(|i| pool[i].clone());
+        prop_assert_eq!(
+            pick.as_ref(),
+            oracle.as_ref(),
+            "the chunked sweep diverged from the serial oracle"
+        );
     }
 }
 

@@ -69,9 +69,10 @@ pub struct CheckpointStats {
 
 /// Runs `method` on `dataset` under the protocol in `config`.
 ///
-/// Repetitions run in parallel under rayon; each gets an independent seed
-/// derived from the master seed, so results are identical regardless of
-/// thread count or scheduling.
+/// Repetitions run in parallel under rayon, on `RAYON_NUM_THREADS` threads
+/// (default: the host's logical cores). Each gets an independent seed
+/// derived from the master seed and the results are joined in repetition
+/// order, so they are identical regardless of thread count or scheduling.
 pub fn run_trials(
     dataset: &Dataset,
     method: &dyn ConfigSelector,
@@ -86,7 +87,7 @@ pub fn run_trials(
 /// events from concurrent repetitions interleave — each event carries its
 /// `rep` index for disentangling. With a disabled recorder this is exactly
 /// `run_trials`.
-pub fn run_trials_traced(
+fn run_trials_traced(
     dataset: &Dataset,
     method: &dyn ConfigSelector,
     config: &TrialConfig,
@@ -172,14 +173,16 @@ pub fn run_trials_traced(
         .collect()
 }
 
-/// [`run_trials_traced`] with a [`DiagnosticsRecorder`] teed alongside the
-/// caller's recorder, returning the health summary next to the stats — the
-/// figure-report pipeline attaches this to its output so a rendered report
-/// carries the run's own health verdict. The per-trial event stream has no
-/// tuner-iteration events, so the interesting fields are the trial
-/// counters (evaluations, failures) and the watchdog's alerts; all of them
-/// fold commutatively, which keeps the summary deterministic even though
-/// rayon workers interleave their events.
+/// [`run_trials`] with its per-repetition events (`TrialStart`,
+/// `CheckpointRecorded`, `TrialFinished`) sent to the caller's recorder and
+/// to a [`DiagnosticsRecorder`] teed alongside it, returning the health
+/// summary next to the stats — the figure-report pipeline attaches this to
+/// its output so a rendered report carries the run's own health verdict.
+/// The per-trial event stream has no tuner-iteration events, so the
+/// interesting fields are the trial counters (evaluations, failures) and
+/// the watchdog's alerts; all of them fold commutatively, which keeps the
+/// summary deterministic even though rayon workers interleave their
+/// events.
 pub fn run_trials_diagnosed(
     dataset: &Dataset,
     method: &dyn ConfigSelector,
@@ -229,8 +232,8 @@ pub fn repetitions_from_env() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiperbot_baselines::{HiPerBOtSelector, RandomSelector};
-    use hiperbot_space::{Domain, ParamDef, ParameterSpace};
+    use hiperbot_baselines::{HiPerBOtSelector, RandomSelector, SelectionRun};
+    use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
 
     fn dataset() -> Dataset {
         let vals: Vec<i64> = (0..12).collect();
@@ -340,6 +343,67 @@ mod tests {
         // Deterministic across identical runs (commutative folds only).
         let (_, again) = run_trials_diagnosed(&d, &RandomSelector, &cfg, &NoopRecorder);
         assert_eq!(diag, again);
+    }
+
+    /// Random search that notes the thread each repetition runs on.
+    #[derive(Default)]
+    struct ThreadSpy {
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl ConfigSelector for ThreadSpy {
+        fn name(&self) -> &str {
+            "spy"
+        }
+
+        fn select(
+            &self,
+            space: &ParameterSpace,
+            pool: &[Configuration],
+            objective: &(dyn Fn(&Configuration) -> f64 + Sync),
+            budget: usize,
+            seed: u64,
+        ) -> SelectionRun {
+            self.threads
+                .lock()
+                .expect("no repetition panicked")
+                .push(std::thread::current().id());
+            RandomSelector.select(space, pool, objective, budget, seed)
+        }
+    }
+
+    #[test]
+    fn repetitions_fan_out_across_threads_with_identical_stats() {
+        let d = dataset();
+        let cfg = TrialConfig::new(vec![10, 25]).with_repetitions(4);
+        let run_at = |threads: &str| {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let spy = ThreadSpy::default();
+            let stats = run_trials(&d, &spy, &cfg);
+            let ids = spy.threads.into_inner().expect("no repetition panicked");
+            assert_eq!(ids.len(), 4);
+            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+            (stats, distinct.len())
+        };
+        let (serial, serial_threads) = run_at("1");
+        let (parallel, parallel_threads) = run_at("2");
+        std::env::remove_var("RAYON_NUM_THREADS");
+        assert_eq!(serial_threads, 1);
+        assert_eq!(parallel_threads, 2, "4 repetitions must run on 2 threads");
+        let bits = |stats: &[CheckpointStats]| -> Vec<[u64; 4]> {
+            stats
+                .iter()
+                .map(|s| {
+                    [
+                        s.best.mean().to_bits(),
+                        s.best.sample_std_dev().to_bits(),
+                        s.recall.mean().to_bits(),
+                        s.recall.sample_std_dev().to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        assert_eq!(bits(&serial), bits(&parallel));
     }
 
     #[test]

@@ -211,17 +211,6 @@ pub enum Event {
         /// Propagation wall time.
         elapsed_ns: u64,
     },
-    /// A wrapped baseline selector finished one full `select` call.
-    SelectorRun {
-        /// Selector display name.
-        method: String,
-        /// Evaluations spent.
-        evaluations: u64,
-        /// Best objective in the trace.
-        best: f64,
-        /// Whole-select wall time.
-        elapsed_ns: u64,
-    },
     /// One repetition of the repeated-trial eval protocol is starting.
     TrialStart {
         /// Repetition index.
@@ -322,7 +311,6 @@ impl Event {
             | Event::ProposalStalled { .. }
             | Event::RunFinished { .. }
             | Event::TrialFinished { .. }
-            | Event::SelectorRun { .. }
             | Event::RunResumed { .. }
             | Event::HealthAlert(_) => Level::Info,
             _ => Level::Debug,
@@ -337,7 +325,6 @@ impl Event {
             Event::ObjectiveEvaluated { elapsed_ns, .. } => Some(("tuner.evaluate", *elapsed_ns)),
             Event::BatchMerged { elapsed_ns, .. } => Some(("tuner.batch", *elapsed_ns)),
             Event::PropagationRound { elapsed_ns, .. } => Some(("geist.propagate", *elapsed_ns)),
-            Event::SelectorRun { elapsed_ns, .. } => Some(("selector.run", *elapsed_ns)),
             Event::TrialFinished { elapsed_ns, .. } => Some(("eval.trial", *elapsed_ns)),
             _ => None,
         }
@@ -440,15 +427,6 @@ impl Event {
                 elapsed_ns,
             } => format!(
                 "geist round {round} labeled={labeled}/{pool} ({:.3} ms)",
-                ms(*elapsed_ns)
-            ),
-            Event::SelectorRun {
-                method,
-                evaluations,
-                best,
-                elapsed_ns,
-            } => format!(
-                "{method}: best {best:.6} in {evaluations} evaluations ({:.3} ms)",
                 ms(*elapsed_ns)
             ),
             Event::TrialStart { rep, seed, method } => {
@@ -623,12 +601,6 @@ mod tests {
                 labeled: 30,
                 pool: 100,
                 elapsed_ns: 777,
-            },
-            Event::SelectorRun {
-                method: "Random".into(),
-                evaluations: 10,
-                best: 3.0,
-                elapsed_ns: 555,
             },
             Event::TrialStart {
                 rep: 1,

@@ -201,10 +201,6 @@ pub struct CliOptions {
     pub checkpoint_every: usize,
     /// Snapshot (or JSONL trace) to resume an interrupted run from.
     pub resume_from: Option<String>,
-    /// Pin the global rayon pool to this many threads (`None` = ambient
-    /// core count). Makes vectorized-sweep timings reproducible across
-    /// machines and CI runners.
-    pub threads: Option<usize>,
 }
 
 impl Default for CliOptions {
@@ -234,7 +230,6 @@ impl Default for CliOptions {
             checkpoint_out: None,
             checkpoint_every: 10,
             resume_from: None,
-            threads: None,
         }
     }
 }
@@ -243,7 +238,7 @@ impl Default for CliOptions {
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let usage = "usage: hiperbot --space <spec.json> --command <template> \
                  [--budget N=50] [--seed N=0] [--init N=20] [--measure stdout|time] \
-                 [--max-retries N=0] [--workers N=1] [--batch K=1] [--threads N] \
+                 [--max-retries N=0] [--workers N=1] [--batch K=1] \
                  [--trace-out <trace.jsonl>] [--log-level off|info|debug] [--metrics-summary] \
                  [--metrics-out <file.prom>] [--diag] [--strict-health] \
                  [--profile-out <file.folded>] \
@@ -270,7 +265,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut profile_out = None;
     let mut workers = 1usize;
     let mut batch = 1usize;
-    let mut threads = None;
     let mut checkpoint_out = None;
     let mut checkpoint_every = 10usize;
     let mut resume_from = None;
@@ -334,12 +328,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     .parse()
                     .map_err(|_| format!("--batch must be a positive integer\n{usage}"))?
             }
-            "--threads" => {
-                let n: usize = take("--threads")?
-                    .parse()
-                    .map_err(|_| format!("--threads must be a positive integer\n{usage}"))?;
-                threads = Some(n);
-            }
             "--trace-out" => trace_out = Some(take("--trace-out")?),
             "--log-level" => {
                 log_level = take("--log-level")?
@@ -390,9 +378,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     if workers == 0 || batch == 0 {
         return Err(format!("--workers and --batch must be positive\n{usage}"));
     }
-    if threads == Some(0) {
-        return Err(format!("--threads must be positive\n{usage}"));
-    }
     if checkpoint_every == 0 {
         return Err(format!("--checkpoint-every must be positive\n{usage}"));
     }
@@ -419,7 +404,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         checkpoint_out,
         checkpoint_every,
         resume_from,
-        threads,
     })
 }
 
@@ -581,11 +565,6 @@ pub fn run(options: &CliOptions) -> Result<(String, f64), String> {
 /// [`run`], also surfacing the diagnostics watchdog's findings so the
 /// binary can turn them into a `--strict-health` exit code.
 pub fn run_with_health(options: &CliOptions) -> Result<((String, f64), Vec<HealthAlert>), String> {
-    if let Some(n) = options.threads {
-        // The vendored rayon sizes its per-call pools from this variable,
-        // so setting it here pins every vectorized sweep in the process.
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-    }
     match &options.app {
         Some(app) => run_app_mode(options, app),
         None => run_command_mode(options),
@@ -1099,17 +1078,6 @@ mod tests {
         assert!(parse_args(&to_args(&["--app", "kripke", "--workers", "0"])).is_err());
         assert!(parse_args(&to_args(&["--app", "kripke", "--batch", "0"])).is_err());
         assert!(parse_args(&to_args(&["--app", "kripke", "--workers", "two"])).is_err());
-    }
-
-    #[test]
-    fn threads_flag_parses_and_validates() {
-        let o = parse_args(&to_args(&["--app", "kripke", "--threads", "4"])).unwrap();
-        assert_eq!(o.threads, Some(4));
-        // default: ambient threads
-        let o = parse_args(&to_args(&["--app", "kripke"])).unwrap();
-        assert!(o.threads.is_none());
-        assert!(parse_args(&to_args(&["--app", "kripke", "--threads", "0"])).is_err());
-        assert!(parse_args(&to_args(&["--app", "kripke", "--threads", "many"])).is_err());
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //! | | hashed (map + copies) | code-addressed rows | rowless dataset |
 //! |---|---|---|---|
 //! | dataset live heap | 5.06 MiB | 2.23 MiB | 0.26 MiB |
-//! | dataset build allocations | | 34,000+ | 46 |
+//! | dataset build allocations | | 34,000+ | 98 |
 //! | tuner after bootstrap | +5.34 MiB | +0.37 MiB | +0.37 MiB |
 //!
-//! The rowless build made 43 allocations; staging the walk and the energy
-//! model added three (the space's list of declared-prefix constraints,
-//! the walk's prefix copy and the energy model's per-cap table).
+//! 89 of the 98 allocations build the space (`kripke::energy_space()`).
+//! 52 of those are the repeated-value check in `SpaceBuilder::build`: one
+//! `String` per domain value (39) and the growth of one `HashSet` per
+//! parameter (13). The walk, the energy model and the two columns make
+//! the other 9. Before that check the build made 46 allocations; the
+//! rowless build made 43, and staging the walk and the energy model added
+//! three (the space's list of declared-prefix constraints, the walk's
+//! prefix copy and the energy model's per-cap table).
 
 use hiperbot::apps::{kripke, openatom, Scale};
 use hiperbot::baselines::{ConfigSelector, GeistSelector};
