@@ -44,7 +44,8 @@ impl Dataset {
     /// so the build costs the feasible members plus one test per prefix.
     /// `model` runs once per row, in row (code) order, so it may carry
     /// work from one row to the next: `kripke::energy_dataset` computes
-    /// what a five-parameter prefix decides once for all its power caps.
+    /// what a five-parameter prefix decides once for all its power caps,
+    /// and both HYPRE sweeps what a four-parameter prefix decides.
     /// The columns are sized once, to the product's cardinality, and
     /// shrunk to the member count at the end: a build makes the same few
     /// allocations whatever its row count.

@@ -60,19 +60,49 @@ pub mod param {
     pub const INTERP: usize = 7;
 }
 
-const SOLVERS: [&str; 6] = ["AMG", "PCG", "GMRES", "FlexGMRES", "BiCGSTAB", "CGNR"];
-const SMOOTHERS: [&str; 4] = ["Jacobi", "HybridGS", "L1GS", "Chebyshev"];
-const COARSENINGS: [&str; 4] = ["Falgout", "HMIS", "PMIS", "CLJP"];
-const INTERPS: [&str; 3] = ["classical", "ext+i", "direct"];
+/// The solvers, each with its Krylov acceleration (the exponent applied to
+/// the cycle convergence factor) and the relative cost of one outer
+/// iteration (matvecs + dot products).
+const SOLVERS: [(&str, f64, f64); 6] = [
+    ("AMG", 1.00, 1.00),
+    ("PCG", 1.55, 1.12),
+    ("GMRES", 1.60, 1.18),
+    ("FlexGMRES", 1.58, 1.22),
+    ("BiCGSTAB", 1.72, 1.35),
+    ("CGNR", 1.05, 1.30), // normal equations square the condition number
+];
+/// The smoothers, each with its per-V-cycle convergence factor before
+/// solver/cycle acceleration (smaller is faster; the spread is deliberately
+/// small: the paper's importance analysis finds the smoother nearly
+/// irrelevant on this benchmark) and its OpenMP scaling-defect coefficient
+/// (forward dependences serialize: the cost grows by this much per
+/// doubling of the threads).
+const SMOOTHERS: [(&str, f64, f64); 4] = [
+    ("Jacobi", 0.470, 0.000),
+    ("HybridGS", 0.415, 0.018),
+    ("L1GS", 0.440, 0.006),
+    ("Chebyshev", 0.430, 0.004),
+];
+/// The values of `Ranks` and of `OMP`.
+const CORE_COUNTS: [i64; 6] = [1, 2, 4, 9, 18, 36];
+/// The coarsening schemes, each with its operator-complexity factor.
+const COARSENINGS: [(&str, f64); 4] = [
+    ("Falgout", 1.00),
+    ("HMIS", 0.94),
+    ("PMIS", 0.96),
+    ("CLJP", 1.10),
+];
+/// The interpolation operators, each with its factor.
+const INTERPS: [(&str, f64); 3] = [("classical", 1.00), ("ext+i", 0.97), ("direct", 1.05)];
 
 fn base_params() -> Vec<ParamDef> {
     vec![
-        ParamDef::new("Solver", Domain::categorical(&SOLVERS)),
-        ParamDef::new("Smoother", Domain::categorical(&SMOOTHERS)),
+        ParamDef::new("Solver", Domain::categorical(&SOLVERS.map(|s| s.0))),
+        ParamDef::new("Smoother", Domain::categorical(&SMOOTHERS.map(|s| s.0))),
         ParamDef::new("MU", Domain::discrete_ints(&[1, 2, 3])),
         ParamDef::new("PMX", Domain::discrete_ints(&[4, 6, 8, 12])),
-        ParamDef::new("Ranks", Domain::discrete_ints(&[1, 2, 4, 9, 18, 36])),
-        ParamDef::new("OMP", Domain::discrete_ints(&[1, 2, 4, 9, 18, 36])),
+        ParamDef::new("Ranks", Domain::discrete_ints(&CORE_COUNTS)),
+        ParamDef::new("OMP", Domain::discrete_ints(&CORE_COUNTS)),
     ]
 }
 
@@ -104,73 +134,47 @@ pub fn transfer_space() -> ParameterSpace {
         b = b.param(p);
     }
     b = b
-        .param(ParamDef::new("Coarsen", Domain::categorical(&COARSENINGS)))
-        .param(ParamDef::new("Interp", Domain::categorical(&INTERPS)));
+        .param(ParamDef::new(
+            "Coarsen",
+            Domain::categorical(&COARSENINGS.map(|c| c.0)),
+        ))
+        .param(ParamDef::new(
+            "Interp",
+            Domain::categorical(&INTERPS.map(|i| i.0)),
+        ));
     core_constraint(b)
         .build()
         .expect("valid hypre transfer space")
 }
 
-/// Per-V-cycle convergence factor (smaller is faster) before solver/cycle
-/// acceleration. The spread is deliberately small: the paper's importance
-/// analysis finds the smoother nearly irrelevant on this benchmark.
-fn smoother_rho(idx: usize) -> f64 {
-    match SMOOTHERS[idx] {
-        "Jacobi" => 0.470,
-        "HybridGS" => 0.415,
-        "L1GS" => 0.440,
-        "Chebyshev" => 0.430,
-        _ => unreachable!(),
-    }
+/// What a (Solver, Smoother, MU, PMX) prefix decides.
+#[derive(Debug, Clone, Copy)]
+struct SolverTerms {
+    /// Outer iterations to reach the tolerance.
+    iters: f64,
+    /// Fine-grid work units per cycle.
+    cycle_cost: f64,
+    /// Relative cost of one outer iteration.
+    iter_cost: f64,
+    /// Whether a Krylov method wraps the cycle (it adds dot-product latency).
+    krylov: bool,
+    /// The smoother's OpenMP scaling-defect coefficient.
+    omp_coeff: f64,
 }
 
-/// OpenMP scaling defect of the smoother (forward dependences serialize).
-fn smoother_omp_penalty(idx: usize, omp: f64) -> f64 {
-    let c = match SMOOTHERS[idx] {
-        "Jacobi" => 0.000,
-        "HybridGS" => 0.018,
-        "L1GS" => 0.006,
-        "Chebyshev" => 0.004,
-        _ => unreachable!(),
-    };
-    1.0 + c * omp.log2().max(0.0)
-}
-
-/// Krylov acceleration: exponent applied to the cycle convergence factor,
-/// and the relative cost of one outer iteration (matvecs + dot products).
-fn solver_props(idx: usize) -> (f64, f64) {
-    match SOLVERS[idx] {
-        "AMG" => (1.00, 1.00),
-        "PCG" => (1.55, 1.12),
-        "GMRES" => (1.60, 1.18),
-        "FlexGMRES" => (1.58, 1.22),
-        "BiCGSTAB" => (1.72, 1.35),
-        "CGNR" => (1.05, 1.30), // normal equations square the condition number
-        _ => unreachable!(),
-    }
-}
-
-/// Noise-free solve time (seconds) of a base-space configuration.
-pub fn model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
-    model_impl(cfg, space, scale, false)
-}
-
-/// Noise-free solve time of a transfer-space configuration.
-pub fn transfer_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
-    model_impl(cfg, space, scale, true)
-}
-
-fn model_impl(cfg: &Configuration, space: &ParameterSpace, scale: Scale, extended: bool) -> f64 {
+/// The convergence and per-cycle terms. Reads Solver, Smoother, MU and PMX
+/// only.
+fn solver_terms(cfg: &Configuration, space: &ParameterSpace) -> SolverTerms {
     let defs = space.params();
     let solver = cfg.value(param::SOLVER).index();
     let smoother = cfg.value(param::SMOOTHER).index();
     let mu = cfg.numeric_value(param::MU, &defs[param::MU]);
     let pmx = cfg.numeric_value(param::PMX, &defs[param::PMX]);
-    let ranks = cfg.numeric_value(param::RANKS, &defs[param::RANKS]);
-    let omp = cfg.numeric_value(param::OMP, &defs[param::OMP]);
+
+    let (_, mut rho, omp_coeff) = SMOOTHERS[smoother];
+    let (_, accel, iter_cost) = SOLVERS[solver];
 
     // --- Convergence: how many outer iterations to reach tolerance. ---
-    let mut rho = smoother_rho(smoother);
     // Deeper cycles multiply the smoothing effect; their per-iteration
     // cost (the `grids` factor below) rises almost exactly in step, making
     // the cycle shape a near-wash — the paper's Table I finds MU
@@ -179,108 +183,159 @@ fn model_impl(cfg: &Configuration, space: &ParameterSpace, scale: Scale, extende
     rho = rho.powf(mu_accel);
     // Richer interpolation improves the coarse correction, mildly.
     rho = rho.powf(1.0 + 0.015 * (pmx - 4.0));
-    let (accel, iter_cost) = solver_props(solver);
     let rho_eff = rho.powf(accel).min(0.999);
-    let iters = (TOLERANCE_LN / rho_eff.ln()).ceil().max(1.0);
 
-    // --- Cost per outer iteration. ---
-    let cores = ranks * omp;
-    let cycle_cost = {
-        // V-cycle visits ~2x the fine grid; W ~2.7x; F ~3x — matched to
-        // the convergence boost above so MU barely separates good from bad.
-        let grids = match mu as usize {
-            1 => 2.0,
-            2 => 2.7,
-            _ => 3.0,
-        };
-        // Denser interpolation densifies coarse operators.
-        grids * (1.0 + 0.025 * (pmx - 4.0))
+    // V-cycle visits ~2x the fine grid; W ~2.7x; F ~3x — matched to the
+    // convergence boost above so MU barely separates good from bad.
+    let grids = match mu as usize {
+        1 => 2.0,
+        2 => 2.7,
+        _ => 3.0,
     };
-    let compute = 0.40 / cores + 0.60 / cores.min(14.0); // bw saturation as in kripke
-    let smoother_scaling = smoother_omp_penalty(smoother, omp);
-    let ranks_total = ranks * scale.nodes() as f64;
-    // Halo exchanges per cycle level + Krylov dot-product latency, plus the
-    // AMG-specific killer at scale: coarse grids hold fewer points than
-    // ranks, so every cycle bottoms out in latency-bound all-to-alls whose
-    // cost grows with the rank count. This is why the paper's importance
-    // analysis puts Ranks first on this benchmark.
-    let comm = 0.030 * ranks_total.log2() / cores.sqrt()
-        + 0.0009 * ranks_total.sqrt()
-        + if solver != 0 {
-            0.002 * ranks_total.log2()
-        } else {
-            0.0
-        };
+    SolverTerms {
+        iters: (TOLERANCE_LN / rho_eff.ln()).ceil().max(1.0),
+        // Denser interpolation densifies coarse operators.
+        cycle_cost: grids * (1.0 + 0.025 * (pmx - 4.0)),
+        iter_cost,
+        krylov: solver != 0,
+        omp_coeff,
+    }
+}
 
-    let mut extra = 1.0;
-    if extended {
-        let coarsen = cfg.value(param::COARSEN).index();
-        let interp = cfg.value(param::INTERP).index();
-        // Coarsening affects operator complexity; interp pairs with it.
-        let cx = match COARSENINGS[coarsen] {
-            "Falgout" => 1.00,
-            "HMIS" => 0.94,
-            "PMIS" => 0.96,
-            "CLJP" => 1.10,
-            _ => unreachable!(),
+/// What a (Ranks, OMP) pair decides at one scale.
+#[derive(Debug, Clone, Copy)]
+struct NodeTerms {
+    /// Compute time per fine-grid work unit.
+    compute: f64,
+    /// AMG setup cost.
+    setup: f64,
+    /// Communication per iteration, for plain AMG and for a Krylov solver.
+    comm: [f64; 2],
+    /// `log2(omp)`, floored at 0: the smoother's scaling defect grows with it.
+    omp_log2: f64,
+}
+
+/// The compute, setup and communication terms of `ranks` × `omp`.
+fn node_terms(ranks: f64, omp: f64, scale: Scale) -> NodeTerms {
+    let cores = ranks * omp;
+    let compute = 0.40 / cores + 0.60 / cores.min(14.0); // bw saturation as in kripke
+    let ranks_total = ranks * scale.nodes() as f64;
+    // Halo exchanges per cycle level, plus the AMG-specific killer at
+    // scale: coarse grids hold fewer points than ranks, so every cycle
+    // bottoms out in latency-bound all-to-alls whose cost grows with the
+    // rank count. This is why the paper's importance analysis puts Ranks
+    // first on this benchmark. Krylov solvers add dot-product latency.
+    let comm = 0.030 * ranks_total.log2() / cores.sqrt() + 0.0009 * ranks_total.sqrt();
+    NodeTerms {
+        compute,
+        setup: 0.9 * compute + 0.004 * ranks_total.log2(),
+        comm: [comm, comm + 0.002 * ranks_total.log2()],
+        omp_log2: omp.log2().max(0.0),
+    }
+}
+
+/// The (Coarsen, Interp) factor of the transfer model: coarsening sets the
+/// operator complexity, and the interpolation pairs with it.
+fn coarsening_factor(coarsen: usize, interp: usize) -> f64 {
+    // HMIS/PMIS need ext+i-style interpolation to stay robust.
+    let mismatch = if (coarsen == 1 || coarsen == 2) && interp != 1 {
+        1.06
+    } else {
+        1.0
+    };
+    COARSENINGS[coarsen].1 * INTERPS[interp].1 * mismatch
+}
+
+/// The time calibration at `scale`: seconds per unit of the model's sum.
+fn time_scale(scale: Scale) -> f64 {
+    TIME_SCALE * scale.problem_factor().powf(0.4) * 36.0
+}
+
+/// The solve time of a configuration whose stages gave `solver` and
+/// `node`, with its (Coarsen, Interp) factor `extra` (1 in the base space).
+fn solve_time(time_scale: f64, solver: &SolverTerms, node: &NodeTerms, extra: f64) -> f64 {
+    let smoother_scaling = 1.0 + solver.omp_coeff * node.omp_log2;
+    let comm = node.comm[usize::from(solver.krylov)];
+    let per_iter = (solver.cycle_cost * node.compute * smoother_scaling + comm) * solver.iter_cost;
+    time_scale * extra * (node.setup + solver.iters * per_iter)
+}
+
+/// Noise-free solve time (seconds) of a base-space configuration.
+pub fn model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
+    config_time(cfg, space, scale, 1.0)
+}
+
+/// Noise-free solve time of a transfer-space configuration.
+pub fn transfer_model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
+    let i = |p: usize| cfg.value(p).index();
+    let extra = coarsening_factor(i(param::COARSEN), i(param::INTERP));
+    config_time(cfg, space, scale, extra)
+}
+
+/// The solve time of one configuration, its stages computed for it alone.
+fn config_time(cfg: &Configuration, space: &ParameterSpace, scale: Scale, extra: f64) -> f64 {
+    let v = |p: usize| cfg.numeric_value(p, &space.params()[p]);
+    let node = node_terms(v(param::RANKS), v(param::OMP), scale);
+    solve_time(time_scale(scale), &solver_terms(cfg, space), &node, extra)
+}
+
+/// Builds a sweep of `space` (the base or the transfer space) whose rows
+/// carry [`model`]'s or [`transfer_model`]'s bits, computed in stages:
+/// every (Ranks, OMP) pair's terms and (Coarsen, Interp) factor are
+/// tabulated once per build, and as the walk yields the rows in code
+/// order, last parameter fastest, each (Solver, Smoother, MU, PMX)
+/// prefix's terms are computed once for all its members.
+fn staged_dataset(name: &str, space: ParameterSpace, seed: u64, scale: Scale) -> Dataset {
+    let extended = space.n_params() > param::COARSEN;
+    let time_scale = time_scale(scale);
+    let cores = |i: usize| CORE_COUNTS[i] as f64;
+    let nodes: [[NodeTerms; CORE_COUNTS.len()]; CORE_COUNTS.len()] =
+        std::array::from_fn(|r| std::array::from_fn(|o| node_terms(cores(r), cores(o), scale)));
+    let factors: [[f64; INTERPS.len()]; COARSENINGS.len()] =
+        std::array::from_fn(|c| std::array::from_fn(|x| coarsening_factor(c, x)));
+    let mut solver: Option<([usize; param::RANKS], SolverTerms)> = None;
+    let label = "Execution time (s)";
+    Dataset::generate(name, label, space, seed, NOISE_SIGMA, move |cfg, s| {
+        let i = |p: usize| cfg.value(p).index();
+        let prefix = std::array::from_fn(i);
+        let st = match solver {
+            Some((at, t)) if at == prefix => t,
+            _ => solver.insert((prefix, solver_terms(cfg, s))).1,
         };
-        let ix = match INTERPS[interp] {
-            "classical" => 1.00,
-            "ext+i" => 0.97,
-            "direct" => 1.05,
-            _ => unreachable!(),
-        };
-        // HMIS/PMIS need ext+i-style interpolation to stay robust.
-        let mismatch = if (coarsen == 1 || coarsen == 2) && interp != 1 {
-            1.06
+        let node = &nodes[i(param::RANKS)][i(param::OMP)];
+        let extra = if extended {
+            factors[i(param::COARSEN)][i(param::INTERP)]
         } else {
             1.0
         };
-        extra = cx * ix * mismatch;
-    }
-
-    let per_iter = (cycle_cost * compute * smoother_scaling + comm) * iter_cost;
-    let setup = 0.9 * compute + 0.004 * ranks_total.log2();
-
-    TIME_SCALE * scale.problem_factor().powf(0.4) * 36.0 * extra * (setup + iters * per_iter)
+        solve_time(time_scale, &st, node, extra)
+    })
 }
 
 /// Generates the configuration-selection dataset (paper Fig. 4).
 pub fn dataset(scale: Scale) -> Dataset {
-    let space = space();
-    Dataset::generate(
-        match scale {
-            Scale::Target => "hypre",
-            Scale::Source => "hypre-src",
-        },
-        "Execution time (s)",
-        space,
-        SEED ^ scale.nodes() as u64,
-        NOISE_SIGMA,
-        move |cfg, s| model(cfg, s, scale),
-    )
+    let name = match scale {
+        Scale::Target => "hypre",
+        Scale::Source => "hypre-src",
+    };
+    staged_dataset(name, space(), SEED ^ scale.nodes() as u64, scale)
 }
 
 /// Generates the extended dataset for transfer learning (paper Fig. 8b).
 pub fn transfer_dataset(scale: Scale) -> Dataset {
-    let space = transfer_space();
-    Dataset::generate(
-        match scale {
-            Scale::Target => "hypre-transfer",
-            Scale::Source => "hypre-transfer-src",
-        },
-        "Execution time (s)",
-        space,
-        SEED ^ 0xF00D ^ scale.nodes() as u64,
-        NOISE_SIGMA,
-        move |cfg, s| transfer_model(cfg, s, scale),
-    )
+    let name = match scale {
+        Scale::Target => "hypre-transfer",
+        Scale::Source => "hypre-transfer-src",
+    };
+    let seed = SEED ^ 0xF00D ^ scale.nodes() as u64;
+    staged_dataset(name, transfer_space(), seed, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kripke::config_from_values;
+    use hiperbot_perfsim::noise::lognormal_factor;
 
     #[test]
     fn base_space_cardinality() {
@@ -355,11 +410,11 @@ mod tests {
         };
         let sm_spread = SMOOTHERS
             .iter()
-            .map(|m| with(m))
+            .map(|m| with(m.0))
             .fold(f64::NEG_INFINITY, f64::max)
             / SMOOTHERS
                 .iter()
-                .map(|m| with(m))
+                .map(|m| with(m.0))
                 .fold(f64::INFINITY, f64::min);
         let rk = |r: &str, o: &str| {
             let c = config_from_values(&s, &["PCG", "HybridGS", "1", "8", r, o]);
@@ -368,6 +423,30 @@ mod tests {
         let rank_spread = rk("1", "4") / rk("4", "9");
         assert!(sm_spread < 1.25, "smoother spread {sm_spread}");
         assert!(rank_spread > sm_spread, "{rank_spread} vs {sm_spread}");
+    }
+
+    #[test]
+    fn staged_builds_are_the_per_config_models_bit_for_bit() {
+        type Model = fn(&Configuration, &ParameterSpace, Scale) -> f64;
+        for scale in [Scale::Source, Scale::Target] {
+            let sweeps: [(Dataset, u64, Model); 2] = [
+                (dataset(scale), SEED ^ scale.nodes() as u64, model),
+                (
+                    transfer_dataset(scale),
+                    SEED ^ 0xF00D ^ scale.nodes() as u64,
+                    transfer_model,
+                ),
+            ];
+            for (d, seed, per_config) in sweeps {
+                for row in 0..d.len() {
+                    let cfg = d.config(row);
+                    let noise = lognormal_factor(&[seed, row as u64], NOISE_SIGMA);
+                    let want = per_config(&cfg, d.space(), scale) * noise;
+                    let got = d.objective(row);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{}: {cfg:?}", d.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,19 +75,13 @@ pub fn space() -> ParameterSpace {
         .expect("valid openatom space")
 }
 
-/// Noise-free time per MD step (seconds).
-pub fn model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
-    let defs = space.params();
-    let sgrain = cfg.numeric_value(param::SGRAIN, &defs[param::SGRAIN]);
-    let rhorx = cfg.numeric_value(param::RHORX, &defs[param::RHORX]);
-    let rhory = cfg.numeric_value(param::RHORY, &defs[param::RHORY]);
-    let gratio = cfg.numeric_value(param::GRATIO, &defs[param::GRATIO]);
-    let rhoratio = cfg.numeric_value(param::RHORATIO, &defs[param::RHORATIO]);
-    let rhohx = cfg.numeric_value(param::RHOHX, &defs[param::RHOHX]);
-    let rhohy = cfg.numeric_value(param::RHOHY, &defs[param::RHOHY]);
-    let ortho_sym = cfg.value(param::ORTHO).index() == 0;
+/// `BASE_TIME * problem_factor^0.3`: the product's first term.
+fn base_time(scale: Scale) -> f64 {
+    BASE_TIME * scale.problem_factor().powf(0.3)
+}
 
-    // --- sgrain: the dominant over-decomposition trade-off. ---
+/// sgrain, the dominant over-decomposition trade-off.
+fn sgrain_factor(sgrain: f64) -> f64 {
     // Per-object overhead: objects ∝ 1/sgrain.
     let overhead = 0.14 * (4.0 / sgrain).min(4.0);
     // Idle processors once objects get scarce (calibrated so the expert's
@@ -96,33 +90,46 @@ pub fn model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
     let idle = 0.051 * (sgrain / ideal_grain - 1.0).max(0.0).powf(1.2);
     // Communication overlap improves with more objects, saturating.
     let overlap = 0.10 * (-(8.0 / sgrain)).exp(); // exposed comm
-    let f_sgrain = 1.0 + overhead * 0.25 + idle + overlap;
+    1.0 + overhead * 0.25 + idle + overlap
+}
 
-    // --- real-space decomposition: transposes prefer y ≈ 2·x. ---
-    let y_mismatch = (rhory / (2.0 * rhorx).min(8.0)).ln().abs();
-    let f_rhory = 1.0 + 0.045 * y_mismatch;
-    let x_mismatch = (rhorx / 2.0).ln().abs();
-    let f_rhorx = 1.0 + 0.012 * x_mismatch;
+/// Real-space decomposition in y: the transposes prefer y ≈ 2·x.
+fn rhory_factor(rhorx: f64, rhory: f64) -> f64 {
+    1.0 + 0.045 * (rhory / (2.0 * rhorx).min(8.0)).ln().abs()
+}
 
-    // --- g-space / real-space ratio: remap traffic when mismatched. ---
-    let f_gratio = 1.0 + 0.040 * (gratio / 2.0).ln().abs();
+/// A factor's formula over its parameter's numeric value.
+type Formula = fn(f64) -> f64;
 
-    // --- minor helpers. ---
-    let f_rhoratio = 1.0 + 0.008 * (rhoratio / 2.0).ln().abs();
-    let f_rhohx = 1.0 + 0.015 * (rhohx - 1.0);
-    let f_rhohy = 1.0 + 0.010 * (rhohy - 1.0);
-    let f_ortho = if ortho_sym { 1.0 } else { 1.002 };
+/// The factors after sgrain's and the (rhorx, rhory) pair's, in product
+/// order: the parameter each reads and its formula.
+const SINGLE_FACTORS: [(usize, Formula); 6] = [
+    // Real-space decomposition in x: mild preference for 2.
+    (param::RHORX, |x| 1.0 + 0.012 * (x / 2.0).ln().abs()),
+    // g-space / real-space ratio: remap traffic when mismatched.
+    (param::GRATIO, |g| 1.0 + 0.040 * (g / 2.0).ln().abs()),
+    // Minor helpers.
+    (param::RHORATIO, |r| 1.0 + 0.008 * (r / 2.0).ln().abs()),
+    (param::RHOHX, |h| 1.0 + 0.015 * (h - 1.0)),
+    (param::RHOHY, |h| 1.0 + 0.010 * (h - 1.0)),
+    // A categorical's numeric value is its index: 0 is "sym".
+    (param::ORTHO, |o| if o == 0.0 { 1.0 } else { 1.002 }),
+];
 
-    BASE_TIME
-        * scale.problem_factor().powf(0.3)
-        * f_sgrain
-        * f_rhory
-        * f_rhorx
-        * f_gratio
-        * f_rhoratio
-        * f_rhohx
-        * f_rhohy
-        * f_ortho
+/// The product of the model's terms, in its order.
+fn step_time(base: f64, sgrain: f64, rhory: f64, single: [f64; 6]) -> f64 {
+    single.iter().fold(base * sgrain * rhory, |t, f| t * f)
+}
+
+/// Noise-free time per MD step (seconds).
+pub fn model(cfg: &Configuration, space: &ParameterSpace, scale: Scale) -> f64 {
+    let v = |p: usize| cfg.numeric_value(p, &space.params()[p]);
+    step_time(
+        base_time(scale),
+        sgrain_factor(v(param::SGRAIN)),
+        rhory_factor(v(param::RHORX), v(param::RHORY)),
+        SINGLE_FACTORS.map(|(p, f)| f(v(p))),
+    )
 }
 
 /// The expert's "symmetric decomposition" (anchor: 1.6 s): equal x/y
@@ -132,25 +139,45 @@ pub fn expert_config(space: &ParameterSpace) -> Configuration {
 }
 
 /// Generates the OpenAtom dataset (paper Fig. 6).
+///
+/// Every row carries [`model`]'s bits, multiplied from factor tables that
+/// hold each parameter's factor per value and the (rhorx, rhory) pair's per
+/// pair (the space has no constraint, so the walk reaches every value).
 pub fn dataset(scale: Scale) -> Dataset {
     let space = space();
-    Dataset::generate(
-        match scale {
-            Scale::Target => "openatom",
-            Scale::Source => "openatom-src",
-        },
-        "Execution time (s)",
-        space,
-        SEED ^ scale.nodes() as u64,
-        NOISE_SIGMA,
-        move |cfg, s| model(cfg, s, scale),
-    )
+    let defs = space.params();
+    // Numeric values as `Configuration::numeric_value` reads them.
+    let numeric = |p: usize| {
+        let values = defs[p].values().iter().enumerate();
+        values.map(|(j, x)| x.as_f64().unwrap_or(j as f64))
+    };
+    let sgrain: Vec<f64> = numeric(param::SGRAIN).map(sgrain_factor).collect();
+    let rhory: Vec<Vec<f64>> = numeric(param::RHORX)
+        .map(|x| numeric(param::RHORY).map(|y| rhory_factor(x, y)).collect())
+        .collect();
+    let single = SINGLE_FACTORS.map(|(p, f)| numeric(p).map(f).collect::<Vec<f64>>());
+    let name = match scale {
+        Scale::Target => "openatom",
+        Scale::Source => "openatom-src",
+    };
+    let (seed, base) = (SEED ^ scale.nodes() as u64, base_time(scale));
+    let label = "Execution time (s)";
+    Dataset::generate(name, label, space, seed, NOISE_SIGMA, move |cfg, _| {
+        let i = |p: usize| cfg.value(p).index();
+        step_time(
+            base,
+            sgrain[i(param::SGRAIN)],
+            rhory[i(param::RHORX)][i(param::RHORY)],
+            std::array::from_fn(|k| single[k][i(SINGLE_FACTORS[k].0)]),
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kripke::config_from_values;
+    use hiperbot_perfsim::noise::lognormal_factor;
 
     #[test]
     fn space_cardinality() {
@@ -224,6 +251,21 @@ mod tests {
             (best - 1.24).abs() < 0.08,
             "exhaustive best = {best}, paper says 1.24"
         );
+    }
+
+    #[test]
+    fn tabulated_factors_are_the_model_bit_for_bit() {
+        for scale in [Scale::Source, Scale::Target] {
+            let d = dataset(scale);
+            let seed = SEED ^ scale.nodes() as u64;
+            for row in 0..d.len() {
+                let cfg = d.config(row);
+                let noise = lognormal_factor(&[seed, row as u64], NOISE_SIGMA);
+                let want = model(&cfg, d.space(), scale) * noise;
+                let got = d.objective(row);
+                assert_eq!(got.to_bits(), want.to_bits(), "{}: {cfg:?}", d.name());
+            }
+        }
     }
 
     #[test]

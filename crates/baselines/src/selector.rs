@@ -94,6 +94,8 @@ pub struct HiPerBOtSelector {
     pub init_samples: usize,
     /// Quantile threshold (paper: 0.20).
     pub alpha: f64,
+    /// Selection regime (default: Ranking, the paper's for discrete spaces).
+    pub strategy: SelectionStrategy,
     /// Trace sink handed to each inner [`Tuner`] (default: disabled).
     pub recorder: Arc<dyn Recorder>,
 }
@@ -103,6 +105,7 @@ impl std::fmt::Debug for HiPerBOtSelector {
         f.debug_struct("HiPerBOtSelector")
             .field("init_samples", &self.init_samples)
             .field("alpha", &self.alpha)
+            .field("strategy", &self.strategy)
             .finish()
     }
 }
@@ -112,6 +115,7 @@ impl Default for HiPerBOtSelector {
         Self {
             init_samples: 20,
             alpha: 0.20,
+            strategy: SelectionStrategy::Ranking,
             recorder: Arc::new(NoopRecorder),
         }
     }
@@ -162,7 +166,7 @@ impl ConfigSelector for HiPerBOtSelector {
             .with_seed(seed)
             .with_init_samples(self.init_samples)
             .with_alpha(self.alpha)
-            .with_strategy(SelectionStrategy::Ranking);
+            .with_strategy(self.strategy);
         let mut tuner =
             Tuner::new(space.clone(), options).with_recorder(Arc::clone(&self.recorder));
         let _ = tuner.run_fallible(budget, |c| objective(c));

@@ -203,7 +203,8 @@ impl Fig8Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hiperbot_space::{Configuration, Domain, ParamDef, ParameterSpace};
+    use hiperbot_space::{Domain, ParamDef, ParameterSpace};
+    use std::collections::HashSet;
 
     fn space() -> ParameterSpace {
         let vals: Vec<i64> = (0..12).collect();
@@ -282,7 +283,20 @@ mod tests {
         let tgt = target_dataset();
         let r = run("fig8-test", &src, &tgt, 1, 9);
         assert_eq!(r.budget, tgt.len() / 100 + 100);
-        // All selected configs exist in the target dataset.
-        let _probe: Vec<Configuration> = tgt.to_configs();
+        // Each run spends exactly the budget, on distinct target rows.
+        let source_configs = src.to_configs();
+        let prior =
+            TransferPrior::from_source(src.space(), &source_configs, src.objectives(), 0.20, 1.0);
+        let weight = TransferPrior::default_weight();
+        for seed in [1, 9, 23] {
+            let run = hiperbot_transfer_run(&tgt, &prior, weight, r.budget, seed);
+            assert_eq!(run.len(), r.budget, "seed {seed}");
+            let rows: HashSet<usize> = run
+                .configs
+                .iter()
+                .map(|c| tgt.position(c).expect("every pick is a target row"))
+                .collect();
+            assert_eq!(rows.len(), r.budget, "seed {seed}: picks repeat");
+        }
     }
 }

@@ -2,7 +2,8 @@
 
 use crate::config::{Configuration, ParamValue};
 use crate::param::{Domain, ParamDef};
-use std::fmt;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// The predicate type a [`Constraint`] wraps.
@@ -179,9 +180,25 @@ impl SpaceBuilder {
         if self.params.is_empty() {
             return Err(SpaceError::NoParameters);
         }
-        let mut seen = std::collections::HashSet::new();
+        // Values that render alike repeat each other (`Int(1)` and
+        // `Float(1.0)` read "1"). The texts go into one buffer a counting
+        // pass sized: four allocations, whatever the domains hold.
+        let discrete = self.params.iter().filter(|p| p.domain().is_discrete());
+        let values = || discrete.clone().flat_map(|p| p.values());
+        let mut len = CountBytes(0);
+        values().for_each(|x| write!(len, "{x}").expect("counting cannot fail"));
+        let mut text = String::with_capacity(len.0);
+        let mut ends = Vec::with_capacity(values().count());
+        for x in values() {
+            write!(text, "{x}").expect("a sized String takes the text");
+            ends.push(text.len());
+        }
+        let mut texts = HashSet::with_capacity(ends.len());
+        let mut names = HashSet::with_capacity(self.params.len());
+        // The first of the current parameter's values in `ends`.
+        let mut next = 0;
         for p in &self.params {
-            if !seen.insert(p.name().to_string()) {
+            if !names.insert(p.name()) {
                 return Err(SpaceError::DuplicateName(p.name().to_string()));
             }
             match p.domain() {
@@ -189,8 +206,11 @@ impl SpaceBuilder {
                     return Err(SpaceError::EmptyDomain(p.name().to_string()))
                 }
                 Domain::Discrete(v) => {
-                    let mut texts = std::collections::HashSet::new();
-                    if let Some(dup) = v.iter().find(|x| !texts.insert(x.to_string())) {
+                    let own = next..next + v.len();
+                    next = own.end;
+                    texts.clear();
+                    let text_of = |k: usize| &text[if k == 0 { 0 } else { ends[k - 1] }..ends[k]];
+                    if let Some(dup) = own.map(text_of).find(|t| !texts.insert(*t)) {
                         return Err(SpaceError::DuplicateValue {
                             param: p.name().to_string(),
                             value: dup.to_string(),
@@ -232,6 +252,16 @@ impl SpaceBuilder {
             staged,
             whole,
         })
+    }
+}
+
+/// A [`fmt::Write`] sink that only counts the bytes written to it.
+struct CountBytes(usize);
+
+impl fmt::Write for CountBytes {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 

@@ -10,24 +10,27 @@
 //! must not grow with the number of continuous parameters, and the heap
 //! a GEIST selector keeps after an OpenAtom run: its cached graph, which
 //! must stay two flat arrays (0.74 MiB in 3 blocks) rather than a heap
-//! block per node (1.34 MiB in 9,218 blocks).
+//! block per node (1.34 MiB in 9,218 blocks). A space build must not
+//! allocate per domain value either.
 //!
 //! Measured on x86-64 Linux, debug and release builds alike:
 //!
 //! | | hashed (map + copies) | code-addressed rows | rowless dataset |
 //! |---|---|---|---|
 //! | dataset live heap | 5.06 MiB | 2.23 MiB | 0.26 MiB |
-//! | dataset build allocations | | 34,000+ | 98 |
+//! | dataset build allocations | | 34,000+ | 42 |
 //! | tuner after bootstrap | +5.34 MiB | +0.37 MiB | +0.37 MiB |
 //!
-//! 89 of the 98 allocations build the space (`kripke::energy_space()`).
-//! 52 of those are the repeated-value check in `SpaceBuilder::build`: one
-//! `String` per domain value (39) and the growth of one `HashSet` per
-//! parameter (13). The walk, the energy model and the two columns make
-//! the other 9. Before that check the build made 46 allocations; the
-//! rowless build made 43, and staging the walk and the energy model added
-//! three (the space's list of declared-prefix constraints, the walk's
-//! prefix copy and the energy model's per-cap table).
+//! 33 of the 42 allocations build the space (`kripke::energy_space()`),
+//! 4 of those in `SpaceBuilder::build`'s name and repeated-value checks:
+//! a text buffer a counting pass sized, each value's text end and two
+//! sets sized up front, whatever the domains hold. The walk, the energy
+//! model and the two columns make the other 9. With a `String` per name
+//! and per domain value and a growing set per parameter, those checks
+//! made the build 98 allocations (46 before the value check); the rowless
+//! build made 43, and staging the walk and the energy model added three
+//! (the space's list of declared-prefix constraints, the walk's prefix
+//! copy and the energy model's per-cap table).
 
 use hiperbot::apps::{kripke, openatom, Scale};
 use hiperbot::baselines::{ConfigSelector, GeistSelector};
@@ -124,8 +127,9 @@ fn live_blocks() -> isize {
 /// Live-heap bound on the dataset, in MiB: between 0.26 and 2.23.
 const DATASET_MIB: f64 = 1.0;
 /// Bound on the allocations one dataset build makes: a small constant,
-/// far below one per row.
-const DATASET_ALLOCS: usize = 100;
+/// far below one per row, and below the 98 of an allocation per domain
+/// value.
+const DATASET_ALLOCS: usize = 60;
 /// Bound on the heap a bootstrapped Ranking tuner adds, in MiB: between
 /// +0.37 and +5.34.
 const TUNER_MIB: f64 = 1.5;
@@ -238,6 +242,30 @@ fn proposal_picks_allocate_alike_whatever_the_continuous_parameter_count() {
     assert!(
         four <= one,
         "Proposal picks allocate more with more continuous parameters: {one} with 1, {four} with 4"
+    );
+}
+
+/// Allocations `SpaceBuilder::build` makes for one parameter of `values`
+/// distinct integers.
+fn space_build_allocs(values: i64) -> usize {
+    let domain: Vec<i64> = (0..values).collect();
+    let builder =
+        ParameterSpace::builder().param(ParamDef::new("v", Domain::discrete_ints(&domain)));
+    let before = allocs();
+    let space = builder.build().expect("distinct values");
+    let made = allocs() - before;
+    drop(space);
+    made
+}
+
+#[test]
+fn a_space_build_allocates_alike_whatever_its_domain_sizes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (space_build_allocs(10), space_build_allocs(1_000));
+    eprintln!("space build: {small} allocations for 10 values, {large} for 1,000");
+    assert!(
+        large <= small,
+        "the space build allocates per value: {small} for 10 values, {large} for 1,000"
     );
 }
 
