@@ -24,7 +24,7 @@ use hiperbot_obs::{
     SpanTimer,
 };
 use hiperbot_space::pool::{PoolCodes, PoolEncoding, PoolMask};
-use hiperbot_space::sampling::{latin_hypercube, sample_distinct, sample_uniform};
+use hiperbot_space::sampling::{sample_distinct, sample_uniform};
 use hiperbot_space::{Configuration, ParameterSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -55,26 +55,13 @@ impl CheckpointPolicy {
     }
 }
 
-/// How the bootstrap observations are laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitDesign {
-    /// Uniform random sampling without replacement (the paper's choice).
-    #[default]
-    UniformRandom,
-    /// Latin-hypercube design: guaranteed one-dimensional coverage of each
-    /// parameter — an extension useful when the bootstrap budget is tiny
-    /// relative to the number of parameter levels.
-    LatinHypercube,
-}
-
 /// Tuner hyperparameters (paper §V-E studies the sensitivity of the first
 /// two).
 #[derive(Debug, Clone)]
 pub struct TunerOptions {
-    /// Number of bootstrap evaluations (paper: 20).
+    /// Number of bootstrap evaluations (paper: 20), drawn uniformly at
+    /// random without replacement.
     pub init_samples: usize,
-    /// Bootstrap layout.
-    pub init_design: InitDesign,
     /// Good/bad quantile threshold α (paper: 0.20).
     pub alpha: f64,
     /// Candidate selection regime.
@@ -98,7 +85,6 @@ impl Default for TunerOptions {
     fn default() -> Self {
         Self {
             init_samples: 20,
-            init_design: InitDesign::default(),
             alpha: 0.20,
             strategy: SelectionStrategy::Ranking,
             pseudo_count: 1.0,
@@ -120,12 +106,6 @@ impl TunerOptions {
     /// Sets the bootstrap sample count.
     pub fn with_init_samples(mut self, n: usize) -> Self {
         self.init_samples = n;
-        self
-    }
-
-    /// Sets the bootstrap design.
-    pub fn with_init_design(mut self, design: InitDesign) -> Self {
-        self.init_design = design;
         self
     }
 
@@ -154,13 +134,15 @@ impl TunerOptions {
     }
 
     /// Human-readable one-line summary, stamped into trace run headers.
+    /// It still names the bootstrap design (`init_design=UniformRandom`,
+    /// the only one) so run headers and snapshot identities keep their
+    /// bytes.
     pub fn summary(&self) -> String {
         format!(
-            "strategy={:?} alpha={} init_samples={} init_design={:?} pseudo_count={} bandwidth_fraction={} surrogate={:?}{}",
+            "strategy={:?} alpha={} init_samples={} init_design=UniformRandom pseudo_count={} bandwidth_fraction={} surrogate={:?}{}",
             self.strategy,
             self.alpha,
             self.init_samples,
-            self.init_design,
             self.pseudo_count,
             self.bandwidth_fraction,
             self.surrogate_mode,
@@ -619,7 +601,7 @@ impl Tuner {
         }
         if tuner.history.trials() >= full_boot {
             // Bootstrap completed: advance the RNG past the draw it made.
-            tuner.draw_bootstrap(full_boot);
+            sample_distinct(&tuner.space, full_boot, &mut tuner.rng);
             tuner.bootstrapped = true;
         }
         // else: mid-bootstrap — the RNG stays at the pre-draw position and
@@ -734,14 +716,6 @@ impl Tuner {
         }
     }
 
-    /// Draws the `n` bootstrap samples in the configured design.
-    fn draw_bootstrap(&mut self, n: usize) -> Vec<Configuration> {
-        match self.options.init_design {
-            InitDesign::UniformRandom => sample_distinct(&self.space, n, &mut self.rng),
-            InitDesign::LatinHypercube => latin_hypercube(&self.space, n, &mut self.rng),
-        }
-    }
-
     /// Runs the bootstrap phase if it has not happened yet: evaluates
     /// `init_samples` distinct configurations in chunks of `k` through the
     /// batch evaluator. The count is a parameter (not read from
@@ -766,7 +740,7 @@ impl Tuner {
         // chunked.
         let done = self.history.trials();
         self.boot_word_pos = Some(self.rng.word_pos());
-        let samples = self.draw_bootstrap(n);
+        let samples = sample_distinct(&self.space, n, &mut self.rng);
         // The redraw of a genuine snapshot never repeats its evaluated
         // prefix; that of a corrupt one can, and must not evaluate a
         // configuration twice.
@@ -1595,47 +1569,6 @@ mod tests {
         for cfg in tuner.history().configs() {
             assert!(s.is_feasible(cfg));
         }
-    }
-
-    #[test]
-    fn latin_hypercube_bootstrap_works_end_to_end() {
-        let opts = TunerOptions::default()
-            .with_seed(31)
-            .with_init_design(InitDesign::LatinHypercube);
-        let mut tuner = Tuner::new(space(), opts);
-        let best = tuner.run(40, objective);
-        assert_eq!(best.evaluations, 40);
-        // bootstrap rows are distinct and feasible
-        let set: std::collections::HashSet<_> =
-            tuner.history().configs()[..20].iter().cloned().collect();
-        assert_eq!(set.len(), 20);
-        assert!(best.objective <= 3.0);
-    }
-
-    #[test]
-    fn lhs_bootstrap_covers_each_parameter_better_than_worst_case() {
-        // With 10 LHS samples on a 10-level parameter, every level appears
-        // exactly once.
-        let vals: Vec<i64> = (0..10).collect();
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("y", Domain::discrete_ints(&vals)))
-            .build()
-            .unwrap();
-        let opts = TunerOptions::default()
-            .with_seed(32)
-            .with_init_samples(10)
-            .with_init_design(InitDesign::LatinHypercube);
-        let mut tuner = Tuner::new(s, opts);
-        tuner.run(10, objective);
-        let mut levels: Vec<usize> = tuner
-            .history()
-            .configs()
-            .iter()
-            .map(|c| c.value(0).index())
-            .collect();
-        levels.sort_unstable();
-        assert_eq!(levels, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! (`base_trial + position in the batch`) and the attempt number, never on
 //! worker identity, completion order, or wall-clock. Two runs with the
 //! same seeds therefore produce identical outcome sequences at any worker
-//! count, and `workers = 1` replays the serial tuner bit-for-bit.
+//! count. A batch that needs one thread (`workers = 1`, or a one-item
+//! batch) runs on the caller's thread, so a serial campaign — a
+//! one-worker executor fed batches of one — spawns nothing and is the
+//! same code path as a parallel one.
 //!
 //! The one thing that *does* vary with scheduling is trace interleaving:
 //! `TrialRetried` events from concurrent workers arrive in completion
@@ -60,8 +63,8 @@ pub struct BatchExecutor<F> {
 impl<F: Fn(&Configuration, u64, u32) -> EvalOutcome + Sync> BatchExecutor<F> {
     /// An executor over `workers` threads that never retries. `workers`
     /// is a cap: a batch of `k < workers` configurations spawns only `k`
-    /// threads, and `workers = 1` evaluates strictly in input order on
-    /// one thread.
+    /// threads, and a batch that needs one thread (`workers = 1`, or
+    /// `k = 1`) evaluates strictly in input order on the calling thread.
     ///
     /// # Panics
     /// Panics when `workers` is zero.
@@ -117,84 +120,87 @@ impl<F: Fn(&Configuration, u64, u32) -> EvalOutcome + Sync> BatchExecutor<F> {
     }
 
     /// Evaluates `cfgs[i]` as trial `base_trial + i` for every `i`,
-    /// concurrently on up to `workers` threads, and returns the outcomes
-    /// in input order. Work is claimed from a shared counter, so threads
-    /// stay busy even when per-trial latency varies (retry backoff,
-    /// slow configurations).
+    /// concurrently on up to `workers` threads (on the caller's when only
+    /// one is needed), and returns the outcomes in input order. Work is
+    /// claimed from a shared counter, so threads stay busy even when
+    /// per-trial latency varies (retry backoff, slow configurations).
     ///
     /// The signature matches what
     /// [`Tuner::run_batch_fallible`](hiperbot_core::Tuner::run_batch_fallible)
     /// expects: pass `|cfgs, base| executor.evaluate_batch(cfgs, base)`.
     pub fn evaluate_batch(&self, cfgs: &[Configuration], base_trial: u64) -> Vec<EvalOutcome> {
         let n = cfgs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots: Vec<Mutex<Option<EvalOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.workers.min(n);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let next = &next;
-                scope.spawn(move || {
-                    let hist_name = format!("executor.worker.{w}");
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let trial = base_trial + i as u64;
-                        let started = Instant::now();
-                        // A panicking objective must not take the whole
-                        // batch down (unwinding here would poison the
-                        // result slots and abort the scope): catch it and
-                        // quarantine the trial like any other failure.
-                        let (out, retries) =
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut inner = |c: &Configuration, attempt: u32| {
-                                    (self.objective)(c, trial, attempt)
-                                };
-                                evaluate_with_retries(
-                                    &mut inner,
-                                    &cfgs[i],
-                                    trial,
-                                    &self.policy,
-                                    self.recorder.as_ref(),
-                                    self.sleeper.as_ref(),
-                                )
-                            })) {
-                                Ok(result) => result,
-                                Err(payload) => {
-                                    let msg = panic_message(payload.as_ref());
-                                    (
-                                        EvalOutcome::Failed {
-                                            reason: format!(
-                                                "objective panicked at trial {trial}: {msg}"
-                                            ),
-                                        },
-                                        0,
-                                    )
-                                }
-                            };
-                        self.retries.fetch_add(retries, Ordering::Relaxed);
-                        if let Some(registry) = &self.registry {
-                            registry.observe_ns(&hist_name, started.elapsed().as_nanos() as u64);
-                            registry.incr("executor.trials");
-                        }
-                        *slots[i].lock().expect("result slot poisoned") = Some(out);
+        // Trial `base_trial + i` on worker `w`: the retry loop, with a
+        // panicking objective quarantined as a failure (unwinding here
+        // would poison the result slots and abort the scope).
+        let evaluate = |w: usize, i: usize| {
+            let trial = base_trial + i as u64;
+            let started = self.registry.as_ref().map(|_| Instant::now());
+            let (out, retries) =
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut inner =
+                        |c: &Configuration, attempt: u32| (self.objective)(c, trial, attempt);
+                    evaluate_with_retries(
+                        &mut inner,
+                        &cfgs[i],
+                        trial,
+                        &self.policy,
+                        self.recorder.as_ref(),
+                        self.sleeper.as_ref(),
+                    )
+                })) {
+                    Ok(result) => result,
+                    Err(payload) => {
+                        let msg = panic_message(payload.as_ref());
+                        (
+                            EvalOutcome::Failed {
+                                reason: format!("objective panicked at trial {trial}: {msg}"),
+                            },
+                            0,
+                        )
+                    }
+                };
+            self.retries.fetch_add(retries, Ordering::Relaxed);
+            if let (Some(registry), Some(started)) = (&self.registry, started) {
+                registry.observe_ns(
+                    &format!("executor.worker.{w}"),
+                    started.elapsed().as_nanos() as u64,
+                );
+                registry.incr("executor.trials");
+            }
+            out
+        };
+        match self.workers.min(n) {
+            0 => Vec::new(),
+            // A batch that needs one thread runs on the caller, in input
+            // order: a serial run spawns nothing per trial.
+            1 => (0..n).map(|i| evaluate(0, i)).collect(),
+            workers => {
+                let slots: Vec<Mutex<Option<EvalOutcome>>> =
+                    (0..n).map(|_| Mutex::new(None)).collect();
+                let next = AtomicUsize::new(0);
+                std::thread::scope(|scope| {
+                    for w in 0..workers {
+                        let (evaluate, slots, next) = (&evaluate, &slots, &next);
+                        scope.spawn(move || loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            *slots[i].lock().expect("result slot poisoned") = Some(evaluate(w, i));
+                        });
                     }
                 });
+                slots
+                    .into_iter()
+                    .map(|slot| {
+                        slot.into_inner()
+                            .expect("result slot poisoned")
+                            .expect("every index claimed exactly once")
+                    })
+                    .collect()
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index claimed exactly once")
-            })
-            .collect()
+        }
     }
 }
 
@@ -346,13 +352,55 @@ mod tests {
 
     #[test]
     fn worker_cap_never_exceeds_batch() {
-        // A 1-item batch through an 8-worker executor works (only one
-        // thread spawns) and returns that item's outcome.
+        // A 1-item batch through an 8-worker executor works (it runs on
+        // the caller) and returns that item's outcome.
         let exec = BatchExecutor::new(|_c: &Configuration, _t, _a| EvalOutcome::Ok(42.0), 8);
         assert_eq!(
             exec.evaluate_batch(&cfgs(1), 0),
             vec![EvalOutcome::Ok(42.0)]
         );
         assert!(exec.evaluate_batch(&[], 0).is_empty());
+    }
+
+    #[test]
+    fn a_batch_that_needs_one_thread_runs_on_the_caller() {
+        // `workers = 1`, and a one-item batch at `workers = 4`: no thread
+        // is spawned, and the retries, outcomes and the worker-0
+        // histogram are what a spawned worker would produce.
+        let caller = std::thread::current().id();
+        for (workers, n) in [(1, 3), (4, 1)] {
+            let seen = Mutex::new(Vec::new());
+            let registry = Arc::new(MetricsRegistry::new());
+            let exec = BatchExecutor::new(
+                |c: &Configuration, _t, attempt: u32| {
+                    seen.lock().unwrap().push(std::thread::current().id());
+                    if attempt == 0 {
+                        EvalOutcome::Failed {
+                            reason: "flaky".into(),
+                        }
+                    } else {
+                        EvalOutcome::Ok(c.value(0).index() as f64)
+                    }
+                },
+                workers,
+            )
+            .with_policy(RetryPolicy::default().with_max_retries(1))
+            .with_registry(registry.clone());
+            let out = exec.evaluate_batch(&cfgs(n), 5);
+            let expect: Vec<EvalOutcome> = (0..n).map(|i| EvalOutcome::Ok(i as f64)).collect();
+            assert_eq!(out, expect, "workers = {workers}");
+            assert_eq!(exec.retries(), n as u64);
+            assert_eq!(
+                registry.histogram("executor.worker.0").map(|h| h.count()),
+                Some(n as u64)
+            );
+            assert_eq!(registry.counter("executor.trials"), n as u64);
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen.len(), 2 * n, "two attempts per trial");
+            assert!(
+                seen.iter().all(|id| *id == caller),
+                "workers = {workers}: evaluated off the calling thread"
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@
 //!   from its seeds, and retrying never perturbs the tuner's RNG stream.
 
 use hiperbot_core::EvalOutcome;
-use hiperbot_obs::{Event, NoopRecorder, Recorder};
+use hiperbot_obs::{Event, Recorder};
 use hiperbot_perfsim::faults::SimOutcome;
 use hiperbot_space::Configuration;
 use hiperbot_stats::rng::{mix_words, u64_to_unit_open};
@@ -59,9 +59,6 @@ pub struct RetryPolicy {
     pub jitter: f64,
     /// Seed for the jitter draws.
     pub seed: u64,
-    /// Cap on the *total* backoff spent within one trial, in seconds:
-    /// retrying stops early once the next wait would exceed it.
-    pub trial_budget: Option<f64>,
 }
 
 impl Default for RetryPolicy {
@@ -73,7 +70,6 @@ impl Default for RetryPolicy {
             max_backoff: 30.0,
             jitter: 0.5,
             seed: 0,
-            trial_budget: None,
         }
     }
 }
@@ -96,16 +92,6 @@ impl RetryPolicy {
     /// Sets the jitter seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the per-trial total-backoff budget in seconds.
-    pub fn with_trial_budget(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds.is_finite() && seconds >= 0.0,
-            "trial budget must be finite and non-negative"
-        );
-        self.trial_budget = Some(seconds);
         self
     }
 
@@ -200,13 +186,14 @@ impl<S: Sleeper + ?Sized> Sleeper for Arc<S> {
     }
 }
 
-/// The retry loop shared by [`RetryingObjective`] (serial) and
-/// [`BatchExecutor`](crate::executor::BatchExecutor) (parallel): attempts
-/// `inner`, retrying retryable failures per `policy` with the backoff
-/// keyed on `(policy seed, trial, attempt)`, and returns the final
-/// outcome plus how many retries it performed. Keying on the explicit
-/// `trial` index (not any call counter) is what makes parallel executors
-/// scheduling-independent.
+/// The per-trial retry loop of
+/// [`BatchExecutor`](crate::executor::BatchExecutor): attempts `inner`,
+/// retrying retryable failures per `policy` with the backoff keyed on
+/// `(policy seed, trial, attempt)`, and returns the final outcome (the
+/// last failure if every attempt failed) plus how many retries it
+/// performed. Keying on the tuner's trial index (not any call counter)
+/// is what makes a run independent of scheduling and of where it was
+/// resumed.
 pub(crate) fn evaluate_with_retries(
     inner: &mut impl FnMut(&Configuration, u32) -> EvalOutcome,
     cfg: &Configuration,
@@ -215,7 +202,6 @@ pub(crate) fn evaluate_with_retries(
     recorder: &dyn Recorder,
     sleeper: &dyn Sleeper,
 ) -> (EvalOutcome, u64) {
-    let mut spent = 0.0;
     let mut retries = 0u64;
     let mut attempt: u32 = 0;
     loop {
@@ -224,12 +210,6 @@ pub(crate) fn evaluate_with_retries(
             return (out, retries);
         }
         let wait = policy.backoff_seconds(trial, attempt);
-        if let Some(budget) = policy.trial_budget {
-            if spent + wait > budget {
-                return (out, retries);
-            }
-        }
-        spent += wait;
         retries += 1;
         recorder.record(&Event::TrialRetried {
             iteration: trial,
@@ -242,87 +222,12 @@ pub(crate) fn evaluate_with_retries(
     }
 }
 
-/// Wraps an attempt-aware fallible objective with a [`RetryPolicy`],
-/// exposing the single-shot interface the tuner consumes.
-///
-/// The inner objective receives `(configuration, attempt)` — attempt
-/// numbers restart at 0 for every trial — so fault models whose crash
-/// draws are keyed on the attempt index (see
-/// [`FaultModel::attempt_outcome`](hiperbot_perfsim::faults::FaultModel::attempt_outcome))
-/// genuinely redraw on retry. Each retry emits an
-/// [`Event::TrialRetried`] to the attached recorder, and the [`Sleeper`]
-/// is invoked with the backoff in seconds (the default [`NoopSleeper`]
-/// records the wait in the trace but does not perform it; real campaigns
-/// attach a [`ThreadSleeper`]).
-pub struct RetryingObjective<F> {
-    inner: F,
-    policy: RetryPolicy,
-    recorder: Arc<dyn Recorder>,
-    sleeper: Box<dyn Sleeper>,
-    trial: u64,
-    retries: u64,
-}
-
-impl<F: FnMut(&Configuration, u32) -> EvalOutcome> RetryingObjective<F> {
-    /// Wraps `inner` with `policy`. No events are recorded until a
-    /// recorder is attached.
-    pub fn new(inner: F, policy: RetryPolicy) -> Self {
-        Self {
-            inner,
-            policy,
-            recorder: Arc::new(NoopRecorder),
-            sleeper: Box::new(NoopSleeper),
-            trial: 0,
-            retries: 0,
-        }
-    }
-
-    /// Attaches a trace recorder for [`Event::TrialRetried`] events.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Replaces the default [`NoopSleeper`] (e.g. with a [`ThreadSleeper`]
-    /// for real campaigns that must actually wait out the backoff).
-    pub fn with_sleeper(mut self, sleeper: impl Sleeper + 'static) -> Self {
-        self.sleeper = Box::new(sleeper);
-        self
-    }
-
-    /// Number of trials evaluated so far.
-    pub fn trials(&self) -> u64 {
-        self.trial
-    }
-
-    /// Total retries performed across all trials.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Evaluates one trial: attempts the inner objective, retrying
-    /// retryable failures per the policy, and returns the final outcome
-    /// (the last failure if every attempt failed).
-    pub fn evaluate(&mut self, cfg: &Configuration) -> EvalOutcome {
-        let trial = self.trial;
-        self.trial += 1;
-        let (out, retries) = evaluate_with_retries(
-            &mut self.inner,
-            cfg,
-            trial,
-            &self.policy,
-            self.recorder.as_ref(),
-            self.sleeper.as_ref(),
-        );
-        self.retries += retries;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::BatchExecutor;
     use hiperbot_obs::MemoryRecorder;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn cfg(i: usize) -> Configuration {
         Configuration::from_indices(&[i])
@@ -382,7 +287,6 @@ mod tests {
             max_backoff: 30.0,
             jitter: 0.5,
             seed: 9,
-            trial_budget: None,
         };
         let mut saw_upward_jitter_at_cap = false;
         for trial in 0..200u64 {
@@ -410,8 +314,8 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_to_success() {
         let recorder = Arc::new(MemoryRecorder::new());
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, attempt: u32| {
+        let exec = BatchExecutor::new(
+            |_c: &Configuration, _trial, attempt: u32| {
                 if attempt < 2 {
                     EvalOutcome::Failed {
                         reason: "flaky".into(),
@@ -420,11 +324,12 @@ mod tests {
                     EvalOutcome::Ok(1.5)
                 }
             },
-            RetryPolicy::default().with_max_retries(2),
+            1,
         )
+        .with_policy(RetryPolicy::default().with_max_retries(2))
         .with_recorder(recorder.clone());
-        assert_eq!(retrying.evaluate(&cfg(0)), EvalOutcome::Ok(1.5));
-        assert_eq!(retrying.retries(), 2);
+        assert_eq!(exec.evaluate_batch(&[cfg(0)], 0), [EvalOutcome::Ok(1.5)]);
+        assert_eq!(exec.retries(), 2);
         let retried = recorder
             .events()
             .iter()
@@ -435,77 +340,53 @@ mod tests {
 
     #[test]
     fn exhausted_retries_return_the_last_failure() {
-        let mut calls = 0u32;
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, _attempt: u32| {
-                calls += 1;
+        let calls = AtomicU32::new(0);
+        let exec = BatchExecutor::new(
+            |_c: &Configuration, _trial, _attempt| {
+                calls.fetch_add(1, Ordering::Relaxed);
                 EvalOutcome::Failed {
                     reason: "always".into(),
                 }
             },
-            RetryPolicy::default().with_max_retries(3),
+            1,
+        )
+        .with_policy(RetryPolicy::default().with_max_retries(3));
+        let out = exec.evaluate_batch(&[cfg(1)], 0);
+        assert!(!out[0].is_ok());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4,
+            "1 initial attempt + 3 retries"
         );
-        let out = retrying.evaluate(&cfg(1));
-        assert!(!out.is_ok());
-        drop(retrying);
-        assert_eq!(calls, 4, "1 initial attempt + 3 retries");
     }
 
     #[test]
     fn timeouts_are_never_retried() {
-        let mut calls = 0u32;
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, _attempt: u32| {
-                calls += 1;
+        let calls = AtomicU32::new(0);
+        let exec = BatchExecutor::new(
+            |_c: &Configuration, _trial, _attempt| {
+                calls.fetch_add(1, Ordering::Relaxed);
                 EvalOutcome::Timeout
             },
-            RetryPolicy::default().with_max_retries(5),
-        );
-        assert_eq!(retrying.evaluate(&cfg(2)), EvalOutcome::Timeout);
-        assert_eq!(retrying.retries(), 0);
-        drop(retrying);
-        assert_eq!(calls, 1);
+            1,
+        )
+        .with_policy(RetryPolicy::default().with_max_retries(5));
+        assert_eq!(exec.evaluate_batch(&[cfg(2)], 0), [EvalOutcome::Timeout]);
+        assert_eq!(exec.retries(), 0);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn no_retries_policy_fails_fast() {
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, _attempt: u32| EvalOutcome::Failed {
+        let exec = BatchExecutor::new(
+            |_c: &Configuration, _trial, _attempt| EvalOutcome::Failed {
                 reason: "crash".into(),
             },
-            RetryPolicy::no_retries(),
-        );
-        assert!(!retrying.evaluate(&cfg(0)).is_ok());
-        assert_eq!(retrying.retries(), 0);
-    }
-
-    #[test]
-    fn trial_budget_stops_retrying_early() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_backoff: 1.0,
-            multiplier: 2.0,
-            max_backoff: 100.0,
-            jitter: 0.0,
-            seed: 0,
-            trial_budget: None,
-        }
-        // waits would be 1, 2, 4, 8, ...; a 3.5 s budget allows only 1 + 2.
-        .with_trial_budget(3.5);
-        let mut calls = 0u32;
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, _attempt: u32| {
-                calls += 1;
-                EvalOutcome::Failed {
-                    reason: "slow crash".into(),
-                }
-            },
-            policy,
-        );
-        let _ = retrying.evaluate(&cfg(0));
-        assert_eq!(retrying.retries(), 2);
-        drop(retrying);
-        assert_eq!(calls, 3);
+            1,
+        )
+        .with_policy(RetryPolicy::no_retries());
+        assert!(!exec.evaluate_batch(&[cfg(0)], 0)[0].is_ok());
+        assert_eq!(exec.retries(), 0);
     }
 
     #[test]
@@ -515,15 +396,15 @@ mod tests {
             jitter: 0.0,
             ..RetryPolicy::default()
         };
-        let mut retrying = RetryingObjective::new(
-            |_c: &Configuration, _attempt: u32| EvalOutcome::Failed {
+        let exec = BatchExecutor::new(
+            |_c: &Configuration, _trial, _attempt| EvalOutcome::Failed {
                 reason: "crash".into(),
             },
-            policy,
+            1,
         )
+        .with_policy(policy)
         .with_sleeper(Arc::clone(&sleeper));
-        let _ = retrying.evaluate(&cfg(0));
-        drop(retrying);
+        let _ = exec.evaluate_batch(&[cfg(0)], 0);
         assert_eq!(sleeper.waits(), &[1.0, 2.0]);
     }
 
@@ -533,15 +414,17 @@ mod tests {
         let model = FaultModel::new(13, 0.4);
         let run = |policy_seed: u64| {
             let recorder = Arc::new(MemoryRecorder::new());
-            let mut retrying = RetryingObjective::new(
-                |c: &Configuration, attempt: u32| {
+            let exec = BatchExecutor::new(
+                |c: &Configuration, _trial, attempt: u32| {
                     let words = [c.value(0).index() as u64];
                     outcome_from_sim(model.attempt_outcome(&words, attempt, 1.0))
                 },
-                RetryPolicy::default().with_seed(policy_seed),
+                1,
             )
+            .with_policy(RetryPolicy::default().with_seed(policy_seed))
             .with_recorder(recorder.clone());
-            let outcomes: Vec<EvalOutcome> = (0..40).map(|i| retrying.evaluate(&cfg(i))).collect();
+            let cfgs: Vec<Configuration> = (0..40).map(cfg).collect();
+            let outcomes = exec.evaluate_batch(&cfgs, 0);
             let events: Vec<String> = recorder
                 .events()
                 .iter()

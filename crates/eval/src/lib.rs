@@ -28,8 +28,7 @@ pub mod runner;
 
 pub use executor::BatchExecutor;
 pub use faults::{
-    outcome_from_sim, NoopSleeper, RecordingSleeper, RetryPolicy, RetryingObjective, Sleeper,
-    ThreadSleeper,
+    outcome_from_sim, NoopSleeper, RecordingSleeper, RetryPolicy, Sleeper, ThreadSleeper,
 };
 pub use metrics::{GoodSet, Recall};
 pub use runner::{run_trials, CheckpointStats, TrialConfig};

@@ -184,7 +184,7 @@ impl PoolEncoding {
 fn walk_rows<T>(space: &ParameterSpace, codes: &mut Vec<usize>, narrow: fn(usize) -> T) -> Vec<T> {
     let bound = space
         .product_cardinality()
-        .expect("enumeration requires a fully discrete space");
+        .expect("enumeration requires a fully discrete space whose product fits in usize");
     codes.reserve_exact(bound);
     let mut rows = Vec::with_capacity(bound * space.n_params());
     let mut walk = space.walk();

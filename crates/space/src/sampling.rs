@@ -7,7 +7,6 @@
 
 use crate::config::{Configuration, ParamValue};
 use crate::space::ParameterSpace;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rustc_hash::FxHashSet;
 
@@ -101,97 +100,6 @@ fn partial_shuffle<T, R: Rng + ?Sized>(items: &mut [T], n: usize, rng: &mut R) {
     }
 }
 
-/// Draws `n` configurations by Latin-hypercube design: each parameter's
-/// range is cut into `n` strata and every stratum is used exactly once per
-/// parameter (discrete domains stratify over value indices, continuous over
-/// the interval). Guarantees one-dimensional coverage that uniform random
-/// bootstraps lack — an alternative initialization for the tuner.
-///
-/// Infeasible combinations are repaired by re-pairing strata between
-/// parameters (bounded retries), falling back to rejection sampling for
-/// stubborn rows; the one-dimensional stratification is preserved whenever
-/// the constraint structure allows it. Distinctness across rows is enforced
-/// for discrete spaces when the space is large enough.
-///
-/// # Panics
-/// Panics if the feasible space cannot supply `n` distinct configurations.
-pub fn latin_hypercube<R: Rng + ?Sized>(
-    space: &ParameterSpace,
-    n: usize,
-    rng: &mut R,
-) -> Vec<Configuration> {
-    assert!(n > 0, "need at least one sample");
-    let d = space.n_params();
-    // One stratum permutation per parameter.
-    let mut strata: Vec<Vec<usize>> = (0..d)
-        .map(|_| {
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(rng);
-            idx
-        })
-        .collect();
-
-    let value_for = |space: &ParameterSpace, p: usize, stratum: usize, rng: &mut R| {
-        match space.params()[p].domain() {
-            crate::param::Domain::Discrete(vals) => {
-                // Map stratum s of n onto the value grid.
-                let m = vals.len();
-                let pos = ((stratum as f64 + rng.gen_range(0.0..1.0)) / n as f64 * m as f64).floor()
-                    as usize;
-                ParamValue::Index(pos.min(m - 1))
-            }
-            crate::param::Domain::Continuous { lo, hi } => {
-                let u = (stratum as f64 + rng.gen_range(0.0..1.0)) / n as f64;
-                ParamValue::Real(lo + u * (hi - lo))
-            }
-        }
-    };
-
-    let mut seen = FxHashSet::default();
-    let mut out = Vec::with_capacity(n);
-    for row in 0..n {
-        let mut cfg = Configuration::new(
-            (0..d)
-                .map(|p| value_for(space, p, strata[p][row], rng))
-                .collect(),
-        );
-        // Repair: re-pair this row's strata with later rows until feasible
-        // and unseen.
-        let mut attempts = 0;
-        while !space.is_feasible(&cfg) || seen.contains(&cfg) {
-            attempts += 1;
-            if attempts > 50 {
-                // Constraint too entangled for stratified repair: fall back.
-                cfg = sample_uniform(space, rng);
-                let mut guard = 0;
-                while seen.contains(&cfg) {
-                    cfg = sample_uniform(space, rng);
-                    guard += 1;
-                    assert!(
-                        guard < MAX_REJECTIONS_PER_SAMPLE,
-                        "could not draw {n} distinct feasible configurations"
-                    );
-                }
-                break;
-            }
-            // Swap a random parameter's stratum with a random later row.
-            let p = rng.gen_range(0..d);
-            if row + 1 < n {
-                let other = rng.gen_range(row + 1..n);
-                strata[p].swap(row, other);
-            }
-            cfg = Configuration::new(
-                (0..d)
-                    .map(|p| value_for(space, p, strata[p][row], rng))
-                    .collect(),
-            );
-        }
-        seen.insert(cfg.clone());
-        out.push(cfg);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,89 +184,6 @@ mod tests {
         let samples = sample_distinct(&s, 50, &mut rng);
         let set: std::collections::HashSet<_> = samples.iter().cloned().collect();
         assert_eq!(set.len(), 50);
-    }
-
-    #[test]
-    fn lhs_covers_every_value_of_matching_cardinality() {
-        // n == cardinality of each domain ⇒ every value appears exactly once
-        // per parameter (the defining LHS property).
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new(
-                "a",
-                Domain::discrete_ints(&[0, 1, 2, 3, 4, 5]),
-            ))
-            .param(ParamDef::new(
-                "b",
-                Domain::discrete_ints(&[0, 1, 2, 3, 4, 5]),
-            ))
-            .build()
-            .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let samples = latin_hypercube(&s, 6, &mut rng);
-        assert_eq!(samples.len(), 6);
-        for p in 0..2 {
-            let mut seen: Vec<usize> = samples.iter().map(|c| c.value(p).index()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![0, 1, 2, 3, 4, 5], "param {p} not stratified");
-        }
-    }
-
-    #[test]
-    fn lhs_stratifies_continuous_dimensions() {
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("x", Domain::continuous(0.0, 1.0)))
-            .build()
-            .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let n = 10;
-        let samples = latin_hypercube(&s, n, &mut rng);
-        let mut strata_hit = vec![false; n];
-        for c in &samples {
-            let u = c.value(0).as_f64();
-            strata_hit[((u * n as f64) as usize).min(n - 1)] = true;
-        }
-        assert!(strata_hit.iter().all(|&h| h), "{strata_hit:?}");
-    }
-
-    #[test]
-    fn lhs_respects_constraints_and_distinctness() {
-        let vals: Vec<i64> = (0..10).collect();
-        let s = ParameterSpace::builder()
-            .param(ParamDef::new("a", Domain::discrete_ints(&vals)))
-            .param(ParamDef::new("b", Domain::discrete_ints(&vals)))
-            .constraint("a+b <= 14", |c, _| {
-                c.value(0).index() + c.value(1).index() <= 14
-            })
-            .build()
-            .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let samples = latin_hypercube(&s, 12, &mut rng);
-        assert_eq!(samples.len(), 12);
-        let set: std::collections::HashSet<_> = samples.iter().cloned().collect();
-        assert_eq!(set.len(), 12);
-        for c in &samples {
-            assert!(s.is_feasible(c));
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn lhs_is_deterministic_and_feasible(seed in 0u64..200, n in 1usize..15) {
-            let vals: Vec<i64> = (0..8).collect();
-            let s = ParameterSpace::builder()
-                .param(ParamDef::new("a", Domain::discrete_ints(&vals)))
-                .param(ParamDef::new("b", Domain::discrete_ints(&vals)))
-                .build()
-                .unwrap();
-            let mut r1 = ChaCha8Rng::seed_from_u64(seed);
-            let mut r2 = ChaCha8Rng::seed_from_u64(seed);
-            let a = latin_hypercube(&s, n, &mut r1);
-            let b = latin_hypercube(&s, n, &mut r2);
-            prop_assert_eq!(&a, &b);
-            for c in &a {
-                prop_assert!(s.is_feasible(c));
-            }
-        }
     }
 
     proptest! {

@@ -7,7 +7,7 @@
 //! ```
 
 use hiperbot::apps::{lulesh, Scale};
-use hiperbot::core::{InitDesign, StoppingRule, StoppingSet, Tuner, TunerCheckpoint, TunerOptions};
+use hiperbot::core::{StoppingRule, StoppingSet, Tuner, TunerCheckpoint, TunerOptions};
 
 fn main() {
     let dataset = lulesh::dataset(Scale::Target);
@@ -22,9 +22,7 @@ fn main() {
             window: 25,
             min_delta: 0.005,
         });
-    let options = TunerOptions::default()
-        .with_seed(1)
-        .with_init_design(InitDesign::LatinHypercube);
+    let options = TunerOptions::default().with_seed(1);
     let mut tuner = Tuner::new(space.clone(), options.clone());
     let best = tuner.run_until(&rules, |cfg| dataset.evaluate(cfg));
     println!(

@@ -29,13 +29,15 @@
 use crate::core::{
     CheckpointPolicy, EvalOutcome, SelectionStrategy, Tuner, TunerCheckpoint, TunerOptions,
 };
-use crate::eval::{outcome_from_sim, BatchExecutor, RetryPolicy, RetryingObjective, ThreadSleeper};
+use crate::eval::{
+    outcome_from_sim, BatchExecutor, NoopSleeper, RetryPolicy, Sleeper, ThreadSleeper,
+};
 use crate::obs::{
     DiagnosticsRecorder, Event, HealthAlert, JsonlSink, Level, MetricsRecorder, MetricsRegistry,
     MultiRecorder, ProfileRecorder, Recorder, StderrLogger,
 };
 use crate::perfsim::faults::FaultModel;
-use crate::space::{Configuration, Domain, ParamDef, ParameterSpace};
+use crate::space::{Configuration, Domain, ParamDef, ParamValue, ParameterSpace};
 use serde::Deserialize;
 use std::sync::Arc;
 
@@ -125,13 +127,17 @@ impl SpaceSpec {
 pub fn render_command(template: &str, cfg: &Configuration, space: &ParameterSpace) -> String {
     let mut out = template.to_string();
     for (i, def) in space.params().iter().enumerate() {
-        let value = match cfg.value(i) {
-            crate::space::ParamValue::Index(idx) => def.values()[idx].to_string(),
-            crate::space::ParamValue::Real(x) => format!("{x}"),
-        };
-        out = out.replace(&format!("{{{}}}", def.name()), &value);
+        out = out.replace(&format!("{{{}}}", def.name()), &render_value(cfg, i, def));
     }
     out
+}
+
+/// Parameter `i`'s value in `cfg` as the reports print it.
+fn render_value(cfg: &Configuration, i: usize, def: &ParamDef) -> String {
+    match cfg.value(i) {
+        ParamValue::Index(idx) => def.values()[idx].to_string(),
+        ParamValue::Real(x) => format!("{x}"),
+    }
 }
 
 /// How the objective is extracted from a command run.
@@ -444,13 +450,7 @@ pub fn render_config(cfg: &Configuration, space: &ParameterSpace) -> String {
         .params()
         .iter()
         .enumerate()
-        .map(|(i, def)| {
-            let value = match cfg.value(i) {
-                crate::space::ParamValue::Index(idx) => def.values()[idx].to_string(),
-                crate::space::ParamValue::Real(x) => format!("{x}"),
-            };
-            format!("{}={value}", def.name())
-        })
+        .map(|(i, def)| format!("{}={}", def.name(), render_value(cfg, i, def)))
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -610,21 +610,24 @@ fn build_tuner(
     Ok(tuner)
 }
 
-/// Command mode: tune an external program via its command template.
-fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAlert>), String> {
-    let json = std::fs::read_to_string(&options.space_path)
-        .map_err(|e| format!("cannot read {}: {e}", options.space_path))?;
-    let spec = SpaceSpec::from_json(&json)?;
-    let space = spec.build()?;
-
-    // Continuous spaces batch through the vectorized Proposal engine;
-    // discrete spaces through Ranking — both with constant-liar fantasies.
-    let parallel = options.workers > 1 || options.batch > 1;
-    let strategy = if spec.has_continuous() {
-        SelectionStrategy::Proposal { candidates: 32 }
-    } else {
-        SelectionStrategy::Ranking
-    };
+/// The run body both modes share: builds (or resumes) the tuner on
+/// `space` with `strategy`, attaches the requested observability, and
+/// spends the budget through one [`BatchExecutor`] on `--workers`
+/// threads in batches of `--batch`. A serial run is a batch of one on
+/// one worker, which the executor evaluates on this thread. `objective`
+/// receives `(configuration, trial, attempt)`; retries follow
+/// `--max-retries`, and `sleeper` performs (or skips) their backoff.
+/// Returns the best configuration as `render` prints it, its objective,
+/// and the watchdog's alerts. Fails when every trial in the budget
+/// failed.
+fn tune(
+    options: &CliOptions,
+    space: &ParameterSpace,
+    strategy: SelectionStrategy,
+    objective: impl Fn(&Configuration, u64, u32) -> EvalOutcome + Sync,
+    sleeper: impl Sleeper + 'static,
+    render: impl Fn(&Configuration) -> String,
+) -> Result<((String, f64), Vec<HealthAlert>), String> {
     let tuner_options = TunerOptions::default()
         .with_seed(options.seed)
         .with_init_samples(options.init_samples)
@@ -642,7 +645,47 @@ fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAl
     let policy = RetryPolicy::default()
         .with_max_retries(options.max_retries)
         .with_seed(options.seed);
-    let evaluate = |cfg: &Configuration| {
+    let mut exec = BatchExecutor::new(objective, options.workers)
+        .with_policy(policy)
+        .with_sleeper(sleeper);
+    if let Some(recorder) = &obs.recorder {
+        exec = exec.with_recorder(Arc::clone(recorder));
+    }
+    if options.metrics_summary {
+        exec = exec.with_registry(obs.registry.clone());
+    }
+    let best = tuner
+        .run_batch_fallible(options.budget, options.batch, |cfgs, base| {
+            exec.evaluate_batch(cfgs, base)
+        })
+        .ok_or_else(|| "every evaluation in the budget failed; nothing to report".to_string())?;
+    report_failures(&tuner);
+    let alerts = obs.finish(options)?;
+    Ok(((render(&best.config), best.objective), alerts))
+}
+
+/// Command mode: tune an external program via its command template.
+fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAlert>), String> {
+    let json = std::fs::read_to_string(&options.space_path)
+        .map_err(|e| format!("cannot read {}: {e}", options.space_path))?;
+    let spec = SpaceSpec::from_json(&json)?;
+    let space = spec.build()?;
+
+    // Continuous spaces batch through the vectorized Proposal engine;
+    // discrete spaces through Ranking, which enumerates the whole space —
+    // both with constant-liar fantasies.
+    let strategy = if spec.has_continuous() {
+        SelectionStrategy::Proposal { candidates: 32 }
+    } else if space.product_cardinality().is_none() {
+        return Err(format!(
+            "the product of the {} discrete parameters' value counts overflows usize; \
+             the space is too large to enumerate",
+            space.n_params()
+        ));
+    } else {
+        SelectionStrategy::Ranking
+    };
+    let evaluate = |cfg: &Configuration, _trial: u64, _attempt: u32| {
         let rendered = render_command(&options.command, cfg, &space);
         match evaluate_command(&rendered, options.measure) {
             Ok(y) => {
@@ -656,45 +699,10 @@ fn run_command_mode(options: &CliOptions) -> Result<((String, f64), Vec<HealthAl
             }
         }
     };
-    let best = if parallel {
-        // Parallel path: constant-liar batch suggestion + worker pool.
-        // `workers == batch == 1` never lands here, so the serial path
-        // below stays bit-identical to the pre-batch CLI.
-        let mut exec = BatchExecutor::new(
-            |cfg: &Configuration, _trial: u64, _attempt: u32| evaluate(cfg),
-            options.workers,
-        )
-        .with_policy(policy)
-        .with_sleeper(ThreadSleeper);
-        if let Some(recorder) = &obs.recorder {
-            exec = exec.with_recorder(Arc::clone(recorder));
-        }
-        if options.metrics_summary {
-            exec = exec.with_registry(obs.registry.clone());
-        }
-        tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
-            exec.evaluate_batch(cfgs, base)
-        })
-    } else {
-        let mut retrying =
-            RetryingObjective::new(|cfg: &Configuration, _attempt: u32| evaluate(cfg), policy)
-                .with_sleeper(ThreadSleeper);
-        if let Some(recorder) = &obs.recorder {
-            retrying = retrying.with_recorder(Arc::clone(recorder));
-        }
-        tuner.run_fallible(options.budget, |cfg| retrying.evaluate(cfg))
-    };
-    let best =
-        best.ok_or_else(|| "every evaluation in the budget failed; nothing to report".to_string())?;
-    report_failures(&tuner);
-    let alerts = obs.finish(options)?;
-    Ok((
-        (
-            render_command(&options.command, &best.config, &space),
-            best.objective,
-        ),
-        alerts,
-    ))
+    // Real commands wait out their retry backoff.
+    tune(options, &space, strategy, evaluate, ThreadSleeper, |cfg| {
+        render_command(&options.command, cfg, &space)
+    })
 }
 
 /// App mode: tune a built-in simulated dataset with optional deterministic
@@ -716,69 +724,24 @@ fn run_app_mode(
             ))
         }
     };
-    let space = dataset.space().clone();
+    let space = dataset.space();
 
     let mut model = FaultModel::new(options.seed, options.fail_prob);
     if let Some(factor) = options.timeout_factor {
         model = model.with_timeout(factor * dataset.percentile_value(0.5));
     }
-
-    let tuner_options = TunerOptions::default()
-        .with_seed(options.seed)
-        .with_init_samples(options.init_samples)
-        .with_strategy(SelectionStrategy::Ranking);
-    let mut tuner = build_tuner(space.clone(), tuner_options, options)?;
-
-    let obs = Observability::from_options(options)?;
-    if let Some(recorder) = &obs.recorder {
-        tuner.set_recorder(Arc::clone(recorder));
-    }
-    if options.metrics_summary {
-        tuner.set_metrics(obs.registry.clone());
-    }
-
-    let policy = RetryPolicy::default()
-        .with_max_retries(options.max_retries)
-        .with_seed(options.seed);
-    // Simulated evaluations: backoffs are recorded, not slept (the
-    // default NoopSleeper, in both the serial and parallel paths).
-    let best = if options.workers > 1 || options.batch > 1 {
-        let mut exec = BatchExecutor::new(
-            |cfg: &Configuration, _trial: u64, attempt: u32| {
-                outcome_from_sim(dataset.evaluate_outcome(cfg, &model, attempt))
-            },
-            options.workers,
-        )
-        .with_policy(policy);
-        if let Some(recorder) = &obs.recorder {
-            exec = exec.with_recorder(Arc::clone(recorder));
-        }
-        if options.metrics_summary {
-            exec = exec.with_registry(obs.registry.clone());
-        }
-        tuner.run_batch_fallible(options.budget, options.batch, |cfgs, base| {
-            exec.evaluate_batch(cfgs, base)
-        })
-    } else {
-        let mut retrying = RetryingObjective::new(
-            |cfg: &Configuration, attempt: u32| {
-                outcome_from_sim(dataset.evaluate_outcome(cfg, &model, attempt))
-            },
-            policy,
-        );
-        if let Some(recorder) = &obs.recorder {
-            retrying = retrying.with_recorder(Arc::clone(recorder));
-        }
-        tuner.run_fallible(options.budget, |cfg| retrying.evaluate(cfg))
+    let evaluate = |cfg: &Configuration, _trial: u64, attempt: u32| {
+        outcome_from_sim(dataset.evaluate_outcome(cfg, &model, attempt))
     };
-    let best =
-        best.ok_or_else(|| "every evaluation in the budget failed; nothing to report".to_string())?;
-    report_failures(&tuner);
-    let alerts = obs.finish(options)?;
-    Ok((
-        (render_config(&best.config, &space), best.objective),
-        alerts,
-    ))
+    // Simulated evaluations: backoffs are recorded, not slept.
+    tune(
+        options,
+        space,
+        SelectionStrategy::Ranking,
+        evaluate,
+        NoopSleeper,
+        |cfg| render_config(cfg, space),
+    )
 }
 
 /// Prints a one-line summary of permanent failures and Proposal-mode
@@ -1184,9 +1147,8 @@ mod tests {
     #[test]
     fn command_mode_accepts_parallel_flags_on_continuous_spaces() {
         // Continuous spaces batch through the vectorized Proposal engine:
-        // --workers/--batch are accepted, batch=1 through the parallel
-        // path matches the pure serial path exactly, and at a fixed batch
-        // every worker count yields the same result.
+        // --workers/--batch are accepted, and at a fixed batch every
+        // worker count yields the same result.
         let dir = std::env::temp_dir().join(format!("hiperbot-cli-cont-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec_path = dir.join("space.json");
@@ -1203,14 +1165,6 @@ mod tests {
             init_samples: 4,
             ..CliOptions::default()
         };
-        let serial = run(&base).unwrap();
-        let batched_serial = run(&CliOptions {
-            workers: 2,
-            batch: 1,
-            ..base.clone()
-        })
-        .unwrap();
-        assert_eq!(batched_serial, serial, "batch=1 must match the serial path");
         let batch4 = run(&CliOptions {
             workers: 1,
             batch: 4,
@@ -1437,6 +1391,81 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("seed"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_faulted_serial_run_resumes_to_the_uninterrupted_trace() {
+        // Retries are keyed on the tuner's trial index, not on a count of
+        // calls made in this process: after a resume, each `TrialRetried`
+        // carries the uninterrupted run's iteration and backoff.
+        let dir = std::env::temp_dir().join(format!("hiperbot-cli-fres-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let base = CliOptions {
+            app: Some("hypre".into()),
+            budget: 60,
+            seed: 5,
+            max_retries: 2,
+            fail_prob: 0.3,
+            checkpoint_every: 10,
+            ..CliOptions::default()
+        };
+        run(&CliOptions {
+            checkpoint_out: Some(path("ref_snap.json")),
+            trace_out: Some(path("ref.jsonl")),
+            ..base.clone()
+        })
+        .unwrap();
+        run(&CliOptions {
+            budget: 30,
+            checkpoint_out: Some(path("snap.json")),
+            ..base.clone()
+        })
+        .unwrap();
+        run(&CliOptions {
+            checkpoint_out: Some(path("snap.json")),
+            resume_from: Some(path("snap.json")),
+            trace_out: Some(path("resumed.jsonl")),
+            ..base.clone()
+        })
+        .unwrap();
+
+        // Trace lines with the wall-clock `elapsed_ns` zeroed.
+        fn zero_elapsed(line: &str) -> String {
+            const KEY: &str = "\"elapsed_ns\":";
+            let mut out = String::new();
+            let mut rest = line;
+            while let Some(at) = rest.find(KEY) {
+                out.push_str(&rest[..at + KEY.len()]);
+                out.push('0');
+                rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+            }
+            out + rest
+        }
+        let lines = |name: &str| -> Vec<String> {
+            let text = std::fs::read_to_string(path(name)).unwrap();
+            text.lines().map(zero_elapsed).collect()
+        };
+        let event = |line: &String| serde_json::from_str::<Event>(line).unwrap();
+        let reference = lines("ref.jsonl");
+        let resumed = lines("resumed.jsonl");
+        assert!(matches!(event(&resumed[0]), Event::RunHeader(_)));
+        assert!(matches!(
+            event(&resumed[1]),
+            Event::RunResumed { trials: 30, .. }
+        ));
+        let cut = reference
+            .iter()
+            .position(|l| matches!(event(l), Event::CheckpointWritten { trials: 30, .. }))
+            .expect("the reference checkpoints at trial 30");
+        assert!(
+            resumed[2..]
+                .iter()
+                .any(|l| matches!(event(l), Event::TrialRetried { .. })),
+            "the resumed half must retry something"
+        );
+        assert_eq!(resumed[2..], reference[cut + 1..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

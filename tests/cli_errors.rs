@@ -53,3 +53,23 @@ fn a_repeated_parameter_value_is_a_typed_error() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_discrete_space_whose_product_overflows_is_refused() {
+    // 16^17 = 2^68 configurations: more than `usize` can count, so the
+    // Ranking pool cannot be enumerated.
+    let values: Vec<String> = (0..16).map(|v| v.to_string()).collect();
+    let values = values.join(",");
+    let params: Vec<String> = (0..17)
+        .map(|i| format!(r#"{{"type":"ints","name":"p{i}","values":[{values}]}}"#))
+        .collect();
+    let spec = format!(r#"{{"params":[{}]}}"#, params.join(","));
+    let (code, stderr) = run("overflowing-product.json", &spec);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "error: the product of the 17 discrete parameters' value counts overflows usize"
+        ),
+        "{stderr}"
+    );
+}

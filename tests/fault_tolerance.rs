@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use hiperbot::apps::{kripke, Scale};
 use hiperbot::core::{EvalOutcome, ObservationHistory, Tuner, TunerOptions};
-use hiperbot::eval::{outcome_from_sim, RetryPolicy, RetryingObjective};
+use hiperbot::eval::{outcome_from_sim, BatchExecutor, RetryPolicy};
 use hiperbot::obs::{Event, MemoryRecorder};
 use hiperbot::perfsim::faults::FaultModel;
 use hiperbot::space::{Configuration, Domain, ParamDef, ParameterSpace};
@@ -33,17 +33,18 @@ fn faulted_kripke_run(
     let policy = RetryPolicy::default()
         .with_max_retries(max_retries)
         .with_seed(seed);
-    let mut retrying = RetryingObjective::new(
-        |cfg: &Configuration, attempt: u32| {
+    let mut exec = BatchExecutor::new(
+        |cfg: &Configuration, _trial: u64, attempt: u32| {
             outcome_from_sim(dataset.evaluate_outcome(cfg, &model, attempt))
         },
-        policy,
-    );
+        1,
+    )
+    .with_policy(policy);
     if let Some(rec) = &recorder {
-        retrying = retrying.with_recorder(rec.clone() as Arc<dyn hiperbot::obs::Recorder>);
+        exec = exec.with_recorder(rec.clone() as Arc<dyn hiperbot::obs::Recorder>);
     }
-    let best = tuner.run_fallible(budget, |cfg| retrying.evaluate(cfg));
-    let retries = retrying.retries();
+    let best = tuner.run_batch_fallible(budget, 1, |cfgs, base| exec.evaluate_batch(cfgs, base));
+    let retries = exec.retries();
     (tuner, best, retries)
 }
 
